@@ -4,15 +4,16 @@
 //! perfbench --workload <serve|churn|vconn> --seed <n> --seconds <s> --trace <0|1>
 //! ```
 //!
-//! An untraced run (`--trace 0`) measures the named workload at full size for
-//! `--seconds`, plus small probes of the other two workloads so every
-//! end-to-end metric is reported on every workload. A traced run
+//! An untraced run (`--trace 0`) measures for `--seconds`: mostly the named
+//! workload at full size, plus small probes of the other two workloads so
+//! every end-to-end metric is reported on every workload. A traced run
 //! (`--trace 1`) replays the named workload layer by layer with `psi_obs`
 //! tracing on and reports the per-layer metrics. Every answer is checked;
 //! the last stdout line is the JSON result, and the exit code is non-zero
 //! when any check failed. See `perfbench/README.md`.
 
 mod churn;
+mod gauge;
 mod gen;
 mod layers;
 mod report;
@@ -20,23 +21,25 @@ mod serve;
 mod stats;
 mod vconn;
 
+use gauge::{Gauge, NOMINAL_SORT_S, NOMINAL_WALK_S};
 use report::Report;
 use std::time::Duration;
 
-/// The end-to-end metrics every untraced run reports, in order.
-/// `read_p99_us` is measured and printed as context, not reported as a
-/// metric: it is set by the host's scheduler stalls, and its spread across
-/// runs exceeds any usable regression bound.
+/// The end-to-end metrics every untraced run reports, in order. The tails
+/// `hit_p99_us`, `st_p95_ms` and `read_p99_us` are measured and printed as
+/// context, not reported as metrics: they time cache misses and scheduler
+/// stalls, which the host's slow spells inflate far more than the medians
+/// (`st_p95_ms` halved between a slow and a fast spell while `st_p50_ms`
+/// moved by a quarter), so even scaled by the gauge their spread across runs
+/// exceeds any usable regression bound.
 const END_TO_END: &[&str] = &[
     "setup_s",
     "reload_s",
     "artifact_mb",
     "peak_rss_mb",
     "hit_p50_us",
-    "hit_p99_us",
     "scan_p50_ms",
     "st_p50_ms",
-    "st_p95_ms",
     "mutation_p50_us",
     "reject_p50_ms",
     "publish_p50_ms",
@@ -44,11 +47,13 @@ const END_TO_END: &[&str] = &[
     "vc_total_s",
 ];
 
-/// Share of `--seconds` each probe phase measures for.
-const PROBE_SHARE: f64 = 0.15;
+/// Share of `--seconds` each probe phase measures for; the workload's own
+/// phase measures for the rest, so the three together fill `--seconds`.
+const PROBE_SHARE: f64 = 0.12;
 
-/// Time slices each phase's measurement is cut into; the phases take turns.
-const SLICES: u32 = 5;
+/// Time slices each phase's measurement is cut into; the phases take turns,
+/// so every median samples the host across the whole run.
+const SLICES: u32 = 10;
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Workload {
@@ -135,7 +140,11 @@ fn untraced(args: &Args, report: &mut Report) {
         Workload::Vconn => (serve::PROBE, churn::PROBE, vconn::FULL),
     };
     let slice = |primary: bool| {
-        let share = if primary { 1.0 } else { PROBE_SHARE };
+        let share = if primary {
+            1.0 - 2.0 * PROBE_SHARE
+        } else {
+            PROBE_SHARE
+        };
         Duration::from_secs_f64(args.seconds * share / f64::from(SLICES))
     };
     let (serve_slice, churn_slice, vconn_slice) = (
@@ -143,24 +152,36 @@ fn untraced(args: &Args, report: &mut Report) {
         slice(args.workload == Workload::Churn),
         slice(args.workload == Workload::Vconn),
     );
+    // The gauge runs a burst before each phase's set-up and slice, so its
+    // ticks sample the host across the same stretch of time as the timings.
+    let mut gauge = Gauge::new();
+    gauge.burst();
     let mut serve = serve::Serve::open(serve_cfg, args.seed, report);
+    gauge.burst();
     let mut churn = churn::Churn::open(churn_cfg, args.seed, report);
+    gauge.burst();
     let mut vconn = vconn::Vconn::new(vconn_cfg, args.seed, report);
-    // Interleave the phases so every metric samples the whole run.
     for _ in 0..SLICES {
+        gauge.burst();
         serve.slice(serve_slice, report);
+        gauge.burst();
         churn.slice(churn_slice, report);
+        gauge.burst();
         vconn.slice(vconn_slice, report);
     }
     while !serve.done() {
+        gauge.burst();
         serve.slice(serve_slice, report);
     }
     while !churn.done() {
+        gauge.burst();
         churn.slice(churn_slice, report);
     }
     while !vconn.done() {
+        gauge.burst();
         vconn.slice(vconn_slice, report);
     }
+    gauge.burst();
     serve.finish(report);
     churn.finish(report);
     vconn.finish(report);
@@ -169,6 +190,17 @@ fn untraced(args: &Args, report: &mut Report) {
         None => report.fail("VmHWM unreadable from /proc/self/status".into()),
     }
     report.select(END_TO_END);
+    let ((walk, sort), factor) = (gauge.factors(), gauge.factor());
+    report.note(
+        "host_factor",
+        format!(
+            "{factor} = sqrt(walk {walk} x sort {sort}), medians of {} gauge ticks each over \
+             nominal {NOMINAL_WALK_S} s and {NOMINAL_SORT_S} s; the reported timings are the \
+             raw ones divided by it",
+            gauge.ticks()
+        ),
+    );
+    report.rescale_timings(factor);
 }
 
 fn traced(args: &Args, report: &mut Report) {

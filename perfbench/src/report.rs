@@ -124,6 +124,17 @@ impl Report {
         engine.expect("at least one set-up")
     }
 
+    /// Divides every timing (unit `s`, `ms` or `us`) by `factor`, noting
+    /// each value as measured.
+    pub fn rescale_timings(&mut self, factor: f64) {
+        for (name, value, unit) in &mut self.metrics {
+            if matches!(*unit, "s" | "ms" | "us") {
+                self.context.push(format!("raw.{name}: {value} {unit}"));
+                *value /= factor;
+            }
+        }
+    }
+
     /// Keeps only the metrics named in `names`, in that order, failing the run
     /// for any that was not measured.
     pub fn select(&mut self, names: &[&str]) {
@@ -213,6 +224,19 @@ mod tests {
                 .and_then(|v| v.as_str()),
             Some("ms")
         );
+    }
+
+    #[test]
+    fn rescaling_touches_timings_only_and_keeps_the_raw_values() {
+        let mut r = Report::default();
+        r.metric("setup_s", 3.0, "s");
+        r.metric("read_p50_us", 1.5, "us");
+        r.metric("artifact_mb", 52.0, "MB");
+        r.rescale_timings(1.5);
+        assert_eq!(r.metric_value("setup_s"), Some(2.0));
+        assert_eq!(r.metric_value("read_p50_us"), Some(1.0));
+        assert_eq!(r.metric_value("artifact_mb"), Some(52.0));
+        assert!(r.context.iter().any(|c| c == "raw.setup_s: 3 s"));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use crate::gen::{self, Rng};
 use crate::layers::{self, SpanTotals};
 use crate::report::Report;
-use crate::stats::Samples;
+use crate::stats::{Budget, Samples};
 use planar_subiso::cover::map_cover_batches;
 use planar_subiso::{verify_occurrence, IndexParams, Pattern, Psi, PsiIndex, CONNECTIVITY_CAP};
 use psi_baselines::maxflow::local_vertex_connectivity;
@@ -155,6 +155,7 @@ pub struct Serve {
     k4: Pattern,
     rng: Rng,
     calls: usize,
+    budget: Budget,
     hits: Samples,
     scans: Samples,
     sts: Samples,
@@ -190,6 +191,7 @@ impl Serve {
             k4: Pattern::clique(4),
             rng: Rng::new(seed ^ 0x5717),
             calls: 0,
+            budget: Budget::default(),
             hits: Samples::default(),
             scans: Samples::default(),
             sts: Samples::default(),
@@ -215,12 +217,16 @@ impl Serve {
         }
     }
 
-    /// A reload, then the closed loop for at least `budget`: HITS_PER_ST
-    /// hits per s–t call, one K4 scan per ST_PER_SCAN calls.
-    pub fn slice(&mut self, budget: Duration, report: &mut Report) {
+    /// A reload, then the closed loop while the slice worth `share` has time
+    /// left: HITS_PER_ST hits per s–t call, one K4 scan per ST_PER_SCAN calls.
+    pub fn slice(&mut self, share: Duration, report: &mut Report) {
+        let start = self.budget.open(share);
+        if !self.budget.left(start) {
+            self.budget.close(start);
+            return;
+        }
         self.reload(report);
-        let start = Instant::now();
-        while start.elapsed() < budget {
+        while self.budget.left(start) {
             for _ in 0..HITS_PER_ST {
                 let dt = hit(&mut self.psi, &self.g, self.hits.len(), &self.pats, report);
                 self.hits.push(dt);
@@ -236,6 +242,7 @@ impl Serve {
                 self.scans.push(dt);
             }
         }
+        self.budget.close(start);
     }
 
     /// Whether every sample floor is met.

@@ -1,4 +1,7 @@
-//! Sample summaries: medians and tail percentiles with a minimum tail.
+//! Sample summaries: medians and tail percentiles with a minimum tail; and
+//! the time budget of a phase measured in slices.
+
+use std::time::{Duration, Instant};
 
 /// Samples above a tail percentile the report requires before it names one.
 pub const MIN_TAIL: usize = 10;
@@ -46,6 +49,33 @@ pub fn samples_needed(p: u32) -> usize {
     (1..)
         .find(|&n| samples_above(n, p) >= MIN_TAIL)
         .expect("p < 100")
+}
+
+/// Measuring time a phase is owed across its slices. Each slice adds its
+/// share and is charged what it ran, so a slice that overruns (one K4 scan,
+/// one suite graph, one batch of edits) shortens the next ones, and every
+/// phase measures for its share of the run.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Budget {
+    owed: f64,
+}
+
+impl Budget {
+    /// Opens a slice worth `share`; returns its start.
+    pub fn open(&mut self, share: Duration) -> Instant {
+        self.owed += share.as_secs_f64();
+        Instant::now()
+    }
+
+    /// Whether the slice opened at `start` has time left.
+    pub fn left(&self, start: Instant) -> bool {
+        start.elapsed().as_secs_f64() < self.owed
+    }
+
+    /// Closes the slice opened at `start`, charging the time it ran.
+    pub fn close(&mut self, start: Instant) {
+        self.owed -= start.elapsed().as_secs_f64();
+    }
 }
 
 /// A named latency sample set.
@@ -130,6 +160,22 @@ mod tests {
             assert!(samples_above(n, p) >= MIN_TAIL);
             assert!(p == 99 || samples_above(n, p + 1) < MIN_TAIL);
         }
+    }
+
+    #[test]
+    fn an_overrun_slice_is_paid_back_by_the_next() {
+        let ms = Duration::from_millis;
+        let mut b = Budget::default();
+        let start = b.open(ms(10));
+        assert!(b.left(start));
+        std::thread::sleep(ms(40));
+        b.close(start);
+        let start = b.open(ms(10));
+        assert!(!b.left(start), "30 ms owed back exceed a 10 ms slice");
+        b.close(start);
+        let start = b.open(ms(200));
+        assert!(b.left(start));
+        b.close(start);
     }
 
     #[test]
