@@ -1,15 +1,16 @@
 //! Prints the paper-style experiment tables recorded in `EXPERIMENTS.md`.
 //!
 //! Each section corresponds to one experiment of the index in `DESIGN.md` (T1,
-//! F1–F10). The binary is deliberately text-only: run it with
-//! `cargo run -p psi-bench --release --bin experiments [section ...]` and paste the
-//! relevant rows into `EXPERIMENTS.md`.
+//! F1–F11); the `bench_*` sections write the machine-readable `BENCH_*.json`
+//! baselines. The table sections are deliberately text-only: run them with
+//! `cargo run -p psi_bench --release --bin experiments [section ...]` and paste
+//! the relevant rows into `EXPERIMENTS.md`.
 
 use planar_subiso::{
     build_cover, build_cover_with_stats, find_separating_occurrence_with_stats, run_parallel,
     search_cover, vertex_connectivity, ConnectivityMode, DynamicPsiIndex, IndexParams,
-    IndexedEngine, ParallelDpConfig, Pattern, Psi, PsiIndex, SeparatingInstance,
-    SubgraphIsomorphism, DEFAULT_BATCH_BUDGET,
+    ParallelDpConfig, Pattern, Psi, PsiIndex, PsiSnapshot, SeparatingInstance, SubgraphIsomorphism,
+    DEFAULT_BATCH_BUDGET,
 };
 use psi_baselines::{eppstein_sequential_decide, flow_vertex_connectivity, ullmann_decide};
 use psi_bench::{size_sweep, table1_patterns, target_with_n};
@@ -95,6 +96,9 @@ fn main() {
     if want("f10") {
         f10_path_layers();
     }
+    if want("f11") {
+        f11_planarity();
+    }
     if want("bench_dp") {
         let check = args.iter().any(|a| a == "--check");
         bench_dp(check);
@@ -127,8 +131,8 @@ struct PlanarityBenchCase {
     witness_edges: usize,
 }
 
-/// Median with the same convention as the criterion shim's `SampleStats` (even
-/// sample counts average the central pair); run counts here are odd anyway.
+/// Median of the samples (even sample counts average the central pair); run
+/// counts here are odd anyway.
 fn median_of(all_ms: &[f64]) -> f64 {
     let mut sorted = all_ms.to_vec();
     sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
@@ -624,7 +628,7 @@ fn bench_serve(check: bool) {
         bytes,
     });
 
-    let engine = IndexedEngine::new(&index);
+    let engine = PsiSnapshot::from(index);
 
     // Sustained positive queries: 256 decide(C4) per timed call. The classic path
     // rebuilds the cover per query (~200 ms, see BENCH_cover decide_c4_1m); served
@@ -1719,4 +1723,52 @@ fn f10_path_layers() {
             (n as f64).log2().floor() as usize + 1
         );
     }
+}
+
+/// F11 — planarity engine: embed cost on embedding-stripped planar inputs,
+/// the rotation system alone, and the rejection path with witness
+/// extraction. Ten timed samples per case; prints min / median / max.
+fn f11_planarity() {
+    use psi_planar::{planar_embedding, rotation_system};
+    fn case(name: &str, n: usize, mut run: impl FnMut() -> usize) {
+        let mut all_ms: Vec<f64> = (0..10)
+            .map(|_| timed(|| std::hint::black_box(run())).1)
+            .collect();
+        all_ms.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        println!(
+            "{:<28} {:>8} {:>10.3} {:>12.3} {:>10.3}",
+            name,
+            n,
+            all_ms[0],
+            median_of(&all_ms),
+            all_ms[all_ms.len() - 1]
+        );
+    }
+    println!("\n== F11: LR planarity engine, 10 samples per case ==");
+    println!(
+        "{:<28} {:>8} {:>10} {:>12} {:>10}",
+        "case", "n", "min [ms]", "median [ms]", "max [ms]"
+    );
+    for side in [64usize, 128] {
+        let g = generators::triangulated_grid(side, side);
+        let n = g.num_vertices();
+        case(&format!("embed_grid/{n}"), n, || {
+            planar_embedding(&g).expect("grid is planar").num_faces()
+        });
+        case(&format!("rotation_only/{n}"), n, || {
+            rotation_system(&g).expect("grid is planar").num_vertices()
+        });
+    }
+    let wheel = generators::wheel(4096);
+    case("embed_wheel_4096", wheel.num_vertices(), || {
+        planar_embedding(&wheel)
+            .expect("wheel is planar")
+            .num_faces()
+    });
+    let k6 = generators::complete(6);
+    case("reject_k6_with_witness", k6.num_vertices(), || {
+        planar_embedding(&k6)
+            .expect_err("K6 is not planar")
+            .num_edges()
+    });
 }

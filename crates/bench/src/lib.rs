@@ -1,5 +1,5 @@
-//! Shared helpers for the benchmark harness (workload generators and small utilities
-//! used by both the Criterion benches and the `experiments` binary).
+//! Shared helpers of the `experiments` binary (workload generators and small
+//! utilities).
 
 use planar_subiso::Pattern;
 use psi_graph::CsrGraph;
@@ -42,8 +42,7 @@ pub fn size_sweep(max_n: usize) -> Vec<usize> {
 /// Thread counts for the F8 strong-scaling sweep: powers of two up to the host's
 /// available parallelism, but always at least up to 4 — oversubscription costs little
 /// and proves the pool schedules real workers even on small hosts (CI pins the same
-/// range via its `PSI_THREADS` matrix). Shared by the F8 Criterion bench and the
-/// `experiments` binary so the two surfaces cannot drift.
+/// range via its `PSI_THREADS` matrix).
 pub fn f8_thread_sweep() -> Vec<usize> {
     let cores = std::thread::available_parallelism()
         .map(|p| p.get())

@@ -1,161 +1,44 @@
-//! Arbitrary-graph entry points: run the planarity engine first, then the pipeline.
-//!
-//! **Deprecated in favour of the [`crate::psi::Psi`] facade.** The `_auto` free
-//! functions predate the unified front door; each now has a one-line equivalent:
-//!
-//! | old | new |
-//! |---|---|
-//! | `decide_auto(p, g)` | [`Psi::decide_in`](crate::Psi::decide_in)`(p, g)` |
-//! | `find_one_auto(p, g)` | [`Psi::find_one_in`](crate::Psi::find_one_in)`(p, g)` |
-//! | `list_all_auto(p, g)` | [`Psi::list_all_in`](crate::Psi::list_all_in)`(p, g)` |
-//! | `vertex_connectivity_auto(g, m, s)` | [`Psi::vertex_connectivity_of`](crate::Psi::vertex_connectivity_of)`(g, m, s)` |
-//! | `build_index_auto(g, params)` | [`Psi::builder()`](crate::Psi::builder)` … .open(g)?.freeze()` |
-//!
-//! The shims below keep the historical `Result<_, Box<NonPlanarWitness>>`
-//! signatures; the facade folds that and every other failure into one
-//! [`crate::PsiError`]. The rationale is unchanged: the core query API
-//! ([`crate::isomorphism`]) takes a bare [`CsrGraph`] but *assumes* it is planar —
-//! the k-d cover guarantees (Theorem 2.4) and the connectivity reduction
-//! (Section 5.1) are only meaningful for planar inputs — so arbitrary instances
-//! must pass the LR planarity engine first and non-planar inputs are rejected
-//! with a checkable Kuratowski certificate instead of a silently meaningless
-//! answer. [`embed_checked`] and [`planarity_gate`] remain the supported
-//! low-level gates.
-
-use crate::connectivity::{vertex_connectivity, ConnectivityMode, ConnectivityResult};
-use crate::index::{IndexParams, PsiIndex};
-use crate::isomorphism::SubgraphIsomorphism;
-use crate::listing::ListingOutcome;
-use crate::pattern::Pattern;
-use psi_graph::{CsrGraph, Vertex};
-use psi_planar::{check_planarity, planar_embedding, Embedding, NonPlanarWitness};
-
-/// Verifies planarity and constructs the full face-list embedding, or returns the
-/// rejection certificate. Use this when the [`Embedding`] itself is consumed —
-/// [`vertex_connectivity_auto`] does, and several connectivity queries on one target
-/// can amortise it through [`crate::connectivity::vertex_connectivity`] directly. The
-/// subgraph-isomorphism gates below use the cheaper [`planarity_gate`] (rotation
-/// system only, no face tracing, no graph clone).
-pub fn embed_checked(target: &CsrGraph) -> Result<Embedding, Box<NonPlanarWitness>> {
-    planar_embedding(target)
-}
-
-/// The cheap planarity gate: runs the LR engine's test phases only (identical
-/// verdict and witness path to [`embed_checked`], no side resolution, rotation
-/// assembly, face tracing, or graph clone — none of which the cover pipeline needs).
-pub fn planarity_gate(target: &CsrGraph) -> Result<(), Box<NonPlanarWitness>> {
-    check_planarity(target)
-}
-
-/// Decides pattern occurrence on an arbitrary graph: the target passes the LR
-/// planarity gate ([`planarity_gate`]; test phases only, no embedding is built),
-/// then the cover pipeline runs. Non-planar targets are rejected with a verifiable
-/// [`NonPlanarWitness`].
-#[deprecated(
-    note = "use `Psi::decide_in` (one-shot) or `Psi::builder().open(..)` (serve-many) instead"
-)]
-#[allow(deprecated)]
-pub fn decide_auto(pattern: &Pattern, target: &CsrGraph) -> Result<bool, Box<NonPlanarWitness>> {
-    find_one_auto(pattern, target).map(|occ| occ.is_some() || pattern.k() == 0)
-}
-
-/// Finds one occurrence on an arbitrary graph (see [`decide_auto`]).
-#[deprecated(note = "use `Psi::find_one_in` instead")]
-#[allow(deprecated)]
-pub fn find_one_auto(
-    pattern: &Pattern,
-    target: &CsrGraph,
-) -> Result<Option<Vec<Vertex>>, Box<NonPlanarWitness>> {
-    SubgraphIsomorphism::new(pattern.clone()).find_one_checked(target)
-}
-
-/// Lists occurrences on an arbitrary graph (see [`decide_auto`]). The full
-/// [`ListingOutcome`] is returned so a truncated enumeration (the coin-flip loop
-/// hitting [`crate::listing::MAX_LISTING_ITERATIONS`]) surfaces as
-/// `complete == false` instead of silently looking exhaustive.
-#[deprecated(note = "use `Psi::list_all_in` instead")]
-pub fn list_all_auto(
-    pattern: &Pattern,
-    target: &CsrGraph,
-) -> Result<ListingOutcome, Box<NonPlanarWitness>> {
-    planarity_gate(target)?;
-    Ok(SubgraphIsomorphism::new(pattern.clone()).list_all_outcome(target))
-}
-
-/// Builds a [`PsiIndex`] from an arbitrary graph: the planarity engine supplies the
-/// embedding (rejecting non-planar inputs with the certificate), then the build-once
-/// / serve-many artifact is constructed over it. This is the front door for serving
-/// query batches against user-supplied targets — see [`crate::index`].
-#[deprecated(note = "use `Psi::builder().open(..)?.freeze()` instead")]
-pub fn build_index_auto(
-    target: &CsrGraph,
-    params: IndexParams,
-) -> Result<PsiIndex, Box<NonPlanarWitness>> {
-    let embedding = embed_checked(target)?;
-    Ok(PsiIndex::build(&embedding, params))
-}
-
-/// Computes planar vertex connectivity of a bare graph: the planarity engine supplies
-/// the embedding the face–vertex construction (Section 5.1) requires, which until now
-/// only generator-native embeddings could.
-#[deprecated(note = "use `Psi::vertex_connectivity_of` instead")]
-pub fn vertex_connectivity_auto(
-    target: &CsrGraph,
-    mode: ConnectivityMode,
-    seed: u64,
-) -> Result<ConnectivityResult, Box<NonPlanarWitness>> {
-    let embedding = embed_checked(target)?;
-    Ok(vertex_connectivity(&embedding, mode, seed))
-}
-
-impl SubgraphIsomorphism {
-    /// [`SubgraphIsomorphism::find_one`] behind the planarity gate: the target is
-    /// LR-tested and embedded first, and non-planar targets return the certificate
-    /// instead of an answer whose cover guarantees would be void.
-    #[deprecated(note = "use `Psi::find_one_in` instead")]
-    pub fn find_one_checked(
-        &self,
-        target: &CsrGraph,
-    ) -> Result<Option<Vec<Vertex>>, Box<NonPlanarWitness>> {
-        planarity_gate(target)?;
-        Ok(self.find_one(target))
-    }
-
-    /// [`SubgraphIsomorphism::decide`] behind the planarity gate (see
-    /// [`SubgraphIsomorphism::find_one_checked`]).
-    #[deprecated(note = "use `Psi::decide_in` instead")]
-    #[allow(deprecated)]
-    pub fn decide_checked(&self, target: &CsrGraph) -> Result<bool, Box<NonPlanarWitness>> {
-        Ok(self.find_one_checked(target)?.is_some() || self.pattern().k() == 0)
-    }
-}
+//! Tests of auto-embedding: every arbitrary-graph entry point of [`crate::Psi`]
+//! (the one-shot `decide_in` / `find_one_in` / `list_all_in` /
+//! `vertex_connectivity_of` and the serve-many `open`) runs the LR planarity
+//! engine itself, answers on planar targets as the native-embedding paths do,
+//! and refuses non-planar targets with a checkable Kuratowski certificate.
 
 #[cfg(test)]
 mod tests {
-    #![allow(deprecated)]
-
-    use super::*;
-    use crate::pattern::verify_occurrence;
+    use crate::connectivity::{vertex_connectivity, ConnectivityMode};
+    use crate::pattern::{verify_occurrence, Pattern};
+    use crate::psi::{Psi, PsiError};
+    use crate::snapshot::PsiSnapshot;
     use psi_graph::generators as gg;
     use psi_planar::generators as pg;
 
     #[test]
     fn auto_decide_on_planar_targets() {
         let g = gg::triangulated_grid(12, 12);
-        assert!(decide_auto(&Pattern::cycle(4), &g).unwrap());
-        assert!(!decide_auto(&Pattern::clique(5), &g).unwrap());
-        let occ = find_one_auto(&Pattern::triangle(), &g).unwrap().unwrap();
+        assert!(Psi::decide_in(&Pattern::cycle(4), &g).unwrap());
+        assert!(!Psi::decide_in(&Pattern::clique(5), &g).unwrap());
+        let occ = Psi::find_one_in(&Pattern::triangle(), &g).unwrap().unwrap();
         assert!(verify_occurrence(&Pattern::triangle(), &g, &occ));
     }
 
     #[test]
     fn auto_rejects_non_planar_targets_with_certificate() {
-        let g = gg::complete(5);
-        let w = decide_auto(&Pattern::triangle(), &g).expect_err("K5 accepted");
-        assert!(w.verify(&g));
-        let w =
-            vertex_connectivity_auto(&g, ConnectivityMode::WholeGraph, 1).expect_err("K5 accepted");
-        assert!(w.verify(&g));
+        let (k5, k33) = (gg::complete(5), gg::complete_bipartite(3, 3));
+        let whole = ConnectivityMode::WholeGraph;
+        for (err, g) in [
+            (Psi::decide_in(&Pattern::triangle(), &k5).unwrap_err(), &k5),
+            (
+                Psi::list_all_in(&Pattern::triangle(), &k33).unwrap_err(),
+                &k33,
+            ),
+            (Psi::vertex_connectivity_of(&k5, whole, 1).unwrap_err(), &k5),
+        ] {
+            match err {
+                PsiError::NonPlanar(w) => assert!(w.verify(g), "certificate must verify"),
+                other => panic!("expected NonPlanar, got {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -168,8 +51,9 @@ mod tests {
             (pg::grid_embedded(4, 4), 2),
             (pg::cycle_embedded(9), 2),
         ] {
-            let native = vertex_connectivity(&embedded, ConnectivityMode::WholeGraph, 1);
-            let auto = vertex_connectivity_auto(&embedded.graph, ConnectivityMode::WholeGraph, 1)
+            let whole = ConnectivityMode::WholeGraph;
+            let native = vertex_connectivity(&embedded, whole, 1);
+            let auto = Psi::vertex_connectivity_of(&embedded.graph, whole, 1)
                 .expect("planar graph rejected");
             assert_eq!(native.connectivity, expected);
             assert_eq!(auto.connectivity, expected);
@@ -180,39 +64,30 @@ mod tests {
     fn auto_connectivity_handles_low_connectivity_inputs() {
         // Disconnected and 1-connected bare graphs (no native embedding needed).
         let two = gg::disjoint_union(&[&gg::cycle(3), &gg::cycle(3)]);
-        assert_eq!(
-            vertex_connectivity_auto(&two, ConnectivityMode::WholeGraph, 1)
-                .unwrap()
-                .connectivity,
-            0
-        );
-        assert_eq!(
-            vertex_connectivity_auto(&gg::path(5), ConnectivityMode::WholeGraph, 1)
-                .unwrap()
-                .connectivity,
-            1
-        );
+        for (g, expected) in [(two, 0), (gg::path(5), 1)] {
+            let r = Psi::vertex_connectivity_of(&g, ConnectivityMode::WholeGraph, 1).unwrap();
+            assert_eq!(r.connectivity, expected);
+        }
     }
 
     #[test]
     fn list_all_auto_gates_on_planarity_and_reports_completeness() {
         let g = gg::triangulated_grid(5, 5);
-        let outcome = list_all_auto(&Pattern::triangle(), &g).unwrap();
+        let outcome = Psi::list_all_in(&Pattern::triangle(), &g).unwrap();
         assert!(!outcome.occurrences.is_empty());
         assert!(
             outcome.complete,
             "small instance must enumerate exhaustively"
         );
         assert!(outcome.iterations > 0);
-        assert!(list_all_auto(&Pattern::triangle(), &gg::complete_bipartite(3, 3)).is_err());
+        assert!(Psi::list_all_in(&Pattern::triangle(), &gg::complete_bipartite(3, 3)).is_err());
     }
 
     #[test]
     fn build_index_auto_gates_on_planarity() {
         let g = gg::triangulated_grid(8, 8);
-        let index = build_index_auto(&g, IndexParams::default()).unwrap();
-        let engine = crate::index::IndexedEngine::new(&index);
-        assert!(engine.decide(&Pattern::cycle(4)).unwrap());
-        assert!(build_index_auto(&gg::complete(5), IndexParams::default()).is_err());
+        let index = Psi::open(&g).unwrap().freeze();
+        assert!(PsiSnapshot::from(index).decide(&Pattern::cycle(4)).unwrap());
+        assert!(Psi::open(&gg::complete(5)).is_err());
     }
 }

@@ -74,9 +74,9 @@ pub fn vertex_connectivity(
 /// [`vertex_connectivity`] against a **prebuilt** face–vertex graph.
 ///
 /// The face–vertex construction is pure preprocessing — it depends only on the
-/// embedding, not on the query — so a build-once artifact
-/// ([`crate::index::PsiIndex`]) stores it and serves every connectivity query
-/// without re-deriving it. `fv` must be the face–vertex graph of an embedding of
+/// embedding, not on the query — so the index read path ([`crate::snapshot`])
+/// derives it once per served epoch and answers every connectivity query of
+/// that epoch without re-deriving it. `fv` must be the face–vertex graph of an embedding of
 /// `graph` (`fv.num_original == graph.num_vertices()`).
 pub fn vertex_connectivity_with_fv(
     graph: &CsrGraph,
@@ -279,7 +279,7 @@ fn search_with_cover(
 ///
 /// The function is read-only on `graph` (per-query scratch only), so batches of
 /// pairs run concurrently against one shared target — the
-/// [`crate::index::IndexedEngine::connectivity_batch`] front end does exactly that.
+/// [`crate::PsiSnapshot::connectivity_batch`] front end does exactly that.
 pub fn st_connectivity_capped(graph: &CsrGraph, s: Vertex, t: Vertex, cap: usize) -> usize {
     let n = graph.num_vertices();
     assert!((s as usize) < n && (t as usize) < n, "s/t out of range");

@@ -27,37 +27,30 @@
 //! to [`PsiIndex::build`] on the mutated graph — the invariant the determinism
 //! suite pins under `PSI_THREADS = {1, 4}`.
 //!
-//! Queries ([`DynamicPsiIndex::decide`], [`DynamicPsiIndex::find_one`], the
-//! batch variants, and the connectivity front ends) scan rounds in order and
-//! clusters in ascending centre order — the same order the frozen engine scans
-//! its flat batch stream — so verdicts *and witnesses* match the frozen
-//! [`crate::IndexedEngine`] answer for every thread count.
+//! The engine's readable state is an `EpochState` value — the one read path
+//! frozen, live and pinned queries share (see [`crate::snapshot`]). Queries
+//! ([`DynamicPsiIndex::decide`], [`DynamicPsiIndex::find_one`], the batch
+//! variants, and the connectivity front ends) flush the dirty backlog and then
+//! read that state in place: rounds in order, clusters in ascending centre
+//! order — the stored order of the frozen artifact — so verdicts *and
+//! witnesses* match a frozen [`PsiSnapshot`] of the same graph for every
+//! thread count.
 
-use crate::connectivity::{
-    st_connectivity_capped, vertex_connectivity_with_fv, ConnectivityMode, ConnectivityResult,
-};
+use crate::connectivity::{ConnectivityMode, ConnectivityResult};
 use crate::cover::{
     emit_cluster_batches, BatchBuilder, ClusterScratch, ClusterView, CoverBatch, PassCounters,
 };
-use crate::index::{
-    admit_pattern, decide_in_batches, find_in_batches, FlatDecomposition, IndexParams,
-    IndexedBatch, PsiIndex, QueryError, CONNECTIVITY_CAP,
-};
-use crate::isomorphism::DpStrategy;
+use crate::index::{FlatDecomposition, IndexParams, IndexedBatch, PsiIndex, QueryError};
 use crate::pattern::Pattern;
-use crate::snapshot::{EpochManager, EpochState, PsiSnapshot, RoundMap};
+use crate::snapshot::{EpochSource, EpochState, PsiSnapshot, RoundMap};
 use psi_cluster::DynamicClustering;
 use psi_graph::{
     biconnected_components, induced_subgraph, AdjacencyList, CsrGraph, NeighborSource, Vertex,
 };
-use psi_planar::{
-    check_planarity, face_vertex_graph, planar_embedding, Embedding, FaceVertexGraph,
-    NonPlanarWitness,
-};
-use rayon::prelude::*;
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+use psi_planar::{check_planarity, planar_embedding, Embedding, NonPlanarWitness};
+use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 use std::fmt;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
 // Errors and stats
@@ -391,31 +384,27 @@ impl ClusterView for DynClusterView<'_> {
 /// answers, and [`DynamicPsiIndex::freeze`]s back to a byte-identical
 /// [`PsiIndex`]. See the module docs for the invariants that make this work.
 pub struct DynamicPsiIndex {
-    params: IndexParams,
-    strategy: DpStrategy,
+    /// The readable state: params, epoch, and per round the batches keyed by
+    /// cluster centre, `Arc`-shared with any outstanding [`PsiSnapshot`]s
+    /// (iterating values in key order reproduces the frozen round's flat batch
+    /// stream), plus the target/faces/face–vertex cells every accepted mutation
+    /// empties. A flush never mutates a published round map: it clones the map
+    /// (cheap — values are `Arc`s), splices the rebuilt clusters into the copy,
+    /// and swaps it in with one `Arc` store.
+    state: EpochState,
+    /// The current epoch's publication, shared by every snapshot of it; dropped
+    /// by the next accepted mutation.
+    published: Option<Arc<EpochState>>,
     graph: AdjacencyList,
     faces: FaceStore,
     /// One live clustering per stored round, same `(β, seed)` as at build time.
     clusterings: Vec<DynamicClustering>,
-    /// Per round: the round's batches keyed by cluster centre, `Arc`-shared with
-    /// any outstanding [`PsiSnapshot`]s. Iterating values in key order
-    /// reproduces the frozen round's flat batch stream. A flush never mutates a
-    /// published map: it clones the map (cheap — values are `Arc`s), splices the
-    /// rebuilt clusters into the copy, and publishes with one `Arc` swap.
-    rounds: Vec<Arc<RoundMap>>,
     /// Per round: centres whose batches are stale and must be re-emitted before
     /// the next batch scan (ordered so the flush is deterministic).
     dirty: Vec<BTreeSet<Vertex>>,
     scratch: ClusterScratch,
     batch: BatchBuilder,
     counters: PassCounters,
-    /// Lazily re-derived caches, reset by every mutation. `Arc`-held so
-    /// snapshots share them instead of re-deriving.
-    csr: OnceLock<Arc<CsrGraph>>,
-    fv: OnceLock<Arc<FaceVertexGraph>>,
-    faces_cache: OnceLock<Arc<Vec<Vec<Vertex>>>>,
-    /// Epoch bookkeeping for [`DynamicPsiIndex::snapshot`].
-    epochs: EpochManager,
     /// Content-addressed decomposition reuse across flushes (see [`DecompCache`]).
     decomp_cache: DecompCache,
 }
@@ -445,11 +434,9 @@ struct DecompCache {
 /// A retired cluster batch vector plus the index of the cached batch within it.
 type CacheEntry = (Arc<Vec<IndexedBatch>>, u32);
 
-/// Default cache capacity: roughly one flush's worth of retired cluster batches
-/// at the 1M-vertex, 256-mutation benchmark scale (a few tens of MB of pinned
-/// retired rounds). Override per engine via
-/// [`crate::psi::PsiBuilder::decomp_cache_cap`] or
-/// [`DynamicPsiIndex::set_decomp_cache_cap`].
+/// Cache capacity: roughly one flush's worth of retired cluster batches at the
+/// 1M-vertex, 256-mutation benchmark scale (a few tens of MB of pinned retired
+/// rounds).
 pub const DECOMP_CACHE_CAP: usize = 4096;
 
 /// Point-in-time counters of the flush-side decomposition cache
@@ -464,7 +451,7 @@ pub struct DecompCacheMetrics {
     pub evictions: u64,
     /// Entries currently resident.
     pub len: usize,
-    /// The capacity bound currently in force.
+    /// The capacity bound ([`DECOMP_CACHE_CAP`]).
     pub cap: usize,
 }
 
@@ -498,9 +485,6 @@ impl DecompCache {
 
     /// Admits every batch of a retired cluster vector (`Arc` bumps only).
     fn admit(&mut self, batches: &Arc<Vec<IndexedBatch>>) {
-        if self.cap == 0 {
-            return;
-        }
         for (i, _) in batches.iter().enumerate() {
             let h = batches[i].batch.content_hash();
             self.buckets
@@ -534,7 +518,7 @@ impl fmt::Debug for DynamicPsiIndex {
         f.debug_struct("DynamicPsiIndex")
             .field("n", &self.graph.num_vertices())
             .field("m", &self.graph.num_edges())
-            .field("rounds", &self.rounds.len())
+            .field("rounds", &self.state.rounds.len())
             .field(
                 "dirty_clusters",
                 &self.dirty.iter().map(BTreeSet::len).sum::<usize>(),
@@ -548,50 +532,23 @@ impl DynamicPsiIndex {
     /// round (the per-vertex arrival state is not serialised — it is a pure
     /// function of the target and the frozen seeds) plus the batch regrouping.
     pub fn thaw(index: PsiIndex) -> DynamicPsiIndex {
-        let (params, target, face_offsets, face_data, rounds) = index.into_parts();
-        let n = target.num_vertices();
-        let walks: Vec<Vec<Vertex>> = (0..face_offsets.len() - 1)
-            .map(|i| face_data[face_offsets[i] as usize..face_offsets[i + 1] as usize].to_vec())
-            .collect();
+        let (state, walks) = EpochState::from_index(index);
+        let (params, n) = (state.params, state.n);
+        let target = state.target(&()).clone(); // filled by `from_index`
         let clusterings: Vec<DynamicClustering> = (0..params.rounds)
             .map(|r| DynamicClustering::from_graph(&target, params.beta(), params.round_seed(r)))
             .collect();
-        let grouped: Vec<Arc<RoundMap>> = rounds
-            .into_iter()
-            .map(|round| {
-                // The artifact's round vectors are freshly decoded (refcount 1),
-                // so unwrapping moves the batches without copying.
-                let round = Arc::try_unwrap(round).unwrap_or_else(|arc| (*arc).clone());
-                let mut by_center: BTreeMap<Vertex, Vec<IndexedBatch>> = BTreeMap::new();
-                for ib in round {
-                    by_center.entry(ib.batch.windows[0].0).or_default().push(ib);
-                }
-                Arc::new(
-                    by_center
-                        .into_iter()
-                        .map(|(c, batches)| (c, Arc::new(batches)))
-                        .collect::<RoundMap>(),
-                )
-            })
-            .collect();
-        let csr = OnceLock::new();
-        let _ = csr.set(target.clone());
         let dirty = vec![BTreeSet::new(); clusterings.len()];
         DynamicPsiIndex {
-            params,
-            strategy: DpStrategy::Sequential,
+            state,
+            published: None,
             graph: AdjacencyList::from_csr(&target),
             faces: FaceStore::from_walks(n, walks),
             clusterings,
-            rounds: grouped,
             dirty,
             scratch: ClusterScratch::new(n),
             batch: BatchBuilder::new(params.batch_budget as usize),
             counters: PassCounters::default(),
-            csr,
-            fv: OnceLock::new(),
-            faces_cache: OnceLock::new(),
-            epochs: EpochManager::new(),
             decomp_cache: DecompCache::new(DECOMP_CACHE_CAP),
         }
     }
@@ -601,17 +558,9 @@ impl DynamicPsiIndex {
         Self::thaw(PsiIndex::build(embedding, params))
     }
 
-    /// Selects the DP engine run inside each scanned batch at query time.
-    /// Drops the current epoch's publication (the strategy is baked into a
-    /// snapshot) without consuming an epoch number — the graph did not move.
-    pub fn set_strategy(&mut self, strategy: DpStrategy) {
-        self.strategy = strategy;
-        self.epochs.invalidate();
-    }
-
     /// The build parameters shared with the frozen artifact.
     pub fn params(&self) -> IndexParams {
-        self.params
+        self.state.params
     }
 
     /// Number of target vertices.
@@ -631,19 +580,7 @@ impl DynamicPsiIndex {
 
     /// The target as CSR (rebuilt lazily after a mutation, then cached).
     pub fn target_csr(&self) -> &CsrGraph {
-        self.target_arc()
-    }
-
-    /// The shared handle behind [`DynamicPsiIndex::target_csr`] (what snapshots
-    /// capture without copying).
-    fn target_arc(&self) -> &Arc<CsrGraph> {
-        self.csr.get_or_init(|| Arc::new(self.graph.to_csr()))
-    }
-
-    /// The live facial walks, `Arc`-cached until the next mutation.
-    fn faces_arc(&self) -> &Arc<Vec<Vec<Vertex>>> {
-        self.faces_cache
-            .get_or_init(|| Arc::new(self.faces.compact()))
+        self.state.target(self)
     }
 
     /// The maintained embedding (target plus live facial walks). `O(n + m)`.
@@ -849,9 +786,9 @@ impl DynamicPsiIndex {
     /// Replaced cluster vectors are harvested into the decomposition cache
     /// before the swap so re-created batch content skips `decomposition_described`.
     fn rebuild_clusters(&mut self, r: usize, affected: &[Vertex]) -> usize {
-        let d = self.params.d as usize;
+        let d = self.state.params.d as usize;
         let mut rebuilt = 0usize;
-        let mut map: RoundMap = (*self.rounds[r]).clone();
+        let mut map: RoundMap = (*self.state.rounds[r]).clone();
         for &c in affected {
             if let Some(old) = map.remove(&c) {
                 self.decomp_cache.admit(&old);
@@ -892,16 +829,14 @@ impl DynamicPsiIndex {
             rebuilt += batches.len();
             map.insert(c, Arc::new(batches));
         }
-        self.rounds[r] = Arc::new(map); // publish: the single epoch swap
+        self.state.rounds[r] = Arc::new(map); // publish: the single epoch swap
         psi_obs::event!("flush.publish", round = r, rebuilt = rebuilt);
         rebuilt
     }
 
     fn invalidate_caches(&mut self) {
-        self.csr = OnceLock::new();
-        self.fv = OnceLock::new();
-        self.faces_cache = OnceLock::new();
-        self.epochs.advance();
+        self.state.advance();
+        self.published = None;
         crate::obs::metrics().epoch_advances_total.add(1);
     }
 
@@ -916,21 +851,7 @@ impl DynamicPsiIndex {
     pub fn freeze(&mut self) -> PsiIndex {
         let _span = psi_obs::span!("freeze", n = self.graph.num_vertices());
         self.flush();
-        let target = self.target_csr();
-        let embedding =
-            planar_embedding(target).expect("the dynamic index maintains a planar target");
-        let rounds: Vec<Vec<IndexedBatch>> = self
-            .rounds
-            .iter()
-            .map(|round| {
-                round
-                    .values()
-                    .flat_map(|batches| batches.iter())
-                    .cloned()
-                    .collect()
-            })
-            .collect();
-        PsiIndex::from_parts(self.params, &embedding, rounds)
+        self.state.freeze(self)
     }
 
     // --- snapshots ---------------------------------------------------------
@@ -938,7 +859,7 @@ impl DynamicPsiIndex {
     /// The current epoch. Strictly increases across accepted mutations;
     /// rejected mutations and queries leave it unchanged.
     pub fn epoch(&self) -> u64 {
-        self.epochs.epoch()
+        self.state.epoch
     }
 
     /// Pins the current state as an immutable, `Send + Sync` [`PsiSnapshot`]
@@ -946,38 +867,20 @@ impl DynamicPsiIndex {
     /// flushing.
     ///
     /// Cost: one implicit [`DynamicPsiIndex::flush`] of the dirty backlog, then
-    /// `O(rounds)` `Arc` bumps — no graph or batch copies. Snapshots of an
-    /// unchanged engine share one cached publication (and one epoch number).
+    /// `O(rounds)` `Arc` bumps plus the epoch's target CSR and facial walks
+    /// (derived once per epoch, shared with the live reads) — no batch copies.
+    /// Snapshots of an unchanged engine share one publication (and one epoch
+    /// number).
     pub fn snapshot(&mut self) -> PsiSnapshot {
-        let _span = psi_obs::span!("snapshot", epoch = self.epochs.epoch());
+        let _span = psi_obs::span!("snapshot", epoch = self.state.epoch);
         crate::obs::metrics().snapshots_total.add(1);
         self.flush();
-        if let Some(state) = self.epochs.published() {
-            return PsiSnapshot::new(state);
+        if let Some(state) = &self.published {
+            return PsiSnapshot::new(state.clone());
         }
-        let fv = OnceLock::new();
-        if let Some(warm) = self.fv.get() {
-            let _ = fv.set(warm.clone()); // share the engine's cache when warm
-        }
-        let state = EpochState {
-            epoch: self.epochs.epoch(),
-            params: self.params,
-            strategy: self.strategy,
-            target: self.target_arc().clone(),
-            faces: self.faces_arc().clone(),
-            fv,
-            rounds: self.rounds.clone(),
-        };
-        PsiSnapshot::new(self.epochs.store(state))
-    }
-
-    /// `(hits, misses)` of the flush-side decomposition cache since thaw.
-    #[deprecated(
-        since = "0.10.0",
-        note = "use `decomp_cache_metrics` (hits, misses, evictions, len, cap)"
-    )]
-    pub fn decomp_cache_stats(&self) -> (u64, u64) {
-        (self.decomp_cache.hits, self.decomp_cache.misses)
+        let state = Arc::new(self.state.publish(self));
+        self.published = Some(state.clone());
+        PsiSnapshot::new(state)
     }
 
     /// Full counters of the flush-side decomposition cache since thaw.
@@ -989,16 +892,6 @@ impl DynamicPsiIndex {
             len: self.decomp_cache.order.len(),
             cap: self.decomp_cache.cap,
         }
-    }
-
-    /// Rebounds the flush-side decomposition cache (see [`DECOMP_CACHE_CAP`]
-    /// for the default), evicting FIFO immediately if the new cap is smaller
-    /// than the resident set. `0` disables caching. Purely a memory/speed knob —
-    /// hit or miss, decompositions are bit-identical, so answers and
-    /// [`DynamicPsiIndex::freeze`] bytes never change.
-    pub fn set_decomp_cache_cap(&mut self, cap: usize) {
-        self.decomp_cache.cap = cap;
-        self.decomp_cache.enforce_cap();
     }
 
     /// Pushes the decomposition-cache counters into the global metrics
@@ -1013,77 +906,31 @@ impl DynamicPsiIndex {
     }
 
     // --- queries ----------------------------------------------------------
+    //
+    // Each query flushes the dirty backlog (pattern scans read the batches),
+    // then reads the engine's `EpochState` in place — the same implementation
+    // frozen and pinned snapshots run (see `crate::snapshot`).
 
     /// Decides whether `pattern` occurs in the live target (flushing dirty
-    /// clusters first); same contract (and, batch for batch, same scan) as
-    /// [`crate::IndexedEngine::decide`].
+    /// clusters first); same contract as [`PsiSnapshot::decide`].
     pub fn decide(&mut self, pattern: &Pattern) -> Result<bool, QueryError> {
         self.flush();
-        self.decide_flushed(pattern)
-    }
-
-    fn decide_flushed(&self, pattern: &Pattern) -> Result<bool, QueryError> {
-        let _span = psi_obs::span!("query.decide", k = pattern.k());
-        let metrics = crate::obs::metrics();
-        metrics.queries_total.add(1);
-        let start = std::time::Instant::now();
-        if let Some(short) = admit_pattern(&self.params, self.graph.num_vertices(), pattern)? {
-            metrics.query_decide_ns.record_duration(start.elapsed());
-            return Ok(short.is_some());
-        }
-        let verdict = self.rounds.iter().any(|round| {
-            decide_in_batches(
-                self.strategy,
-                pattern,
-                round.values().flat_map(|batches| batches.iter()),
-            )
-        });
-        metrics.query_decide_ns.record_duration(start.elapsed());
-        Ok(verdict)
+        self.state.decide(pattern)
     }
 
     /// Finds one occurrence (flushing dirty clusters first); the witness is the
     /// first hit in (round, centre, emission) order — identical to the frozen
-    /// engine's stored-order witness.
+    /// artifact's stored-order witness.
     pub fn find_one(&mut self, pattern: &Pattern) -> Result<Option<Vec<Vertex>>, QueryError> {
         self.flush();
-        self.find_one_flushed(pattern)
-    }
-
-    fn find_one_flushed(&self, pattern: &Pattern) -> Result<Option<Vec<Vertex>>, QueryError> {
-        let _span = psi_obs::span!("query.find_one", k = pattern.k());
-        let metrics = crate::obs::metrics();
-        metrics.queries_total.add(1);
-        let start = std::time::Instant::now();
-        if let Some(short) = admit_pattern(&self.params, self.graph.num_vertices(), pattern)? {
-            metrics.query_find_one_ns.record_duration(start.elapsed());
-            return Ok(short);
-        }
-        let target = self.target_csr();
-        for round in &self.rounds {
-            if let Some(occ) = find_in_batches(
-                self.strategy,
-                pattern,
-                target,
-                round.values().flat_map(|batches| batches.iter()),
-            ) {
-                metrics.query_find_one_ns.record_duration(start.elapsed());
-                return Ok(Some(occ));
-            }
-        }
-        metrics.query_find_one_ns.record_duration(start.elapsed());
-        Ok(None)
+        self.state.find_one(pattern, self)
     }
 
     /// [`DynamicPsiIndex::decide`] over many patterns on the work-stealing pool,
     /// answers in input order (one flush up front, then read-only scans).
     pub fn decide_batch(&mut self, patterns: &[Pattern]) -> Vec<Result<bool, QueryError>> {
         self.flush();
-        let this = &*self;
-        patterns
-            .par_iter()
-            .map(|p| this.decide_flushed(p))
-            .collect()
+        self.state.decide_batch(patterns)
     }
 
     /// [`DynamicPsiIndex::find_one`] over many patterns (input order,
@@ -1093,47 +940,32 @@ impl DynamicPsiIndex {
         patterns: &[Pattern],
     ) -> Vec<Result<Option<Vec<Vertex>>, QueryError>> {
         self.flush();
-        let this = &*self;
-        patterns
-            .par_iter()
-            .map(|p| this.find_one_flushed(p))
-            .collect()
+        self.state.find_one_batch(patterns, self)
     }
 
     /// Capped pairwise s–t vertex connectivity against the live target, in input
-    /// order (the planar cap of [`CONNECTIVITY_CAP`] applies).
+    /// order (the planar cap of [`crate::CONNECTIVITY_CAP`] applies).
     pub fn connectivity_batch(&self, pairs: &[(Vertex, Vertex)]) -> Vec<Result<usize, QueryError>> {
-        let target = self.target_csr();
-        let n = target.num_vertices();
-        pairs
-            .par_iter()
-            .map(|&(s, t)| {
-                for x in [s, t] {
-                    if x as usize >= n {
-                        return Err(QueryError::VertexOutOfRange { vertex: x, n });
-                    }
-                }
-                if s == t {
-                    return Err(QueryError::IdenticalEndpoints { vertex: s });
-                }
-                Ok(st_connectivity_capped(target, s, t, CONNECTIVITY_CAP))
-            })
-            .collect()
+        self.state.connectivity_batch(pairs, self)
     }
 
     /// Global vertex connectivity from the maintained embedding's face–vertex
-    /// graph (Lemma 5.1); the graph is re-derived lazily after a mutation and
-    /// cached until the next one. The connectivity *value* is embedding-
-    /// independent, so it matches the frozen engine's answer.
+    /// graph (Lemma 5.1); the graph is derived once per epoch. The connectivity
+    /// *value* is embedding-independent, so it matches the frozen answer.
     pub fn vertex_connectivity(&self, mode: ConnectivityMode, seed: u64) -> ConnectivityResult {
-        let target = self.target_csr();
-        let fv = self.fv.get_or_init(|| {
-            Arc::new(face_vertex_graph(&Embedding::new(
-                target.clone(),
-                self.faces.compact(),
-            )))
-        });
-        vertex_connectivity_with_fv(target, fv, mode, seed)
+        self.state.vertex_connectivity(mode, seed, self)
+    }
+}
+
+/// The live engine fills its epoch cells from the adjacency lists and the
+/// maintained face store.
+impl EpochSource for DynamicPsiIndex {
+    fn csr(&self) -> CsrGraph {
+        self.graph.to_csr()
+    }
+
+    fn walks(&self) -> Vec<Vec<Vertex>> {
+        self.faces.compact()
     }
 }
 
@@ -1341,8 +1173,7 @@ mod tests {
         dynamic.insert_edge(0, 7).unwrap();
         dynamic.insert_edge(14, 21).unwrap();
         dynamic.delete_edge(0, 1).unwrap();
-        let frozen = dynamic.freeze();
-        let engine = crate::IndexedEngine::new(&frozen);
+        let engine = PsiSnapshot::from(dynamic.freeze());
         for pattern in [
             Pattern::triangle(),
             Pattern::cycle(4),
@@ -1358,6 +1189,62 @@ mod tests {
             dynamic.connectivity_batch(&pairs),
             engine.connectivity_batch(&pairs)
         );
+    }
+
+    #[test]
+    fn live_decide_after_a_mutation_derives_no_target_or_faces() {
+        // Pattern scans read only the batches: the flush rebuilds them from the
+        // adjacency lists, and the read derives neither the CSR nor the faces.
+        let e = pg::grid_embedded(5, 5);
+        let mut dynamic = DynamicPsiIndex::build(&e, params());
+        dynamic.insert_edge(0, 6).unwrap();
+        assert!(dynamic.state.target.get().is_none());
+        assert_eq!(dynamic.decide(&Pattern::triangle()), Ok(true));
+        assert_eq!(
+            dynamic.decide_batch(&[Pattern::cycle(4), Pattern::clique(4)]),
+            vec![Ok(true), Ok(false)]
+        );
+        assert!(
+            dynamic.state.target.get().is_none(),
+            "decide derived the CSR"
+        );
+        assert!(
+            dynamic.state.faces.get().is_none(),
+            "decide compacted faces"
+        );
+        // Connectivity reads the target, once per epoch.
+        assert!(dynamic.connectivity_batch(&[(0, 24)])[0].is_ok());
+        assert!(dynamic.state.target.get().is_some());
+    }
+
+    /// Cell diagonals of a `w × w` grid, spread over distinct cells — every
+    /// insert is a face chord, accepted without a re-embed.
+    fn diagonals(w: usize) -> Vec<(Vertex, Vertex)> {
+        let mut out = Vec::new();
+        for r in (0..w - 1).step_by(2) {
+            for c in (0..w - 1).step_by(3) {
+                out.push(((r * w + c) as Vertex, ((r + 1) * w + c + 1) as Vertex));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn decomp_cache_cap_bounds_cache_and_counts_evictions() {
+        let e = pg::grid_embedded(10, 10);
+        let mut dynamic = DynamicPsiIndex::build(&e, params());
+        dynamic.decomp_cache = DecompCache::new(2);
+        for &(u, v) in &diagonals(10) {
+            dynamic.insert_edge(u, v).expect("cell diagonal rejected");
+            dynamic.flush();
+        }
+        let m = dynamic.decomp_cache_metrics();
+        assert_eq!(m.cap, 2);
+        assert!(m.len <= 2, "cache exceeded its cap: {m:?}");
+        assert!(m.misses > 0, "flushes must populate the cache: {m:?}");
+        assert!(m.evictions > 0, "a cap of 2 must evict under churn: {m:?}");
+        // The cap bounds memory only: hit or miss, the artifact is unchanged.
+        assert_matches_scratch(&mut dynamic);
     }
 
     #[test]

@@ -5,20 +5,21 @@
 //! per-batch tree decompositions and (for connectivity) the face–vertex graph from
 //! scratch — ~200 ms end-to-end for `decide(C4)` at n = 1M. All of those products
 //! are **read-only after construction** (Eppstein's preprocess-then-query framing of
-//! planar subgraph isomorphism, JGAA 1999), so [`PsiIndex`] materialises them once:
+//! planar subgraph isomorphism, JGAA 1999), so [`PsiIndex`] freezes these once:
 //!
 //! * the target graph and the facial walks of its planar embedding,
-//! * the face–vertex graph of Section 5.1 (serving connectivity queries),
 //! * `rounds` independent k-d covers (Section 2.1), each stored as the streamed
 //!   [`CoverBatch`] sequence plus a flat per-batch tree decomposition.
 //!
-//! [`IndexedEngine`] then answers pattern and connectivity queries against the
-//! shared `&PsiIndex` with per-query scratch only — no rebuild, no interior
-//! mutability — so thousands of queries run concurrently on the work-stealing pool.
-//! Per scanned batch the engine first runs an exhaustive backtracking search
-//! (exact whenever it completes under [`FAST_PATH_NODE_BUDGET`] — batches are
-//! ~256-vertex disjoint window unions, so it almost always does, in microseconds)
-//! and falls back to the stored decomposition's DP only past the budget.
+//! A frozen index is served as an epoch-0 [`crate::snapshot::PsiSnapshot`]
+//! (`PsiSnapshot::from(index)`), which answers pattern and connectivity queries
+//! with per-query scratch only — no rebuild — so thousands of queries run
+//! concurrently on the work-stealing pool. Per scanned batch the reader first
+//! runs an exhaustive backtracking search (exact whenever it completes under
+//! [`FAST_PATH_NODE_BUDGET`] — batches are ~256-vertex disjoint window unions,
+//! so it almost always does, in microseconds) and falls back to the stored
+//! decomposition's DP only past the budget. Connectivity queries derive the
+//! face–vertex graph of Section 5.1 from the stored faces once per served epoch.
 //!
 //! ## Which queries an index can serve
 //!
@@ -52,20 +53,15 @@
 //! validation + wrapping, not re-derivation). Malformed files fail with
 //! section-labelled [`IndexLoadError`]s, never panics.
 
-use crate::connectivity::{
-    st_connectivity_capped, vertex_connectivity_with_fv, ConnectivityMode, ConnectivityResult,
-};
 use crate::cover::{map_cover_batches, CoverBatch, CoverStats, DEFAULT_BATCH_BUDGET};
-use crate::isomorphism::{decide_decomposed, search_decomposed_with, DpStrategy};
-use crate::pattern::{verify_occurrence, Pattern};
+use crate::pattern::Pattern;
 use psi_graph::io::{
     decode_csr, encode_csr, push_u32, push_u32_slice, push_u64, SectionReadError, SectionedFile,
     SliceReader,
 };
 use psi_graph::{CsrGraph, Vertex};
-use psi_planar::{Embedding, FaceVertexGraph};
+use psi_planar::Embedding;
 use psi_treedecomp::BinaryTreeDecomposition;
-use rayon::prelude::*;
 use std::fmt;
 use std::path::Path;
 use std::sync::Arc;
@@ -84,7 +80,11 @@ use std::sync::Arc;
 ///   cover segments whose bags came from the guaranteed-width layered construction
 ///   ([`psi_treedecomp::layered_decomposition_auto`]) instead of the min-degree
 ///   heuristic. v2 artifacts still load (the count defaults to 0).
-pub const INDEX_SCHEMA_VERSION: u32 = 3;
+/// * **4** — the stored face–vertex graph (section `fvgraph`) is dropped: no
+///   reader used it, since connectivity queries derive the graph from the
+///   stored faces once per served epoch. v2 and v3 artifacts still load; their
+///   `fvgraph` section is skipped.
+pub const INDEX_SCHEMA_VERSION: u32 = 4;
 
 /// Oldest artifact version [`PsiIndex::from_bytes`] still accepts.
 pub const MIN_INDEX_SCHEMA_VERSION: u32 = 2;
@@ -263,27 +263,23 @@ pub struct PsiIndex {
     /// Facial walks of the embedding, flattened (`face_offsets.len() == faces + 1`).
     face_offsets: Arc<Vec<u64>>,
     face_data: Arc<Vec<Vertex>>,
-    /// The face–vertex graph of the embedding (Section 5.1).
-    fv_graph: Arc<CsrGraph>,
     /// Stored cover rounds, each a deterministic batch sequence.
     rounds: Vec<Arc<Vec<IndexedBatch>>>,
 }
 
-/// The `Arc`-sectioned pieces [`PsiIndex::into_parts`] dismantles into (params,
-/// target CSR, face offsets, face data, rounds) — exactly what the dynamic
-/// index thaws from.
+/// The pieces [`PsiIndex::into_parts`] dismantles into (params, target CSR,
+/// facial walks, rounds) — exactly what a served or thawed epoch starts from.
 pub(crate) type IndexParts = (
     IndexParams,
     Arc<CsrGraph>,
-    Arc<Vec<u64>>,
-    Arc<Vec<Vertex>>,
+    Vec<Vec<Vertex>>,
     Vec<Arc<Vec<IndexedBatch>>>,
 );
 
 impl PsiIndex {
     /// Builds the index from a validated planar embedding. Cost is `rounds` cover
-    /// passes plus one decomposition per batch plus the face–vertex construction —
-    /// all of it paid once, none of it at query time.
+    /// passes plus one decomposition per batch — all of it paid once, none of it
+    /// at query time.
     pub fn build(embedding: &Embedding, params: IndexParams) -> PsiIndex {
         assert!(params.k >= 1, "index must serve at least k = 1");
         assert!(params.rounds >= 1, "index needs at least one stored round");
@@ -323,7 +319,6 @@ impl PsiIndex {
             face_data.extend_from_slice(face);
             face_offsets.push(face_data.len() as u64);
         }
-        let fv_graph = psi_planar::face_vertex_graph(embedding).graph;
         let metrics = crate::obs::metrics();
         metrics.index_builds_total.add(1);
         metrics
@@ -334,7 +329,6 @@ impl PsiIndex {
             target: Arc::new(target),
             face_offsets: Arc::new(face_offsets),
             face_data: Arc::new(face_data),
-            fv_graph: Arc::new(fv_graph),
             rounds,
         }
     }
@@ -357,28 +351,21 @@ impl PsiIndex {
             face_data.extend_from_slice(face);
             face_offsets.push(face_data.len() as u64);
         }
-        let fv_graph = psi_planar::face_vertex_graph(embedding).graph;
         PsiIndex {
             params,
             target: Arc::new(embedding.graph.clone()),
             face_offsets: Arc::new(face_offsets),
             face_data: Arc::new(face_data),
-            fv_graph: Arc::new(fv_graph),
             rounds: rounds.into_iter().map(Arc::new).collect(),
         }
     }
 
-    /// Dismantles the index into the parts the dynamic index thaws from (the stored
-    /// face–vertex graph is dropped; it is re-derived lazily on demand). Sections
-    /// stay `Arc`-wrapped — a freshly loaded index thaws without copying them.
+    /// Dismantles the index into the parts a served or thawed epoch starts from:
+    /// the target and rounds stay `Arc`-wrapped (a freshly loaded index moves
+    /// them without copying); the faces are unflattened into walks.
     pub(crate) fn into_parts(self) -> IndexParts {
-        (
-            self.params,
-            self.target,
-            self.face_offsets,
-            self.face_data,
-            self.rounds,
-        )
+        let walks = self.walks();
+        (self.params, self.target, walks, self.rounds)
     }
 
     /// The build parameters frozen into this index.
@@ -410,29 +397,17 @@ impl PsiIndex {
         }
     }
 
-    /// Materialises the stored embedding (facial walks). `O(n + m)` — intended for
-    /// consumers that need the faces themselves; connectivity queries use the stored
-    /// face–vertex graph directly.
+    /// Materialises the stored embedding (target plus facial walks). `O(n + m)`.
     pub fn embedding(&self) -> Embedding {
-        let faces: Vec<Vec<Vertex>> = (0..self.face_offsets.len() - 1)
-            .map(|i| {
-                self.face_data[self.face_offsets[i] as usize..self.face_offsets[i + 1] as usize]
-                    .to_vec()
-            })
-            .collect();
-        Embedding::new((*self.target).clone(), faces)
+        Embedding::new((*self.target).clone(), self.walks())
     }
 
-    /// The stored face–vertex graph, re-wrapped (face ids are dense, so `face_of`
-    /// is the identity by construction — see [`psi_planar::face_vertex_graph`]).
-    pub fn face_vertex_graph(&self) -> FaceVertexGraph {
-        let num_original = self.target.num_vertices();
-        let f = self.fv_graph.num_vertices() - num_original;
-        FaceVertexGraph {
-            graph: (*self.fv_graph).clone(),
-            num_original,
-            face_of: (0..f).collect(),
-        }
+    /// The stored facial walks, unflattened.
+    fn walks(&self) -> Vec<Vec<Vertex>> {
+        self.face_offsets
+            .windows(2)
+            .map(|w| self.face_data[w[0] as usize..w[1] as usize].to_vec())
+            .collect()
     }
 
     // --- serialisation ----------------------------------------------------
@@ -463,11 +438,6 @@ impl PsiIndex {
         }
         push_u32_slice(&mut faces, &self.face_data);
         file.push_section("faces", faces);
-
-        let mut fv = Vec::new();
-        push_u64(&mut fv, self.target.num_vertices() as u64);
-        encode_csr(&self.fv_graph, &mut fv);
-        file.push_section("fvgraph", fv);
 
         for (r, batches) in self.rounds.iter().enumerate() {
             let mut payload = Vec::new();
@@ -511,8 +481,8 @@ impl PsiIndex {
     /// decomposition tree shape. Load never re-derives covers or decompositions.
     pub fn from_bytes(data: &[u8]) -> Result<PsiIndex, IndexLoadError> {
         // Current version first; on a version mismatch retry with any older
-        // still-supported schema (the only layout difference v2 → v3 is the
-        // per-batch `layered_segments` count, absent in v2).
+        // still-supported schema (v2 lacks the per-batch `layered_segments`
+        // count; v2 and v3 carry an `fvgraph` section, which is skipped).
         let file = match SectionedFile::from_bytes(data, INDEX_SCHEMA_VERSION) {
             Ok(file) => file,
             Err(SectionReadError::UnsupportedVersion { found, .. })
@@ -608,25 +578,6 @@ impl PsiIndex {
             return Err(fail("faces", "walk vertex out of range"));
         }
 
-        // face–vertex graph
-        let mut r = SliceReader::new(section("fvgraph")?);
-        let fv_original = r
-            .take_u64()
-            .ok_or_else(|| fail("fvgraph", "missing original count"))?;
-        let fv_graph = decode_csr(&mut r).map_err(|e| IndexLoadError::Csr {
-            section: "fvgraph".to_string(),
-            error: e,
-        })?;
-        if !r.is_empty() {
-            return Err(fail("fvgraph", "trailing bytes"));
-        }
-        if fv_original != n as u64 || fv_graph.num_vertices() < n {
-            return Err(fail("fvgraph", "does not extend the target's vertex set"));
-        }
-        if fv_graph.num_vertices() - n != num_faces_us {
-            return Err(fail("fvgraph", "face vertex count disagrees with faces"));
-        }
-
         // rounds
         let mut rounds = Vec::with_capacity(rounds_declared as usize);
         for round in 0..rounds_declared {
@@ -640,7 +591,6 @@ impl PsiIndex {
             target: Arc::new(target),
             face_offsets: Arc::new(face_offsets),
             face_data: Arc::new(face_data),
-            fv_graph: Arc::new(fv_graph),
             rounds,
         })
     }
@@ -1038,41 +988,6 @@ pub(crate) fn backtrack_step(
     Ok(false)
 }
 
-/// Checks that an index built with `params` over an `n`-vertex target can serve
-/// `pattern`; `Ok(Some(answer))` short-circuits trivial cases (empty pattern,
-/// pattern larger than the target). Shared between [`IndexedEngine`] and the
-/// dynamic index in [`crate::dynamic`].
-pub(crate) fn admit_pattern(
-    params: &IndexParams,
-    target_n: usize,
-    pattern: &Pattern,
-) -> Result<Option<Option<Vec<Vertex>>>, QueryError> {
-    let k = pattern.k();
-    if k == 0 {
-        return Ok(Some(Some(Vec::new())));
-    }
-    if k > target_n {
-        return Ok(Some(None));
-    }
-    if !pattern.is_connected() {
-        return Err(QueryError::DisconnectedPattern);
-    }
-    if k > params.k as usize {
-        return Err(QueryError::PatternTooLarge {
-            k,
-            max_k: params.k as usize,
-        });
-    }
-    let diameter = pattern.diameter();
-    if diameter > params.d as usize {
-        return Err(QueryError::DiameterTooLarge {
-            diameter,
-            max_d: params.d as usize,
-        });
-    }
-    Ok(None)
-}
-
 /// Whether any stored window of `ib` is large enough to host `k` vertices.
 pub(crate) fn batch_can_host(ib: &IndexedBatch, k: usize) -> bool {
     let n = ib.batch.local_to_global.len();
@@ -1087,227 +1002,13 @@ pub(crate) fn batch_can_host(ib: &IndexedBatch, k: usize) -> bool {
     })
 }
 
-/// The per-batch decision scan shared by every engine front end: the exhaustive
-/// backtracking fast path first, the decomposition DP as the polynomial fallback.
-/// Scans `batches` in iteration order; short-circuits on the first hit.
-pub(crate) fn decide_in_batches<'b>(
-    strategy: DpStrategy,
-    pattern: &Pattern,
-    batches: impl Iterator<Item = &'b IndexedBatch>,
-) -> bool {
-    let k = pattern.k();
-    let plan = MatchPlan::new(pattern);
-    let mut assigned = Vec::with_capacity(k);
-    for ib in batches {
-        if !batch_can_host(ib, k) {
-            continue;
-        }
-        assigned.clear();
-        let mut budget = FAST_PATH_NODE_BUDGET;
-        match backtrack_step(&plan, &ib.batch.graph, 0, &mut assigned, &mut budget) {
-            Ok(true) => return true,
-            Ok(false) => continue,
-            Err(()) => {}
-        }
-        let btd = ib.decomp.to_binary(ib.batch.graph.num_vertices());
-        if decide_decomposed(strategy, pattern, &ib.batch.graph, &btd) {
-            return true;
-        }
-    }
-    false
-}
-
-/// The per-batch search scan shared by every engine front end. The witness is the
-/// first occurrence in `batches` iteration order, so callers that iterate stored
-/// order get thread-count-independent witnesses. `target` is only used to
-/// cross-check the remapped occurrence in debug builds.
-pub(crate) fn find_in_batches<'b>(
-    strategy: DpStrategy,
-    pattern: &Pattern,
-    target: &CsrGraph,
-    batches: impl Iterator<Item = &'b IndexedBatch>,
-) -> Option<Vec<Vertex>> {
-    let k = pattern.k();
-    let plan = MatchPlan::new(pattern);
-    let mut assigned = Vec::with_capacity(k);
-    for ib in batches {
-        if !batch_can_host(ib, k) {
-            continue;
-        }
-        assigned.clear();
-        let mut budget = FAST_PATH_NODE_BUDGET;
-        match backtrack_step(&plan, &ib.batch.graph, 0, &mut assigned, &mut budget) {
-            Ok(true) => {
-                let mut occ = plan.to_occurrence(&assigned);
-                for v in &mut occ {
-                    *v = ib.batch.local_to_global[*v as usize];
-                }
-                debug_assert!(verify_occurrence(pattern, target, &occ));
-                return Some(occ);
-            }
-            Ok(false) => continue,
-            Err(()) => {}
-        }
-        let btd = ib.decomp.to_binary(ib.batch.graph.num_vertices());
-        if let Some(occ) = search_decomposed_with(
-            strategy,
-            pattern,
-            &ib.batch.graph,
-            &btd,
-            Some(&ib.batch.local_to_global),
-        ) {
-            debug_assert!(verify_occurrence(pattern, target, &occ));
-            return Some(occ);
-        }
-    }
-    None
-}
-
-/// The serve-many query front end over a shared [`PsiIndex`].
-///
-/// Every method takes `&self` and allocates per-query scratch only, so one engine
-/// (or many, they are `Copy`-cheap to clone) serves concurrent queries. The batch
-/// methods fan the queries out on the work-stealing pool; answers come back **in
-/// input order**, and each individual query scans rounds and batches in stored
-/// order, so verdicts *and witnesses* are bit-identical for every `PSI_THREADS`.
-///
-/// Per scanned batch, verdicts come from the exhaustive backtracking fast path
-/// (exact whenever it completes — see [`FAST_PATH_NODE_BUDGET`]) with the
-/// decomposition DP as the guaranteed-polynomial fallback; both the fast path and
-/// the fallback decision are deterministic, so this stays reproducible.
-#[derive(Clone, Copy, Debug)]
-pub struct IndexedEngine<'a> {
-    index: &'a PsiIndex,
-    strategy: DpStrategy,
-}
-
-impl<'a> IndexedEngine<'a> {
-    /// An engine over `index` with the sequential per-batch DP.
-    pub fn new(index: &'a PsiIndex) -> Self {
-        IndexedEngine {
-            index,
-            strategy: DpStrategy::Sequential,
-        }
-    }
-
-    /// Selects the DP engine run inside each stored batch.
-    pub fn with_strategy(index: &'a PsiIndex, strategy: DpStrategy) -> Self {
-        IndexedEngine { index, strategy }
-    }
-
-    /// The index being served.
-    pub fn index(&self) -> &'a PsiIndex {
-        self.index
-    }
-
-    /// Decides whether `pattern` occurs in the indexed target. "Yes" answers are
-    /// certain; a "no" is wrong with probability at most `2^−rounds` per fixed
-    /// occurrence (see the module docs on frozen randomness).
-    pub fn decide(&self, pattern: &Pattern) -> Result<bool, QueryError> {
-        let _span = psi_obs::span!("query.decide", k = pattern.k());
-        let metrics = crate::obs::metrics();
-        metrics.queries_total.add(1);
-        let start = std::time::Instant::now();
-        let params = self.index.params;
-        if let Some(short) = admit_pattern(&params, self.index.target.num_vertices(), pattern)? {
-            metrics.query_decide_ns.record_duration(start.elapsed());
-            return Ok(short.is_some());
-        }
-        let verdict = decide_in_batches(
-            self.strategy,
-            pattern,
-            self.index.rounds.iter().flat_map(|r| r.iter()),
-        );
-        metrics.query_decide_ns.record_duration(start.elapsed());
-        Ok(verdict)
-    }
-
-    /// Finds one occurrence (pattern vertex `i` ↦ `mapping[i]`), scanning stored
-    /// rounds and batches in order — the witness is the first hit in that order,
-    /// independent of thread count.
-    pub fn find_one(&self, pattern: &Pattern) -> Result<Option<Vec<Vertex>>, QueryError> {
-        let _span = psi_obs::span!("query.find_one", k = pattern.k());
-        let metrics = crate::obs::metrics();
-        metrics.queries_total.add(1);
-        let start = std::time::Instant::now();
-        let params = self.index.params;
-        if let Some(short) = admit_pattern(&params, self.index.target.num_vertices(), pattern)? {
-            metrics.query_find_one_ns.record_duration(start.elapsed());
-            return Ok(short);
-        }
-        let witness = find_in_batches(
-            self.strategy,
-            pattern,
-            &self.index.target,
-            self.index.rounds.iter().flat_map(|r| r.iter()),
-        );
-        metrics.query_find_one_ns.record_duration(start.elapsed());
-        Ok(witness)
-    }
-
-    /// [`IndexedEngine::decide`] over many patterns: queries fan out on the
-    /// work-stealing pool, answers stream back in input order.
-    pub fn decide_batch(&self, patterns: &[Pattern]) -> Vec<Result<bool, QueryError>> {
-        patterns.par_iter().map(|p| self.decide(p)).collect()
-    }
-
-    /// [`IndexedEngine::find_one`] over many patterns (input order, deterministic
-    /// witnesses — see the type docs).
-    pub fn find_one_batch(
-        &self,
-        patterns: &[Pattern],
-    ) -> Vec<Result<Option<Vec<Vertex>>, QueryError>> {
-        patterns.par_iter().map(|p| self.find_one(p)).collect()
-    }
-
-    /// Capped pairwise s–t vertex connectivity
-    /// ([`crate::connectivity::st_connectivity_capped`] with the planar cap of 5)
-    /// for many pairs against the shared target, in input order.
-    pub fn connectivity_batch(&self, pairs: &[(Vertex, Vertex)]) -> Vec<Result<usize, QueryError>> {
-        let n = self.index.target.num_vertices();
-        pairs
-            .par_iter()
-            .map(|&(s, t)| {
-                for v in [s, t] {
-                    if v as usize >= n {
-                        return Err(QueryError::VertexOutOfRange { vertex: v, n });
-                    }
-                }
-                if s == t {
-                    return Err(QueryError::IdenticalEndpoints { vertex: s });
-                }
-                Ok(st_connectivity_capped(
-                    &self.index.target,
-                    s,
-                    t,
-                    CONNECTIVITY_CAP,
-                ))
-            })
-            .collect()
-    }
-
-    /// Global vertex connectivity served from the stored face–vertex graph
-    /// (Lemma 5.1); no embedding or face–vertex re-derivation at query time.
-    pub fn vertex_connectivity(&self, mode: ConnectivityMode, seed: u64) -> ConnectivityResult {
-        let _span = psi_obs::span!(
-            "query.vertex_connectivity",
-            n = self.index.target.num_vertices(),
-        );
-        let metrics = crate::obs::metrics();
-        metrics.queries_total.add(1);
-        let start = std::time::Instant::now();
-        let fv = self.index.face_vertex_graph();
-        let result = vertex_connectivity_with_fv(&self.index.target, &fv, mode, seed);
-        metrics
-            .query_connectivity_ns
-            .record_duration(start.elapsed());
-        result
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::connectivity::ConnectivityMode;
+    use crate::isomorphism::{decide_decomposed, DpStrategy};
+    use crate::pattern::verify_occurrence;
+    use crate::snapshot::PsiSnapshot;
     use psi_planar::generators as pg;
 
     fn small_index() -> PsiIndex {
@@ -1318,7 +1019,7 @@ mod tests {
     #[test]
     fn index_serves_classic_patterns() {
         let index = small_index();
-        let engine = IndexedEngine::new(&index);
+        let engine = PsiSnapshot::from(index.clone());
         assert!(engine.decide(&Pattern::triangle()).unwrap());
         assert!(engine.decide(&Pattern::cycle(4)).unwrap());
         assert!(!engine.decide(&Pattern::clique(4)).unwrap());
@@ -1372,8 +1073,7 @@ mod tests {
 
     #[test]
     fn index_rejects_unservable_patterns() {
-        let index = small_index();
-        let engine = IndexedEngine::new(&index);
+        let engine = PsiSnapshot::from(small_index());
         assert_eq!(
             engine.decide(&Pattern::clique(5)),
             Err(QueryError::PatternTooLarge { k: 5, max_k: 4 })
@@ -1401,8 +1101,7 @@ mod tests {
 
     #[test]
     fn batch_answers_in_input_order() {
-        let index = small_index();
-        let engine = IndexedEngine::new(&index);
+        let engine = PsiSnapshot::from(small_index());
         let patterns = vec![
             Pattern::cycle(4),
             Pattern::clique(4),
@@ -1423,8 +1122,7 @@ mod tests {
     #[test]
     fn connectivity_batch_and_global() {
         let e = pg::triangulated_grid_embedded(8, 8);
-        let index = PsiIndex::build(&e, IndexParams::default());
-        let engine = IndexedEngine::new(&index);
+        let engine = PsiSnapshot::from(PsiIndex::build(&e, IndexParams::default()));
         // corner (w-1, 0) of the triangulated grid has degree 2
         let global = engine.vertex_connectivity(ConnectivityMode::WholeGraph, 1);
         assert_eq!(global.connectivity, 2);
@@ -1432,7 +1130,7 @@ mod tests {
         assert_eq!(global.connectivity, fresh.connectivity);
         assert_eq!(global.cut, fresh.cut);
 
-        let n = index.target().num_vertices() as Vertex;
+        let n = engine.num_vertices() as Vertex;
         let answers = engine.connectivity_batch(&[(0, n - 1), (0, 0), (0, n), (1, 2)]);
         assert!(matches!(answers[0], Ok(c) if c >= 2));
         assert_eq!(
@@ -1477,16 +1175,29 @@ mod tests {
         assert_eq!(back.to_bytes(), bytes);
     }
 
+    /// The `fvgraph` section v2 and v3 artifacts carried: the original vertex
+    /// count, then the face–vertex graph of the stored embedding as CSR.
+    fn legacy_fvgraph_section(index: &PsiIndex) -> Vec<u8> {
+        let mut fv = Vec::new();
+        push_u64(&mut fv, index.target().num_vertices() as u64);
+        encode_csr(
+            &psi_planar::face_vertex_graph(&index.embedding()).graph,
+            &mut fv,
+        );
+        fv
+    }
+
     #[test]
     fn v2_artifacts_still_load() {
         let index = small_index();
-        // Re-encode by hand in the v2 layout: identical except the per-batch
-        // layered-segment count (and the container version stamp).
-        let v3 = SectionedFile::from_bytes(&index.to_bytes(), INDEX_SCHEMA_VERSION).unwrap();
+        // Re-encode by hand in the v2 layout: the v3 `fvgraph` section, and no
+        // per-batch layered-segment count (plus the container version stamp).
+        let v4 = SectionedFile::from_bytes(&index.to_bytes(), INDEX_SCHEMA_VERSION).unwrap();
         let mut v2 = SectionedFile::new(2);
-        for name in ["meta", "target", "faces", "fvgraph"] {
-            v2.push_section(name, v3.section(name).unwrap().to_vec());
+        for name in ["meta", "target", "faces"] {
+            v2.push_section(name, v4.section(name).unwrap().to_vec());
         }
+        v2.push_section("fvgraph", legacy_fvgraph_section(&index));
         for (r, batches) in index.rounds.iter().enumerate() {
             let mut payload = Vec::new();
             push_u64(&mut payload, batches.len() as u64);
@@ -1530,13 +1241,34 @@ mod tests {
     }
 
     #[test]
+    fn v3_artifacts_with_fvgraph_still_load() {
+        let index = small_index();
+        // The v3 layout is the v4 one plus the `fvgraph` section after `faces`.
+        let v4 = SectionedFile::from_bytes(&index.to_bytes(), INDEX_SCHEMA_VERSION).unwrap();
+        let mut v3 = SectionedFile::new(3);
+        for name in v4.section_names() {
+            v3.push_section(name, v4.section(name).unwrap().to_vec());
+            if name == "faces" {
+                v3.push_section("fvgraph", legacy_fvgraph_section(&index));
+            }
+        }
+        let v3 = v3.to_bytes();
+        assert!(v3.len() > index.to_bytes().len());
+        let back = PsiIndex::from_bytes(&v3).unwrap();
+        assert_eq!(back, index);
+        assert_eq!(back.to_bytes(), index.to_bytes(), "re-saving writes v4");
+    }
+
+    #[test]
     fn embedding_and_fv_round_trip() {
         let e = pg::triangulated_grid_embedded(6, 6);
         let index = PsiIndex::build(&e, IndexParams::default());
         let back = index.embedding();
         assert_eq!(back.graph, e.graph);
         assert_eq!(back.faces, e.faces);
-        let fv = index.face_vertex_graph();
+        // The face–vertex graph connectivity serves from is derived from the
+        // stored faces; it equals the one of the build's embedding.
+        let fv = psi_planar::face_vertex_graph(&back);
         let fresh = psi_planar::face_vertex_graph(&e);
         assert_eq!(fv.graph, fresh.graph);
         assert_eq!(fv.num_original, fresh.num_original);

@@ -180,7 +180,7 @@ impl SubgraphIsomorphism {
 
 /// Decision-only DP over one piece/batch: runs the chosen engine without derivation
 /// tracking and reports whether a complete match exists. Shared by the classic query
-/// path and the prebuilt-index engine ([`crate::index::IndexedEngine`]).
+/// path and the index read path ([`crate::snapshot`]).
 pub(crate) fn decide_decomposed(
     strategy: DpStrategy,
     pattern: &Pattern,
@@ -211,8 +211,8 @@ pub(crate) fn decide_decomposed(
 
 /// Runs the DP over an explicit decomposition and recovers one occurrence,
 /// translating local vertex ids back through `map`. Shared by
-/// [`SubgraphIsomorphism`] and the prebuilt-index engine
-/// ([`crate::index::IndexedEngine`]) — both split into a decision pass without
+/// [`SubgraphIsomorphism`] and the index read path ([`crate::snapshot`]) —
+/// both split into a decision pass without
 /// derivation tracking (tracking disables the lifted-side dedup, which is
 /// exponentially more expensive on no-instance windows) followed by re-deriving only
 /// the occurrence-bearing subtree.

@@ -8,10 +8,10 @@
 //!
 //! ## Pipeline
 //!
-//! 0. [`auto`] — the historical arbitrary-graph entry points (now deprecated shims
-//!    over [`psi`]): the LR planarity engine ([`psi_planar::planarity`]) verifies
-//!    planarity and constructs the embedding as step zero, rejecting non-planar
-//!    inputs with a checkable Kuratowski certificate.
+//! 0. [`psi_planar::planarity`] — the LR planarity engine verifies planarity and
+//!    constructs the embedding as step zero ([`psi::Psi`] runs it on every
+//!    arbitrary-graph entry point), rejecting non-planar inputs with a checkable
+//!    Kuratowski certificate.
 //! 1. [`cover`] — the Parallel Treewidth k-d Cover (Section 2.1): an exponential start
 //!    time clustering followed by per-cluster BFS level windows turns the target into
 //!    `O(n d)` total size worth of bounded-treewidth pieces such that each fixed
@@ -26,9 +26,9 @@
 //!    (Section 5.2) and planar vertex connectivity via separating cycles in the
 //!    face–vertex graph (Sections 5.1, Lemma 5.2).
 //! 7. [`index`] — the versioned build-once / serve-many artifact: cover rounds,
-//!    embedding, face–vertex graph, and per-batch decompositions frozen into one
-//!    immutable [`index::PsiIndex`] (optionally serialised via [`psi_graph::io`]),
-//!    served concurrently by [`index::IndexedEngine`] batch queries.
+//!    embedding, and per-batch decompositions frozen into one immutable
+//!    [`index::PsiIndex`] (optionally serialised via [`psi_graph::io`]), served
+//!    as an epoch-0 [`snapshot::PsiSnapshot`].
 //! 8. [`dynamic`] — incremental index mutation: [`dynamic::DynamicPsiIndex`]
 //!    maintains the embedding, the per-round clusterings, and the affected
 //!    clusters' batches under edge insertion/deletion, freezing back to an
@@ -36,10 +36,11 @@
 //! 9. [`psi`] — the unified facade: [`psi::Psi`] wraps planarity gating, index
 //!    construction, queries, mutation, and (de)serialisation behind one builder
 //!    and one [`psi::PsiError`] type.
-//! 10. [`snapshot`] — epoch-snapshot concurrent serving: [`snapshot::PsiSnapshot`]
-//!     pins an immutable, `Send + Sync` view of the engine (O(rounds) `Arc`
-//!     bumps) that reader threads query while the writer keeps mutating —
-//!     answers bit-identical to a frozen build of the graph at that epoch.
+//! 10. [`snapshot`] — the one read path: frozen, live, and pinned queries share
+//!     one epoch-state implementation, and [`snapshot::PsiSnapshot`] pins an
+//!     immutable, `Send + Sync` view of the engine (O(rounds) `Arc` bumps) that
+//!     reader threads query while the writer keeps mutating — answers
+//!     bit-identical to a frozen build of the graph at that epoch.
 //!
 //! ## Quick start
 //!
@@ -56,7 +57,8 @@
 //! ```
 
 pub mod arena;
-pub mod auto;
+#[cfg(test)]
+mod auto;
 pub mod connectivity;
 pub mod cover;
 pub mod disconnected;
@@ -74,11 +76,6 @@ pub mod snapshot;
 pub mod state;
 
 pub use arena::{ArenaStats, StateArena, StateId};
-#[allow(deprecated)]
-pub use auto::{
-    build_index_auto, decide_auto, embed_checked, find_one_auto, list_all_auto, planarity_gate,
-    vertex_connectivity_auto,
-};
 pub use connectivity::{
     st_connectivity_capped, vertex_connectivity, vertex_connectivity_with_fv, ConnectivityMode,
     ConnectivityResult,
@@ -95,9 +92,8 @@ pub use dynamic::{
     DecompCacheMetrics, DynamicPsiIndex, MutationError, UpdateStats, DECOMP_CACHE_CAP,
 };
 pub use index::{
-    FlatDecomposition, IndexLoadError, IndexParams, IndexedBatch, IndexedEngine, PsiIndex,
-    QueryError, CONNECTIVITY_CAP, FAST_PATH_NODE_BUDGET, INDEX_SCHEMA_VERSION,
-    MIN_INDEX_SCHEMA_VERSION,
+    FlatDecomposition, IndexLoadError, IndexParams, IndexedBatch, PsiIndex, QueryError,
+    CONNECTIVITY_CAP, FAST_PATH_NODE_BUDGET, INDEX_SCHEMA_VERSION, MIN_INDEX_SCHEMA_VERSION,
 };
 pub use isomorphism::{decide, find_one, DpStrategy, QueryConfig, SubgraphIsomorphism};
 pub use listing::{count_distinct_images, list_all, list_all_outcome, ListingOutcome};

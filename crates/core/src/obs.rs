@@ -31,7 +31,7 @@ pub(crate) struct CoreMetrics {
     pub query_decide_ns: Arc<Histogram>,
     pub query_find_one_ns: Arc<Histogram>,
     pub query_connectivity_ns: Arc<Histogram>,
-    pub snapshot_query_ns: Arc<Histogram>,
+    pub query_connectivity_batch_ns: Arc<Histogram>,
     // --- mutation / flush / epochs ---
     pub mutations_insert_total: Arc<Counter>,
     pub mutations_delete_total: Arc<Counter>,
@@ -145,7 +145,7 @@ pub(crate) fn metrics() -> &'static CoreMetrics {
             query_decide_ns: reg.histogram("psi_query_decide_ns"),
             query_find_one_ns: reg.histogram("psi_query_find_one_ns"),
             query_connectivity_ns: reg.histogram("psi_query_connectivity_ns"),
-            snapshot_query_ns: reg.histogram("psi_snapshot_query_ns"),
+            query_connectivity_batch_ns: reg.histogram("psi_query_connectivity_batch_ns"),
             mutations_insert_total: reg.counter("psi_mutations_insert_total"),
             mutations_delete_total: reg.counter("psi_mutations_delete_total"),
             mutations_rejected_total: reg.counter("psi_mutations_rejected_total"),

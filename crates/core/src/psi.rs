@@ -15,26 +15,24 @@
 //! # Ok::<(), planar_subiso::PsiError>(())
 //! ```
 //!
-//! Everything the historical free functions did is reachable from here:
+//! The entry points:
 //!
 //! * [`PsiBuilder::open`] / [`PsiBuilder::open_text`] / [`PsiBuilder::open_path`]
-//!   replace `build_index_auto` (+ the embedding gate) and return a live,
-//!   *mutable* engine;
+//!   gate the target through the LR planarity engine, build the index, and
+//!   return a live, *mutable* engine;
 //! * [`Psi::decide_in`], [`Psi::find_one_in`], [`Psi::list_all_in`], and
-//!   [`Psi::vertex_connectivity_of`] replace the one-shot `_auto` functions
-//!   (same cheap classic path, no index is built);
-//! * [`Psi::load`] / [`Psi::save`] replace the raw artifact round-trip;
+//!   [`Psi::vertex_connectivity_of`] answer one-shot queries on arbitrary
+//!   graphs (the cheap classic path, no index is built);
+//! * [`Psi::load`] / [`Psi::save`] round-trip the artifact;
 //! * [`PsiError`] folds `NonPlanarWitness`, [`QueryError`], [`IndexLoadError`],
 //!   [`MutationError`], parse, I/O, and thread-pool failures into one
 //!   `std::error::Error` with `source()` chaining. No entry point panics on
 //!   malformed input.
-//!
-//! The old free functions in [`crate::auto`] remain as thin deprecated shims.
 
 use crate::connectivity::{vertex_connectivity, ConnectivityMode, ConnectivityResult};
 use crate::dynamic::{DynamicPsiIndex, MutationError, UpdateStats};
 use crate::index::{IndexLoadError, IndexParams, PsiIndex, QueryError};
-use crate::isomorphism::{DpStrategy, SubgraphIsomorphism};
+use crate::isomorphism::SubgraphIsomorphism;
 use crate::listing::ListingOutcome;
 use crate::pattern::Pattern;
 use psi_graph::{CsrGraph, GraphParseError, GraphReadError, Vertex};
@@ -149,23 +147,10 @@ impl From<GraphReadError> for PsiError {
 
 /// Configures and opens a [`Psi`] engine. Obtained from [`Psi::builder`];
 /// every knob has the [`IndexParams`] default.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct PsiBuilder {
     params: IndexParams,
     threads: Option<usize>,
-    strategy: DpStrategy,
-    decomp_cache_cap: usize,
-}
-
-impl Default for PsiBuilder {
-    fn default() -> Self {
-        PsiBuilder {
-            params: IndexParams::default(),
-            threads: None,
-            strategy: DpStrategy::Sequential,
-            decomp_cache_cap: crate::dynamic::DECOMP_CACHE_CAP,
-        }
-    }
 }
 
 impl PsiBuilder {
@@ -207,21 +192,6 @@ impl PsiBuilder {
         self
     }
 
-    /// The DP engine run inside each scanned batch.
-    pub fn strategy(mut self, strategy: DpStrategy) -> Self {
-        self.strategy = strategy;
-        self
-    }
-
-    /// Capacity bound of the flush-side decomposition cache
-    /// ([`crate::DECOMP_CACHE_CAP`] entries by default; `0` disables it).
-    /// Purely a memory/speed trade-off — answers and frozen artifacts are
-    /// byte-identical whichever cap is chosen.
-    pub fn decomp_cache_cap(mut self, cap: usize) -> Self {
-        self.decomp_cache_cap = cap;
-        self
-    }
-
     /// The configured [`IndexParams`].
     pub fn params(&self) -> IndexParams {
         self.params
@@ -253,16 +223,7 @@ impl PsiBuilder {
     /// embeddings skip the planarity re-test).
     pub fn open_embedded(self, embedding: &Embedding) -> Result<Psi, PsiError> {
         let pool = self.pool()?;
-        let build = || {
-            let mut dynamic = DynamicPsiIndex::build(embedding, self.params);
-            dynamic.set_strategy(self.strategy);
-            dynamic.set_decomp_cache_cap(self.decomp_cache_cap);
-            dynamic
-        };
-        let dynamic = match &pool {
-            Some(p) => p.install(build),
-            None => build(),
-        };
+        let dynamic = install(&pool, || DynamicPsiIndex::build(embedding, self.params));
         Ok(Psi { dynamic, pool })
     }
 
@@ -281,7 +242,7 @@ impl PsiBuilder {
 
     /// Loads a serialised artifact and thaws it into a live engine. The stored
     /// [`IndexParams`] win over the builder's `k`/`d`/`rounds`/… knobs (they are
-    /// frozen into the artifact); `threads` and `strategy` still apply.
+    /// frozen into the artifact); `threads` still applies.
     pub fn load(self, path: impl AsRef<Path>) -> Result<Psi, PsiError> {
         let index = PsiIndex::load(path)?;
         self.thaw(index)
@@ -290,17 +251,17 @@ impl PsiBuilder {
     /// Thaws an in-memory artifact into a live engine (see [`PsiBuilder::load`]).
     pub fn thaw(self, index: PsiIndex) -> Result<Psi, PsiError> {
         let pool = self.pool()?;
-        let thaw = || {
-            let mut dynamic = DynamicPsiIndex::thaw(index);
-            dynamic.set_strategy(self.strategy);
-            dynamic.set_decomp_cache_cap(self.decomp_cache_cap);
-            dynamic
-        };
-        let dynamic = match &pool {
-            Some(p) => p.install(thaw),
-            None => thaw(),
-        };
+        let dynamic = install(&pool, || DynamicPsiIndex::thaw(index));
         Ok(Psi { dynamic, pool })
+    }
+}
+
+/// Runs `f` on the dedicated pool when there is one, else on the caller (whose
+/// parallel sections use the process-global pool).
+fn install<R: Send>(pool: &Option<rayon::ThreadPool>, f: impl FnOnce() -> R + Send) -> R {
+    match pool {
+        Some(p) => p.install(f),
+        None => f(),
     }
 }
 
@@ -349,13 +310,6 @@ impl Psi {
         Psi::builder().load(path)
     }
 
-    fn run<R: Send>(&self, f: impl FnOnce() -> R + Send) -> R {
-        match &self.pool {
-            Some(p) => p.install(f),
-            None => f(),
-        }
-    }
-
     /// The engine's parameters (frozen into any saved artifact).
     pub fn params(&self) -> IndexParams {
         self.dynamic.params()
@@ -383,7 +337,7 @@ impl Psi {
     }
 
     /// Mutable access to the underlying dynamic index (advanced use: explicit
-    /// [`DynamicPsiIndex::flush`] scheduling, strategy changes).
+    /// [`DynamicPsiIndex::flush`] scheduling).
     pub fn dynamic_mut(&mut self) -> &mut DynamicPsiIndex {
         &mut self.dynamic
     }
@@ -393,44 +347,26 @@ impl Psi {
     /// [`Psi::freeze`] flush implicitly — call this to pay the rebuild off the
     /// serving path.
     pub fn flush(&mut self) -> usize {
-        let dynamic = &mut self.dynamic;
-        match &self.pool {
-            Some(p) => p.install(|| dynamic.flush()),
-            None => dynamic.flush(),
-        }
+        install(&self.pool, || self.dynamic.flush())
     }
 
     // --- queries ----------------------------------------------------------
 
     /// Decides whether `pattern` occurs in the live target. Takes `&mut self`:
     /// the first query after a mutation rebuilds the dirtied cluster batches
-    /// (serve a frozen [`crate::IndexedEngine`] for shared read-only access).
+    /// (pin a [`Psi::snapshot`] for shared read-only access).
     pub fn decide(&mut self, pattern: &Pattern) -> Result<bool, PsiError> {
-        let dynamic = &mut self.dynamic;
-        match &self.pool {
-            Some(p) => p.install(|| dynamic.decide(pattern)),
-            None => dynamic.decide(pattern),
-        }
-        .map_err(PsiError::from)
+        install(&self.pool, || self.dynamic.decide(pattern)).map_err(PsiError::from)
     }
 
     /// Finds one occurrence (deterministic stored-order witness).
     pub fn find_one(&mut self, pattern: &Pattern) -> Result<Option<Vec<Vertex>>, PsiError> {
-        let dynamic = &mut self.dynamic;
-        match &self.pool {
-            Some(p) => p.install(|| dynamic.find_one(pattern)),
-            None => dynamic.find_one(pattern),
-        }
-        .map_err(PsiError::from)
+        install(&self.pool, || self.dynamic.find_one(pattern)).map_err(PsiError::from)
     }
 
     /// Decides many patterns on the engine's pool; answers in input order.
     pub fn decide_batch(&mut self, patterns: &[Pattern]) -> Vec<Result<bool, QueryError>> {
-        let dynamic = &mut self.dynamic;
-        match &self.pool {
-            Some(p) => p.install(|| dynamic.decide_batch(patterns)),
-            None => dynamic.decide_batch(patterns),
-        }
+        install(&self.pool, || self.dynamic.decide_batch(patterns))
     }
 
     /// Finds occurrences for many patterns on the engine's pool (input order,
@@ -439,11 +375,7 @@ impl Psi {
         &mut self,
         patterns: &[Pattern],
     ) -> Vec<Result<Option<Vec<Vertex>>, QueryError>> {
-        let dynamic = &mut self.dynamic;
-        match &self.pool {
-            Some(p) => p.install(|| dynamic.find_one_batch(patterns)),
-            None => dynamic.find_one_batch(patterns),
-        }
+        install(&self.pool, || self.dynamic.find_one_batch(patterns))
     }
 
     /// Lists all occurrences of `pattern` via the coin-flip listing loop
@@ -451,17 +383,19 @@ impl Psi {
     /// completeness explicitly).
     pub fn list_all(&self, pattern: &Pattern) -> ListingOutcome {
         let target = self.dynamic.target_csr();
-        self.run(|| SubgraphIsomorphism::new(pattern.clone()).list_all_outcome(target))
+        install(&self.pool, || {
+            SubgraphIsomorphism::new(pattern.clone()).list_all_outcome(target)
+        })
     }
 
     /// Capped pairwise s–t vertex connectivity for many pairs, in input order.
     pub fn connectivity_batch(&self, pairs: &[(Vertex, Vertex)]) -> Vec<Result<usize, QueryError>> {
-        self.run(|| self.dynamic.connectivity_batch(pairs))
+        install(&self.pool, || self.dynamic.connectivity_batch(pairs))
     }
 
     /// Global vertex connectivity of the live target (Lemma 5.1).
     pub fn vertex_connectivity(&self, mode: ConnectivityMode, seed: u64) -> ConnectivityResult {
-        self.run(|| self.dynamic.vertex_connectivity(mode, seed))
+        install(&self.pool, || self.dynamic.vertex_connectivity(mode, seed))
     }
 
     // --- mutation ---------------------------------------------------------
@@ -469,37 +403,23 @@ impl Psi {
     /// Inserts edge `{u, v}` incrementally (planarity-gated; see
     /// [`DynamicPsiIndex::insert_edge`]).
     pub fn insert_edge(&mut self, u: Vertex, v: Vertex) -> Result<UpdateStats, PsiError> {
-        let dynamic = &mut self.dynamic;
-        match &self.pool {
-            Some(p) => p.install(|| dynamic.insert_edge(u, v)),
-            None => dynamic.insert_edge(u, v),
-        }
-        .map_err(PsiError::from)
+        install(&self.pool, || self.dynamic.insert_edge(u, v)).map_err(PsiError::from)
     }
 
     /// Deletes edge `{u, v}` incrementally (see [`DynamicPsiIndex::delete_edge`]).
     pub fn delete_edge(&mut self, u: Vertex, v: Vertex) -> Result<UpdateStats, PsiError> {
-        let dynamic = &mut self.dynamic;
-        match &self.pool {
-            Some(p) => p.install(|| dynamic.delete_edge(u, v)),
-            None => dynamic.delete_edge(u, v),
-        }
-        .map_err(PsiError::from)
+        install(&self.pool, || self.dynamic.delete_edge(u, v)).map_err(PsiError::from)
     }
 
     // --- snapshots --------------------------------------------------------
 
     /// Pins the current state as an immutable, `Send + Sync`
     /// [`crate::PsiSnapshot`]: `O(rounds)` `Arc` bumps after an implicit flush,
-    /// no graph or batch copies. Reader threads query the snapshot (same
-    /// surface, same answers as a frozen engine of this epoch) while this
-    /// engine keeps mutating and flushing; see [`DynamicPsiIndex::snapshot`].
+    /// no batch copies. Reader threads query the snapshot (same surface, same
+    /// answers as a frozen index of this epoch) while this engine keeps
+    /// mutating and flushing; see [`DynamicPsiIndex::snapshot`].
     pub fn snapshot(&mut self) -> crate::PsiSnapshot {
-        let dynamic = &mut self.dynamic;
-        match &self.pool {
-            Some(p) => p.install(|| dynamic.snapshot()),
-            None => dynamic.snapshot(),
-        }
+        install(&self.pool, || self.dynamic.snapshot())
     }
 
     /// The engine's current epoch (strictly increases across accepted
@@ -543,11 +463,7 @@ impl Psi {
     /// bit-identical to a from-scratch [`PsiIndex::build`] of the current
     /// target.
     pub fn freeze(&mut self) -> PsiIndex {
-        let dynamic = &mut self.dynamic;
-        match &self.pool {
-            Some(p) => p.install(|| dynamic.freeze()),
-            None => dynamic.freeze(),
-        }
+        install(&self.pool, || self.dynamic.freeze())
     }
 
     /// Freezes and serialises to `path` (sectioned container, see

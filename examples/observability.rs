@@ -21,7 +21,6 @@ fn main() {
     // --- build ------------------------------------------------------------
     let embedding = psi_planar::generators::triangulated_grid_embedded(60, 60);
     let mut psi = Psi::builder()
-        .decomp_cache_cap(1 << 12) // the flush-side cache bound is a builder knob
         .open_embedded(&embedding)
         .expect("generator embedding rejected");
     println!(

@@ -167,7 +167,7 @@ fn rejected_mutations_leave_the_engine_byte_identical() {
 
 #[test]
 fn facade_matches_frozen_engine_after_churn() {
-    // After churn, the live engine and an IndexedEngine over its frozen artifact
+    // After churn, the live engine and its frozen artifact served as a snapshot
     // must give identical verdicts and witnesses.
     let e = psi_planar::generators::grid_embedded(6, 6);
     let mut psi = Psi::builder().open_embedded(&e).unwrap();
@@ -175,8 +175,7 @@ fn facade_matches_frozen_engine_after_churn() {
         psi.insert_edge(u, v).expect("planar insert rejected");
     }
     psi.delete_edge(0, 7).expect("inserted diagonal missing");
-    let frozen = psi.freeze();
-    let engine = planar_subiso::IndexedEngine::new(&frozen);
+    let engine = planar_subiso::PsiSnapshot::from(psi.freeze());
     for p in [
         Pattern::triangle(),
         Pattern::cycle(4),

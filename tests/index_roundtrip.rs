@@ -7,9 +7,7 @@
 //! semantically inconsistent) must fail with section-labelled structured errors,
 //! never panics and never silently-wrong indices.
 
-use planar_subiso::{
-    IndexLoadError, IndexParams, IndexedEngine, Pattern, Psi, PsiIndex, QueryError,
-};
+use planar_subiso::{IndexLoadError, IndexParams, Pattern, Psi, PsiIndex, PsiSnapshot, QueryError};
 use proptest::prelude::*;
 use psi_graph::generators as gg;
 use psi_graph::io::{SectionReadError, SectionedFile};
@@ -32,8 +30,8 @@ fn query_patterns() -> Vec<Pattern> {
 }
 
 /// Fresh-build vs save/load: equal artifacts (structural `PartialEq` covers the
-/// target, faces, face–vertex graph, every batch, and every decomposition), and
-/// bit-identical query behaviour on both engines.
+/// target, faces, every batch, and every decomposition), and bit-identical query
+/// behaviour on both served indexes.
 #[test]
 fn loaded_index_is_bit_identical_to_fresh_build() {
     let e = pg::triangulated_grid_embedded(24, 18);
@@ -51,8 +49,8 @@ fn loaded_index_is_bit_identical_to_fresh_build() {
     // Re-serialisation is byte-idempotent.
     assert_eq!(loaded.to_bytes(), fresh.to_bytes());
 
-    let ef = IndexedEngine::new(&fresh);
-    let el = IndexedEngine::new(&loaded);
+    let ef = PsiSnapshot::from(fresh.clone());
+    let el = PsiSnapshot::from(loaded);
     for p in query_patterns() {
         assert_eq!(ef.decide(&p), el.decide(&p), "verdict diverged for {p:?}");
         assert_eq!(
@@ -71,16 +69,16 @@ fn loaded_index_is_bit_identical_to_fresh_build() {
     let pairs: Vec<(u32, u32)> = (0..40u32).map(|i| (i, n - 1 - i)).collect();
     assert_eq!(ef.connectivity_batch(&pairs), el.connectivity_batch(&pairs));
 
-    // Global connectivity from the stored face–vertex graph: identical across the
-    // boundary. WholeGraph mode is exponential in the face–vertex treewidth, so this
-    // runs on a small separate index (the big grid above would take minutes).
+    // Global connectivity from the stored faces' face–vertex graph: identical
+    // across the boundary. WholeGraph mode is exponential in the face–vertex
+    // treewidth, so this runs on a small separate index (the big grid above would
+    // take minutes).
     let small = pg::triangulated_grid_embedded(7, 7);
     let sf = build(&small, IndexParams::default());
     let sl = PsiIndex::from_bytes(&sf.to_bytes()).unwrap();
-    let gf =
-        IndexedEngine::new(&sf).vertex_connectivity(planar_subiso::ConnectivityMode::WholeGraph, 7);
-    let gl =
-        IndexedEngine::new(&sl).vertex_connectivity(planar_subiso::ConnectivityMode::WholeGraph, 7);
+    let whole = planar_subiso::ConnectivityMode::WholeGraph;
+    let gf = PsiSnapshot::from(sf).vertex_connectivity(whole, 7);
+    let gl = PsiSnapshot::from(sl).vertex_connectivity(whole, 7);
     assert_eq!(gf.connectivity, 2); // the grid corner has degree 2
     assert_eq!(gf.connectivity, gl.connectivity);
     assert_eq!(gf.cut, gl.cut);
@@ -93,8 +91,7 @@ fn loaded_index_is_bit_identical_to_fresh_build() {
 #[test]
 fn index_witnesses_verify_against_the_target() {
     let g = gg::random_stacked_triangulation(400, 42);
-    let index = Psi::builder().open(&g).unwrap().freeze();
-    let engine = IndexedEngine::new(&index);
+    let engine = PsiSnapshot::from(Psi::builder().open(&g).unwrap().freeze());
     for p in [Pattern::triangle(), Pattern::cycle(4), Pattern::star(3)] {
         let occ = engine
             .find_one(&p)
@@ -104,8 +101,7 @@ fn index_witnesses_verify_against_the_target() {
     }
     // K4 verdict matches brute force on a small instance.
     let small = gg::random_stacked_triangulation(40, 3);
-    let small_index = Psi::builder().open(&small).unwrap().freeze();
-    let se = IndexedEngine::new(&small_index);
+    let se = PsiSnapshot::from(Psi::builder().open(&small).unwrap().freeze());
     let brute = psi_baselines::ullmann_decide(&Pattern::clique(4), &small);
     if brute {
         // one-sided error: a "yes" instance could in principle be missed, but with
@@ -184,7 +180,7 @@ fn semantically_inconsistent_sections_are_rejected() {
         f.to_bytes()
     };
 
-    for victim in ["meta", "target", "faces", "fvgraph", "round0"] {
+    for victim in ["meta", "target", "faces", "round0"] {
         let bad = rebuild_with(victim, vec![0u8; 7]);
         let err = PsiIndex::from_bytes(&bad).expect_err("garbage section accepted");
         let msg = err.to_string();
@@ -206,13 +202,13 @@ fn semantically_inconsistent_sections_are_rejected() {
     // Dropping a required section entirely.
     let mut f = SectionedFile::new(good.version);
     for name in good.section_names() {
-        if name == "fvgraph" {
+        if name == "faces" {
             continue;
         }
         f.push_section(name, good.section(name).unwrap().to_vec());
     }
     let err = PsiIndex::from_bytes(&f.to_bytes()).expect_err("missing section accepted");
-    assert!(err.to_string().contains("fvgraph"));
+    assert!(err.to_string().contains("faces"));
 }
 
 /// Query admission: structured [`QueryError`]s for unservable patterns, identical
@@ -222,8 +218,8 @@ fn unservable_queries_fail_identically_across_the_boundary() {
     let e = pg::triangulated_grid_embedded(8, 8);
     let fresh = build(&e, IndexParams::default());
     let loaded = PsiIndex::from_bytes(&fresh.to_bytes()).unwrap();
-    let ef = IndexedEngine::new(&fresh);
-    let el = IndexedEngine::new(&loaded);
+    let ef = PsiSnapshot::from(fresh);
+    let el = PsiSnapshot::from(loaded);
     for p in [
         Pattern::clique(5),                        // k too large
         Pattern::path(4),                          // diameter too large
@@ -246,8 +242,7 @@ fn unservable_queries_fail_identically_across_the_boundary() {
 fn connectivity_batch_matches_flow_baseline_after_round_trip() {
     let g = gg::random_stacked_triangulation(120, 9);
     let index = Psi::builder().open(&g).unwrap().freeze();
-    let loaded = PsiIndex::from_bytes(&index.to_bytes()).unwrap();
-    let engine = IndexedEngine::new(&loaded);
+    let engine = PsiSnapshot::from(PsiIndex::from_bytes(&index.to_bytes()).unwrap());
     let n = g.num_vertices() as u32;
     let pairs: Vec<(u32, u32)> = (0..n)
         .flat_map(|s| ((s + 1)..n).map(move |t| (s, t)))
@@ -286,8 +281,8 @@ proptest! {
         let loaded = PsiIndex::from_bytes(&fresh.to_bytes()).unwrap();
         prop_assert_eq!(&loaded, &fresh);
         prop_assert_eq!(loaded.to_bytes(), fresh.to_bytes());
-        let ef = IndexedEngine::new(&fresh);
-        let el = IndexedEngine::new(&loaded);
+        let ef = PsiSnapshot::from(fresh);
+        let el = PsiSnapshot::from(loaded);
         for p in query_patterns() {
             prop_assert_eq!(ef.decide(&p), el.decide(&p));
             prop_assert_eq!(ef.find_one(&p), el.find_one(&p));

@@ -16,14 +16,11 @@
 //!   under dedicated pools of 1 and 4 threads (the acceptance bit-identity
 //!   proof), and layer counter totals are identical at 1 vs 4 threads;
 //! * counter hygiene — stat merges are associative, commutative, and saturate
-//!   instead of wrapping;
-//! * the decomposition-cache knob — `PsiBuilder::decomp_cache_cap` bounds the
-//!   flush-side cache, evictions are counted, and the deprecated tuple shim
-//!   agrees with the new metrics accessor.
+//!   instead of wrapping.
 
 use planar_subiso::{
-    map_cover_batches, ArenaStats, ConnectivityMode, CoverStats, DynamicPsiIndex, IndexParams,
-    ParallelDpStats, Pattern, Psi, SepStats,
+    map_cover_batches, ArenaStats, ConnectivityMode, CoverStats, ParallelDpStats, Pattern, Psi,
+    SepStats,
 };
 use psi_graph::CsrGraph;
 use psi_obs::trace::{self, SpanRecord};
@@ -144,8 +141,7 @@ fn span_nesting_matches_call_tree() {
         "flush",
         "freeze",
         "snapshot",
-        "snapshot.decide",
-        "snapshot.vertex_connectivity",
+        "query.vertex_connectivity",
         "dp.separating",
     ] {
         assert!(
@@ -449,62 +445,4 @@ fn stat_merges_are_associative_commutative_and_saturating() {
     let mut peg_arena = arena(usize::MAX, usize::MAX, u64::MAX, u64::MAX);
     peg_arena.absorb(&arena(1, 1, 1, 1));
     assert_eq!(peg_arena, arena(usize::MAX, usize::MAX, u64::MAX, u64::MAX));
-}
-
-// ---------------------------------------------------------------------------
-// Decomposition-cache knob and shim
-// ---------------------------------------------------------------------------
-
-#[test]
-fn decomp_cache_cap_bounds_cache_and_counts_evictions() {
-    let _guard = obs_lock();
-    Psi::set_tracing(false);
-    let e = psi_planar::generators::grid_embedded(10, 10);
-
-    let mut dynamic = DynamicPsiIndex::build(&e, IndexParams::default());
-    dynamic.set_decomp_cache_cap(2);
-    for &(u, v) in &diagonals(10) {
-        dynamic.insert_edge(u, v).expect("cell diagonal rejected");
-        dynamic.flush();
-    }
-    let m = dynamic.decomp_cache_metrics();
-    assert_eq!(m.cap, 2);
-    assert!(m.len <= 2, "cache exceeded its cap: {m:?}");
-    assert!(m.misses > 0, "flushes must populate the cache: {m:?}");
-    assert!(m.evictions > 0, "a cap of 2 must evict under churn: {m:?}");
-
-    // The deprecated tuple shim still answers, and agrees with the new view.
-    #[allow(deprecated)]
-    let (hits, misses) = dynamic.decomp_cache_stats();
-    assert_eq!((hits, misses), (m.hits, m.misses));
-
-    // Cap 0 disables caching entirely (and trims immediately on set).
-    dynamic.set_decomp_cache_cap(0);
-    assert_eq!(dynamic.decomp_cache_metrics().len, 0);
-    dynamic
-        .delete_edge(0, 11)
-        .expect("inserted diagonal missing");
-    dynamic.flush();
-    assert_eq!(dynamic.decomp_cache_metrics().len, 0);
-
-    // The builder knob reaches the engine, and a generous cap changes no bytes.
-    let mut capped = Psi::builder()
-        .decomp_cache_cap(1)
-        .open_embedded(&e)
-        .expect("grid embedding");
-    let mut roomy = Psi::builder()
-        .decomp_cache_cap(1 << 14)
-        .open_embedded(&e)
-        .expect("grid embedding");
-    for &(u, v) in &diagonals(10) {
-        capped.insert_edge(u, v).unwrap();
-        roomy.insert_edge(u, v).unwrap();
-    }
-    capped.flush();
-    roomy.flush();
-    assert_eq!(
-        capped.freeze().to_bytes(),
-        roomy.freeze().to_bytes(),
-        "the cache cap is a memory knob; it must never change the artifact"
-    );
 }

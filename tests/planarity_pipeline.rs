@@ -3,9 +3,9 @@
 //! acceptance case — an embedding-stripped n ≈ 262k triangulated grid
 //! planarity-tested, embedded, and run through `decide(C4)` end to end.
 
-use planar_subiso::{embed_checked, vertex_connectivity, ConnectivityMode, Pattern, Psi, PsiError};
+use planar_subiso::{vertex_connectivity, ConnectivityMode, Pattern, Psi, PsiError};
 use psi_graph::{generators as gg, io};
-use psi_planar::{generators as pg, rotation_system};
+use psi_planar::{generators as pg, planar_embedding, rotation_system};
 use std::time::Instant;
 
 /// The acceptance case: a 512 × 512 triangulated grid (n = 262 144) with no native
@@ -19,7 +19,7 @@ fn acceptance_262k_grid_embeds_and_decides() {
     assert_eq!(g.num_vertices(), 262_144);
 
     let start = Instant::now();
-    let embedding = embed_checked(&g).expect("triangulated grid rejected");
+    let embedding = planar_embedding(&g).expect("triangulated grid rejected");
     let embed_s = start.elapsed().as_secs_f64();
     println!("262k embed: {embed_s:.2} s");
     assert!(

@@ -1,0 +1,185 @@
+//! One read path: the live engine, a pinned snapshot, and a frozen index served
+//! as a snapshot all answer through the same epoch-state reader.
+//!
+//! * equal answers — on a 5×5 grid after a few diagonal inserts, the three
+//!   front ends return identical results for all six query operations,
+//!   witnesses and connectivity cuts included;
+//! * equal instrumentation — every operation on every front end records its
+//!   `query.*` span carrying that front end's epoch, plus one latency sample
+//!   in the operation's histogram.
+
+use planar_subiso::{ConnectivityMode, Pattern, Psi, PsiError, PsiIndex, PsiSnapshot, QueryError};
+use psi_graph::Vertex;
+use psi_obs::trace;
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Tracing and the metrics registry are process-wide: the tests of this file
+/// take turns.
+fn obs_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Cell diagonals of the 5×5 grid; each is a chord of its cell face.
+const DIAGONALS: [(Vertex, Vertex); 3] = [(0, 6), (7, 13), (16, 22)];
+
+/// A live engine over the 5×5 grid after the diagonal inserts, plus a frozen
+/// index of the same graph served as epoch 0. The frozen index is built from
+/// the live embedding: the cover rounds depend on the graph alone, but the
+/// connectivity cut depends on the face–vertex graph, hence on the faces.
+fn live_and_frozen() -> (Psi, PsiSnapshot) {
+    let e = psi_planar::generators::grid_embedded(5, 5);
+    let mut psi = Psi::builder().open_embedded(&e).unwrap();
+    for (u, v) in DIAGONALS {
+        psi.insert_edge(u, v).unwrap();
+    }
+    let frozen = PsiIndex::build(&psi.dynamic().embedding(), psi.params());
+    (psi, PsiSnapshot::from(frozen))
+}
+
+fn query_error<T>(r: Result<T, PsiError>) -> Result<T, QueryError> {
+    r.map_err(|e| match e {
+        PsiError::Query(q) => q,
+        other => panic!("expected a query error, got {other}"),
+    })
+}
+
+#[test]
+fn frozen_live_and_pinned_answer_identically() {
+    let _guard = obs_lock();
+    let (mut psi, frozen) = live_and_frozen();
+    let pinned = psi.snapshot();
+    let patterns = [
+        Pattern::triangle(),
+        Pattern::cycle(4),
+        Pattern::path(3),
+        Pattern::star(3),
+        Pattern::clique(4),
+        Pattern::clique(5),
+        Pattern::path(4),
+        Pattern::single_vertex(),
+        Pattern::empty(),
+    ];
+    assert_eq!(frozen.decide(&Pattern::triangle()), Ok(true));
+    for p in &patterns {
+        let want = frozen.decide(p);
+        assert_eq!(query_error(psi.decide(p)), want, "live decide {p:?}");
+        assert_eq!(pinned.decide(p), want, "pinned decide {p:?}");
+        let want = frozen.find_one(p);
+        assert_eq!(query_error(psi.find_one(p)), want, "live find_one {p:?}");
+        assert_eq!(pinned.find_one(p), want, "pinned find_one {p:?}");
+    }
+
+    let want = frozen.decide_batch(&patterns);
+    assert_eq!(psi.decide_batch(&patterns), want);
+    assert_eq!(pinned.decide_batch(&patterns), want);
+    let want = frozen.find_one_batch(&patterns);
+    assert_eq!(psi.find_one_batch(&patterns), want);
+    assert_eq!(pinned.find_one_batch(&patterns), want);
+
+    let pairs = [(0, 24), (3, 21), (12, 12), (0, 25), (1, 2)];
+    let want = frozen.connectivity_batch(&pairs);
+    assert_eq!(want[2], Err(QueryError::IdenticalEndpoints { vertex: 12 }));
+    assert_eq!(psi.connectivity_batch(&pairs), want);
+    assert_eq!(pinned.connectivity_batch(&pairs), want);
+
+    let whole = ConnectivityMode::WholeGraph;
+    let want = frozen.vertex_connectivity(whole, 7);
+    assert_eq!(want.connectivity, 2, "a grid corner has degree 2");
+    for got in [
+        psi.vertex_connectivity(whole, 7),
+        pinned.vertex_connectivity(whole, 7),
+    ] {
+        assert_eq!(got.connectivity, want.connectivity);
+        assert_eq!(got.cut, want.cut);
+    }
+}
+
+/// Runs `op` and checks that it recorded exactly one `span` carrying `epoch`
+/// and added exactly one sample to `histogram`.
+fn assert_instrumented((span, histogram): (&str, &str), epoch: u64, op: impl FnOnce()) {
+    let samples = psi_obs::registry().histogram(histogram);
+    let before = samples.count();
+    trace::clear();
+    op();
+    let spans: Vec<_> = trace::snapshot_spans()
+        .into_iter()
+        .filter(|s| s.name == span)
+        .collect();
+    assert_eq!(spans.len(), 1, "expected one `{span}` span");
+    assert!(
+        spans[0].fields().contains(&("epoch", epoch)),
+        "`{span}` does not carry epoch {epoch}: {:?}",
+        spans[0].fields()
+    );
+    assert_eq!(
+        samples.count(),
+        before + 1,
+        "`{span}` must add one sample to {histogram}"
+    );
+}
+
+const DECIDE: (&str, &str) = ("query.decide", "psi_query_decide_ns");
+const FIND_ONE: (&str, &str) = ("query.find_one", "psi_query_find_one_ns");
+const CONNECTIVITY_BATCH: (&str, &str) = (
+    "query.connectivity_batch",
+    "psi_query_connectivity_batch_ns",
+);
+const VERTEX_CONNECTIVITY: (&str, &str) =
+    ("query.vertex_connectivity", "psi_query_connectivity_ns");
+
+fn assert_snapshot_instrumented(snap: &PsiSnapshot) {
+    let (tri, epoch) = ([Pattern::triangle()], snap.epoch());
+    assert_instrumented(DECIDE, epoch, || assert_eq!(snap.decide(&tri[0]), Ok(true)));
+    assert_instrumented(FIND_ONE, epoch, || {
+        assert!(snap.find_one(&tri[0]).unwrap().is_some());
+    });
+    assert_instrumented(DECIDE, epoch, || {
+        snap.decide_batch(&tri);
+    });
+    assert_instrumented(FIND_ONE, epoch, || {
+        snap.find_one_batch(&tri);
+    });
+    assert_instrumented(CONNECTIVITY_BATCH, epoch, || {
+        snap.connectivity_batch(&[(0, 24)]);
+    });
+    assert_instrumented(VERTEX_CONNECTIVITY, epoch, || {
+        snap.vertex_connectivity(ConnectivityMode::WholeGraph, 7);
+    });
+}
+
+#[test]
+fn every_query_records_its_span_with_the_front_end_epoch_and_one_sample() {
+    let _guard = obs_lock();
+    let (mut psi, frozen) = live_and_frozen();
+    let pinned = psi.snapshot();
+    // One more mutation, so the three front ends sit at three distinct epochs.
+    psi.insert_edge(18, 24).unwrap();
+    assert_eq!(frozen.epoch(), 0);
+    assert!(psi.epoch() > pinned.epoch() && pinned.epoch() > 0);
+
+    Psi::set_tracing(true);
+    assert_snapshot_instrumented(&frozen);
+    assert_snapshot_instrumented(&pinned);
+    let (tri, epoch) = ([Pattern::triangle()], psi.epoch());
+    assert_instrumented(DECIDE, epoch, || {
+        assert!(psi.decide(&tri[0]).unwrap());
+    });
+    assert_instrumented(FIND_ONE, epoch, || {
+        assert!(psi.find_one(&tri[0]).unwrap().is_some());
+    });
+    assert_instrumented(DECIDE, epoch, || {
+        psi.decide_batch(&tri);
+    });
+    assert_instrumented(FIND_ONE, epoch, || {
+        psi.find_one_batch(&tri);
+    });
+    assert_instrumented(CONNECTIVITY_BATCH, epoch, || {
+        psi.connectivity_batch(&[(0, 24)]);
+    });
+    assert_instrumented(VERTEX_CONNECTIVITY, epoch, || {
+        psi.vertex_connectivity(ConnectivityMode::WholeGraph, 7);
+    });
+    Psi::set_tracing(false);
+    trace::clear();
+}

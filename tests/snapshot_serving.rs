@@ -8,7 +8,7 @@
 //!
 //! * threaded stress — reader threads loop `decide_batch` / `connectivity_batch`
 //!   against a pinned snapshot while the writer runs scripted churn with
-//!   interleaved flushes; every answer must equal the frozen pre-epoch engine's;
+//!   interleaved flushes; every answer must equal the frozen pre-epoch index's;
 //! * reads racing one real flush — the acceptance shape: pin a snapshot, queue
 //!   a batch of inserts, then serve from the snapshot *while* `flush()` runs;
 //! * epoch bookkeeping — accepted mutations advance the epoch, rejected ones
@@ -17,7 +17,7 @@
 //!   after arbitrary further churn, every retained snapshot still freezes to
 //!   the exact bytes of a scratch build of its epoch's graph.
 
-use planar_subiso::{DynamicPsiIndex, IndexParams, IndexedEngine, Pattern, Psi, PsiIndex};
+use planar_subiso::{DynamicPsiIndex, IndexParams, Pattern, Psi, PsiIndex, PsiSnapshot};
 use proptest::prelude::*;
 use psi_graph::{CsrGraph, Vertex};
 use psi_planar::planar_embedding;
@@ -59,14 +59,14 @@ fn pinned_snapshot_serves_pre_epoch_answers_during_writer_churn() {
     let mut dynamic = DynamicPsiIndex::build(&e, params());
     let snap = dynamic.snapshot();
 
-    // Independent reference: a from-scratch frozen engine of the pinned graph.
+    // Independent reference: a from-scratch frozen index of the pinned graph.
     let reference = scratch_of(snap.target());
-    let engine = IndexedEngine::new(&reference);
+    let expected_bytes = reference.to_bytes();
+    let engine = PsiSnapshot::from(reference);
     let patterns = probe_patterns();
     let pairs = [(0u32, 143u32), (5, 100), (11, 132)];
     let expected_decide = engine.decide_batch(&patterns);
     let expected_conn = engine.connectivity_batch(&pairs);
-    let expected_bytes = reference.to_bytes();
 
     let script = diagonals(12);
     let done = AtomicBool::new(false);
@@ -133,8 +133,7 @@ fn snapshot_serves_while_a_real_flush_runs() {
     let e = psi_planar::generators::grid_embedded(14, 14);
     let mut dynamic = DynamicPsiIndex::build(&e, params());
     let snap = dynamic.snapshot();
-    let reference = scratch_of(snap.target());
-    let engine = IndexedEngine::new(&reference);
+    let engine = PsiSnapshot::from(scratch_of(snap.target()));
     let patterns = probe_patterns();
     let expected = engine.decide_batch(&patterns);
 
