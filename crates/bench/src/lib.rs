@@ -21,8 +21,8 @@ pub fn table1_patterns() -> Vec<(&'static str, Pattern)> {
     ]
 }
 
-/// The paper's headline instance size (the F3 sweep and `bench_cover` run up to it;
-/// the sharded cover pipeline makes it affordable on a single core).
+/// The paper's headline instance size (the F3 sweep runs up to it; the sharded
+/// cover pipeline makes it affordable on a single core).
 pub const MILLION: usize = 1_048_576;
 
 /// Geometric size sweep used by the scaling experiments. `size_sweep(MILLION)` yields

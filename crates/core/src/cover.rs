@@ -71,7 +71,8 @@ pub const LAYERED_ATTEMPT_WIDTH: usize = 6;
 /// single unlucky window exponential — there a batch forces every packed window's DP
 /// to complete before the consumer can act on a hit, while solo windows (budget 0)
 /// keep the piece-level early exit. The threshold matches where the DP factor starts
-/// to dominate setup on the workloads of `bench_cover`.
+/// to dominate setup on triangulated-grid targets (`experiments f4` prints the
+/// decision time per pattern size).
 pub fn batch_budget_for(k: usize) -> usize {
     if k <= 5 {
         DEFAULT_BATCH_BUDGET

@@ -691,7 +691,9 @@ fn decode_decomposition(
         .take_u64()
         .ok_or_else(|| fail(format!("batch {batch}: missing decomposition size")))?;
     let nodes = usize::try_from(nodes)
-        .map_err(|_| fail(format!("batch {batch}: decomposition too large")))?;
+        .ok()
+        .filter(|n| n.checked_add(1).is_some())
+        .ok_or_else(|| fail(format!("batch {batch}: decomposition too large")))?;
     if nodes == 0 {
         return Err(fail(format!("batch {batch}: empty decomposition")));
     }

@@ -25,9 +25,9 @@
 //!   graphs (the cheap classic path, no index is built);
 //! * [`Psi::load`] / [`Psi::save`] round-trip the artifact;
 //! * [`PsiError`] folds `NonPlanarWitness`, [`QueryError`], [`IndexLoadError`],
-//!   [`MutationError`], parse, I/O, and thread-pool failures into one
-//!   `std::error::Error` with `source()` chaining. No entry point panics on
-//!   malformed input.
+//!   [`MutationError`], parse, I/O, and thread-pool failures, and a zero `k` or
+//!   `rounds`, into one `std::error::Error` with `source()` chaining. No entry
+//!   point panics on malformed input.
 
 use crate::connectivity::{vertex_connectivity, ConnectivityMode, ConnectivityResult};
 use crate::dynamic::{DynamicPsiIndex, MutationError, UpdateStats};
@@ -66,6 +66,9 @@ pub enum PsiError {
     Io(std::io::Error),
     /// The dedicated thread pool could not be built.
     Threads(rayon::ThreadPoolBuildError),
+    /// A builder knob that must be at least 1 (`k` or `rounds`) was 0; no index
+    /// was built.
+    ZeroParam(&'static str),
 }
 
 impl fmt::Display for PsiError {
@@ -78,6 +81,7 @@ impl fmt::Display for PsiError {
             PsiError::Parse(e) => write!(f, "graph parse failed: {e}"),
             PsiError::Io(e) => write!(f, "i/o failed: {e}"),
             PsiError::Threads(e) => write!(f, "thread pool construction failed: {e}"),
+            PsiError::ZeroParam(name) => write!(f, "builder parameter `{name}` must be at least 1"),
         }
     }
 }
@@ -92,6 +96,7 @@ impl std::error::Error for PsiError {
             PsiError::Parse(e) => Some(e),
             PsiError::Io(e) => Some(e),
             PsiError::Threads(e) => Some(e),
+            PsiError::ZeroParam(_) => None,
         }
     }
 }
@@ -220,8 +225,15 @@ impl PsiBuilder {
     }
 
     /// Opens over an already validated [`Embedding`] (generator-native
-    /// embeddings skip the planarity re-test).
+    /// embeddings skip the planarity re-test). `k = 0` or `rounds = 0` is
+    /// rejected with [`PsiError::ZeroParam`].
     pub fn open_embedded(self, embedding: &Embedding) -> Result<Psi, PsiError> {
+        if self.params.k == 0 {
+            return Err(PsiError::ZeroParam("k"));
+        }
+        if self.params.rounds == 0 {
+            return Err(PsiError::ZeroParam("rounds"));
+        }
         let pool = self.pool()?;
         let dynamic = install(&pool, || DynamicPsiIndex::build(embedding, self.params));
         Ok(Psi { dynamic, pool })
@@ -543,6 +555,14 @@ mod tests {
         assert!(matches!(
             psi.decide(&Pattern::clique(4)),
             Err(PsiError::Query(QueryError::PatternTooLarge { .. }))
+        ));
+        assert!(matches!(
+            Psi::builder().k(0).open(&gg::grid(4, 4)),
+            Err(PsiError::ZeroParam("k"))
+        ));
+        assert!(matches!(
+            Psi::builder().rounds(0).open(&gg::grid(4, 4)),
+            Err(PsiError::ZeroParam("rounds"))
         ));
     }
 

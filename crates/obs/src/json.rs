@@ -1,13 +1,7 @@
-//! Minimal JSON support shared by every serializer in the workspace: a streaming
-//! writer (used by the chrome-trace exporter and the bench report writer), a small
-//! recursive-descent parser (used by tests and CI to validate exports without an
-//! external JSON dependency), and [`BenchReport`], the one serializer behind every
-//! `BENCH_*.json` baseline file.
-//!
-//! The writer emits compact machine format (`{"k":v,...}`); [`BenchReport`]
-//! reproduces the exact line-oriented layout the bench `--check` gates parse
-//! (one case object per line, fixed float precision per field), so regenerated
-//! baselines stay byte-compatible with the committed ones.
+//! Minimal JSON support: a streaming writer (used by the chrome-trace exporter)
+//! and a small recursive-descent parser (used by tests and CI to validate exports
+//! without an external JSON dependency). The writer emits compact machine format
+//! (`{"k":v,...}`).
 
 use std::fmt::Write as _;
 
@@ -27,15 +21,6 @@ pub fn escape_into(s: &str, out: &mut String) {
             c => out.push(c),
         }
     }
-}
-
-/// Escapes `s` into a quoted JSON string literal.
-pub fn quote(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    escape_into(s, &mut out);
-    out.push('"');
-    out
 }
 
 /// A streaming writer for compact JSON. The writer inserts commas automatically;
@@ -142,7 +127,7 @@ impl JsonWriter {
 // ---------------------------------------------------------------------------
 
 /// A parsed JSON value. Numbers are kept as `f64` (sufficient for validating
-/// exports and reading bench baselines); object member order is preserved.
+/// exports); object member order is preserved.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Value {
     Null,
@@ -351,136 +336,5 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
             }
             _ => return Err(format!("expected ',' or '}}' at offset {pos}", pos = *pos)),
         }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Bench report serializer
-// ---------------------------------------------------------------------------
-
-/// One value of a bench-case row, with its committed formatting.
-enum CaseField {
-    U64(&'static str, u64),
-    F64(&'static str, f64, usize),
-    F64List(&'static str, Vec<f64>, usize),
-}
-
-/// One case row of a bench report; finished rows serialize to a single line so
-/// the line-oriented `extract_case_*` baseline parsers keep working.
-pub struct BenchCase {
-    name: String,
-    fields: Vec<CaseField>,
-}
-
-impl BenchCase {
-    pub fn u64(mut self, key: &'static str, value: u64) -> BenchCase {
-        self.fields.push(CaseField::U64(key, value));
-        self
-    }
-
-    pub fn f64(mut self, key: &'static str, value: f64, precision: usize) -> BenchCase {
-        self.fields.push(CaseField::F64(key, value, precision));
-        self
-    }
-
-    pub fn f64_list(mut self, key: &'static str, values: &[f64], precision: usize) -> BenchCase {
-        self.fields
-            .push(CaseField::F64List(key, values.to_vec(), precision));
-        self
-    }
-
-    fn render(&self, out: &mut String) {
-        out.push_str("    {\"name\": ");
-        out.push_str(&quote(&self.name));
-        for field in &self.fields {
-            out.push_str(", ");
-            match field {
-                CaseField::U64(key, v) => {
-                    let _ = write!(out, "\"{key}\": {v}");
-                }
-                CaseField::F64(key, v, p) => {
-                    let _ = write!(out, "\"{key}\": {v:.p$}");
-                }
-                CaseField::F64List(key, vs, p) => {
-                    let _ = write!(out, "\"{key}\": [");
-                    for (i, v) in vs.iter().enumerate() {
-                        if i > 0 {
-                            out.push_str(", ");
-                        }
-                        let _ = write!(out, "{v:.p$}");
-                    }
-                    out.push(']');
-                }
-            }
-        }
-        out.push('}');
-    }
-}
-
-/// The shared serializer behind every `BENCH_*.json` baseline: a schema line, an
-/// optional free-text `notes` member (escaped here, once, instead of at every
-/// call site), the recording host's thread count, and one case object per line.
-pub struct BenchReport {
-    schema: String,
-    notes: Option<String>,
-    host_threads: usize,
-    cases: Vec<BenchCase>,
-}
-
-impl BenchReport {
-    /// `host_threads` is conventionally `std::thread::available_parallelism()`.
-    pub fn new(schema: &str, host_threads: usize) -> BenchReport {
-        BenchReport {
-            schema: schema.to_string(),
-            notes: None,
-            host_threads,
-            cases: Vec::new(),
-        }
-    }
-
-    /// Attaches the free-text provenance note emitted between `schema` and
-    /// `host_threads`.
-    pub fn notes(&mut self, notes: &str) {
-        self.notes = Some(notes.to_string());
-    }
-
-    /// Starts a case row; chain typed field calls and pass the result to
-    /// [`BenchReport::push`].
-    pub fn case(&self, name: &str) -> BenchCase {
-        BenchCase {
-            name: name.to_string(),
-            fields: Vec::new(),
-        }
-    }
-
-    pub fn push(&mut self, case: BenchCase) {
-        self.cases.push(case);
-    }
-
-    /// Serializes the report in the committed baseline layout.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n  \"schema\": ");
-        out.push_str(&quote(&self.schema));
-        out.push_str(",\n");
-        if let Some(notes) = &self.notes {
-            out.push_str("  \"notes\": ");
-            out.push_str(&quote(notes));
-            out.push_str(",\n");
-        }
-        let _ = write!(
-            out,
-            "  \"host_threads\": {},\n  \"cases\": [\n",
-            self.host_threads
-        );
-        for (i, case) in self.cases.iter().enumerate() {
-            case.render(&mut out);
-            if i + 1 != self.cases.len() {
-                out.push(',');
-            }
-            out.push('\n');
-        }
-        out.push_str("  ]\n}\n");
-        out
     }
 }

@@ -12,9 +12,8 @@
 //!   one [`MetricsRegistry`], with export-time *sources* for statistics the
 //!   engine layers already aggregate (arena, separating-DP, cover, work-stealing
 //!   pool). Exported as Prometheus-style text.
-//! * [`json`] — the shared JSON writer/parser: chrome-trace export, validation
-//!   of both export formats without external dependencies, and [`BenchReport`],
-//!   the single serializer behind every `BENCH_*.json` baseline.
+//! * [`json`] — the JSON writer/parser: chrome-trace export and validation of
+//!   both export formats without external dependencies.
 //!
 //! The facade (`Psi::metrics()` / `Psi::trace_export()` in `planar_subiso`)
 //! composes these into the user-visible surface.
@@ -23,7 +22,7 @@ pub mod json;
 pub mod metrics;
 pub mod trace;
 
-pub use json::{BenchCase, BenchReport, JsonWriter, Value};
+pub use json::{JsonWriter, Value};
 pub use metrics::{registry, Counter, Gauge, Histogram, MetricsRegistry, Sample};
 pub use trace::{
     chrome_trace_json, enabled as tracing_enabled, set_enabled as set_tracing, SpanGuard,
@@ -149,28 +148,5 @@ mod tests {
             v.get("arr").and_then(|a| a.as_array()).map(|a| a.len()),
             Some(2)
         );
-    }
-
-    #[test]
-    fn bench_report_matches_committed_layout() {
-        let mut report = BenchReport::new("bench_demo/v1", 4);
-        report.notes("free text");
-        let case = report
-            .case("case_a")
-            .u64("n", 65536)
-            .f64("median_ms", 12.3456, 2)
-            .f64_list("all_ms", &[12.34, 13.0], 2)
-            .u64("pieces", 7);
-        report.push(case);
-        let case = report.case("case_b").f64("median_ms", 1.0, 3);
-        report.push(case);
-        let text = report.render();
-        let expected = "{\n  \"schema\": \"bench_demo/v1\",\n  \"notes\": \"free text\",\n  \
-                        \"host_threads\": 4,\n  \"cases\": [\n    {\"name\": \"case_a\", \
-                        \"n\": 65536, \"median_ms\": 12.35, \"all_ms\": [12.34, 13.00], \
-                        \"pieces\": 7},\n    {\"name\": \"case_b\", \"median_ms\": 1.000}\n  \
-                        ]\n}\n";
-        assert_eq!(text, expected);
-        json::parse(&text).expect("bench report must be valid JSON");
     }
 }

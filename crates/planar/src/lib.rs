@@ -27,7 +27,6 @@ pub mod planarity;
 pub use embedding::{Embedding, EmbeddingError};
 pub use face_vertex::{face_vertex_graph, FaceVertexGraph};
 pub use planarity::{
-    check_planarity, is_planar_graph, planar_embedding, planar_embedding_with_stats,
-    rotation_system, rotation_system_with_stats, KuratowskiKind, NonPlanarWitness, PlanarityStats,
-    RotationSystem,
+    check_planarity, is_planar_graph, planar_embedding, rotation_system, KuratowskiKind,
+    NonPlanarWitness, RotationSystem,
 };

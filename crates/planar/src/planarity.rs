@@ -867,7 +867,7 @@ pub fn check_planarity(graph: &CsrGraph) -> Result<(), Box<NonPlanarWitness>> {
 
 /// Buckets every edge into its biconnected block (`edge_component` is in
 /// `CsrGraph::edges` order) — the shared decomposition step of [`check_planarity`]
-/// and [`rotation_system_with_stats`].
+/// and [`rotation_system`].
 fn group_block_edges(
     graph: &CsrGraph,
     bc: &psi_graph::Biconnectivity,
@@ -901,15 +901,6 @@ fn compact_to_local(edges: &[(Vertex, Vertex)]) -> (CsrGraph, Vec<Vertex>) {
 // Block decomposition, parallel testing, merge
 // ---------------------------------------------------------------------------
 
-/// Run statistics of the planarity engine (surfaced by `bench_planarity`).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct PlanarityStats {
-    /// Number of biconnected blocks tested.
-    pub blocks: usize,
-    /// Edge count of the largest block (the per-block LR cost driver).
-    pub largest_block_edges: usize,
-}
-
 /// Computes a planar rotation system for an arbitrary graph, or a checkable
 /// non-planarity certificate.
 ///
@@ -918,38 +909,22 @@ pub struct PlanarityStats {
 /// (block-id order, thread-count independent). On failure the witness is extracted
 /// from the smallest-id failing block.
 pub fn rotation_system(graph: &CsrGraph) -> Result<RotationSystem, Box<NonPlanarWitness>> {
-    rotation_system_with_stats(graph).0
-}
-
-/// [`rotation_system`] plus run statistics.
-pub fn rotation_system_with_stats(
-    graph: &CsrGraph,
-) -> (
-    Result<RotationSystem, Box<NonPlanarWitness>>,
-    PlanarityStats,
-) {
     let n = graph.num_vertices();
     let bc = biconnected_components(graph);
-    let mut stats = PlanarityStats {
-        blocks: bc.num_components,
-        largest_block_edges: 0,
-    };
 
     if bc.num_components <= 1 {
         // Fast path: at most one block — run LR on the graph itself, no copies.
-        stats.largest_block_edges = graph.num_edges();
         let lg = LrGraph::new(graph);
         return match lr_run(&lg, true) {
-            Ok(rot) => (Ok(assemble_rotation(graph, vec![rot.unwrap()])), stats),
+            Ok(rot) => Ok(assemble_rotation(graph, vec![rot.unwrap()])),
             Err(()) => {
                 let edges: Vec<(Vertex, Vertex)> = graph.edges().collect();
-                (Err(Box::new(extract_witness(edges))), stats)
+                Err(Box::new(extract_witness(edges)))
             }
         };
     }
 
     let block_edges = group_block_edges(graph, &bc);
-    stats.largest_block_edges = block_edges.iter().map(|b| b.len()).max().unwrap_or(0);
 
     // Test + embed every block in parallel; collect is order-preserving, so the
     // outcome is independent of the thread count.
@@ -959,10 +934,7 @@ pub fn rotation_system_with_stats(
         .collect();
 
     if let Some(bad) = results.iter().position(|r| r.is_err()) {
-        return (
-            Err(Box::new(extract_witness(block_edges[bad].clone()))),
-            stats,
-        );
+        return Err(Box::new(extract_witness(block_edges[bad].clone())));
     }
 
     // Merge: each vertex's rotation is the concatenation of its per-block rotations
@@ -979,7 +951,7 @@ pub fn rotation_system_with_stats(
             per_vertex[v as usize].extend(order);
         }
     }
-    (Ok(assemble_rotation(graph, vec![per_vertex])), stats)
+    Ok(assemble_rotation(graph, vec![per_vertex]))
 }
 
 /// One block's output: each block vertex paired with its clockwise rotation, both in
@@ -1027,21 +999,9 @@ fn assemble_rotation(graph: &CsrGraph, parts: Vec<Vec<Vec<Vertex>>>) -> Rotation
 /// (isolated vertices as singleton faces), Euler characteristic `2c` for `c`
 /// connected components.
 pub fn planar_embedding(graph: &CsrGraph) -> Result<Embedding, Box<NonPlanarWitness>> {
-    planar_embedding_with_stats(graph).0
-}
-
-/// [`planar_embedding`] plus run statistics.
-pub fn planar_embedding_with_stats(
-    graph: &CsrGraph,
-) -> (Result<Embedding, Box<NonPlanarWitness>>, PlanarityStats) {
-    let (rot, stats) = rotation_system_with_stats(graph);
-    match rot {
-        Ok(rot) => {
-            let faces = rot.faces(graph);
-            (Ok(Embedding::new(graph.clone(), faces)), stats)
-        }
-        Err(w) => (Err(w), stats),
-    }
+    let rot = rotation_system(graph)?;
+    let faces = rot.faces(graph);
+    Ok(Embedding::new(graph.clone(), faces))
 }
 
 // ---------------------------------------------------------------------------
@@ -1403,17 +1363,5 @@ mod tests {
         let b = rotation_system(&g).unwrap();
         assert_eq!(a, b);
         assert_eq!(a.faces(&g), b.faces(&g));
-    }
-
-    #[test]
-    fn stats_report_blocks() {
-        let mut b = GraphBuilder::new(6);
-        for &(u, v) in &[(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)] {
-            b.add_edge(u, v);
-        }
-        let (rot, stats) = rotation_system_with_stats(&b.build());
-        assert!(rot.is_ok());
-        assert_eq!(stats.blocks, 3);
-        assert_eq!(stats.largest_block_edges, 3);
     }
 }

@@ -10,7 +10,7 @@
 use planar_subiso::{IndexLoadError, IndexParams, Pattern, Psi, PsiIndex, PsiSnapshot, QueryError};
 use proptest::prelude::*;
 use psi_graph::generators as gg;
-use psi_graph::io::{SectionReadError, SectionedFile};
+use psi_graph::io::{encode_csr, push_u32_slice, push_u64, SectionReadError, SectionedFile};
 use psi_planar::generators as pg;
 use psi_planar::planar_embedding;
 
@@ -192,12 +192,31 @@ fn semantically_inconsistent_sections_are_rejected() {
 
     // A round section that declares more batches than it carries.
     let mut lying = Vec::new();
-    psi_graph::io::push_u64(&mut lying, 1_000_000);
+    push_u64(&mut lying, 1_000_000);
     let bad = rebuild_with("round0", lying);
     assert!(matches!(
         PsiIndex::from_bytes(&bad),
         Err(IndexLoadError::Csr { .. } | IndexLoadError::Section { .. })
     ));
+
+    // A well-formed one-edge batch whose decomposition declares u64::MAX nodes:
+    // the bag-offset count `nodes + 1` must not overflow.
+    let mut huge = Vec::new();
+    push_u64(&mut huge, 1); // one batch
+    encode_csr(&gg::path(2), &mut huge);
+    push_u64(&mut huge, 2); // local-to-global map
+    push_u32_slice(&mut huge, &[0, 1]);
+    push_u64(&mut huge, 1); // one window: cluster, level start, offset
+    push_u32_slice(&mut huge, &[0, 0, 0]);
+    push_u64(&mut huge, u64::MAX); // decomposition nodes
+    push_u32_slice(&mut huge, &[0, 0]); // root, layered segments
+    let err = PsiIndex::from_bytes(&rebuild_with("round0", huge))
+        .expect_err("u64::MAX-node decomposition accepted");
+    assert!(
+        matches!(&err, IndexLoadError::Section { section, detail }
+            if section == "round0" && detail.contains("decomposition too large")),
+        "{err}"
+    );
 
     // Dropping a required section entirely.
     let mut f = SectionedFile::new(good.version);

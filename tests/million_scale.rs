@@ -27,7 +27,7 @@ fn million_vertex_cover_and_decide_c4() {
     assert_eq!(n, 1_000_000);
     println!("generator: {:.2} s", build_g.elapsed().as_secs_f64());
 
-    // Eager cover build (the bench_cover baseline path): single-digit seconds on the
+    // Eager cover build: single-digit seconds on the
     // 1-core container; the bound below leaves ~3x headroom for slow CI runners.
     let t = Instant::now();
     let (cover, stats) = build_cover_with_stats(&g, 4, 1, 7);

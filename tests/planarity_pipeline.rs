@@ -11,7 +11,7 @@ use std::time::Instant;
 /// The acceptance case: a 512 × 512 triangulated grid (n = 262 144) with no native
 /// embedding anywhere — the engine must test + embed it fast and the pipeline must
 /// answer through the bare-`CsrGraph` entry point. The release-build budget is 5 s
-/// (measured ~0.3 s; `BENCH_planarity.json` tracks the number) — the assert allows
+/// (measured ~0.3 s; the test prints the number) — the assert allows
 /// the test-profile and CI-runner slack on top.
 #[test]
 fn acceptance_262k_grid_embeds_and_decides() {
