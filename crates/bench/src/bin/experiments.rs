@@ -8,12 +8,14 @@
 //! seeded end-to-end benchmark is `perfbench/`, not this binary.
 
 use planar_subiso::{
-    build_cover, vertex_connectivity, ConnectivityMode, Pattern, SubgraphIsomorphism,
+    build_cover, separating_cycle_connectivity, vertex_connectivity, ConnectivityMode, Pattern,
+    SubgraphIsomorphism,
 };
 use psi_baselines::{eppstein_sequential_decide, flow_vertex_connectivity, ullmann_decide};
 use psi_bench::{size_sweep, table1_patterns, target_with_n};
 use psi_cluster::cluster;
 use psi_graph::generators;
+use psi_planar::face_vertex_graph;
 use psi_planar::generators as pg;
 use psi_treedecomp::{
     min_degree_decomposition, path_layers::RootedTree, tree_into_paths, BinaryTreeDecomposition,
@@ -253,39 +255,65 @@ fn f6_disconnected() {
     }
 }
 
-/// F7 — Lemma 5.2: vertex connectivity, correctness and timing vs. the flow baseline.
+/// F7 — Lemma 5.2: vertex connectivity on the default path and through the paper's
+/// separating DP, each timed and checked against the flow baseline.
 fn f7_connectivity() {
     println!("\n== F7: planar vertex connectivity (Lemma 5.2) ==");
     println!(
-        "{:<28} {:>6} {:>6} {:>6} {:>12} {:>12}",
-        "graph", "n", "ours", "flow", "ours [ms]", "flow [ms]"
+        "ours: `vertex_connectivity` (degenerate checks, the min-degree bound, separating-cycle"
     );
-    let cases: Vec<(&str, psi_planar::Embedding)> = vec![
-        ("cycle C32", pg::cycle_embedded(32)),
-        ("wheel W24", pg::wheel_embedded(24)),
-        ("double wheel (rim 8)", pg::double_wheel(8)),
-        ("octahedron", pg::octahedron()),
-        ("icosahedron", pg::icosahedron()),
+    println!("      enumeration with the DP as fallback), with the candidates it tested;");
+    println!("DP:   `separating_cycle_connectivity`, the paper's whole-graph separating DP for C4, C6, C8");
+    println!("      (\"—\": not run, it takes minutes; over ten on the 10x10 grid); flow: Dinic max-flow. Times in ms.");
+    println!(
+        "{:<28} {:>5} {:>5} {:>5} {:>5} {:>10} {:>10} {:>10} {:>10}",
+        "graph", "n", "ours", "DP", "flow", "cands", "ours", "DP", "flow"
+    );
+    // (name, embedding, whether the DP loop runs)
+    let cases: Vec<(&str, psi_planar::Embedding, bool)> = vec![
+        ("cycle C32", pg::cycle_embedded(32), true),
+        ("wheel W24", pg::wheel_embedded(24), true),
+        ("double wheel (rim 8)", pg::double_wheel(8), true),
+        ("double wheel (rim 300)", pg::double_wheel(300), false),
+        ("octahedron", pg::octahedron(), true),
+        ("icosahedron", pg::icosahedron(), true),
+        ("geodesic sphere n=42", pg::geodesic_sphere(1), false),
+        ("geodesic sphere n=162", pg::geodesic_sphere(2), false),
+        ("geodesic sphere n=642", pg::geodesic_sphere(3), false),
         (
             "triangulated grid 10x10",
             pg::triangulated_grid_embedded(10, 10),
+            false,
         ),
         (
             "stacked triangulation 30",
             pg::stacked_triangulation_embedded(30, 7),
+            true,
         ),
     ];
-    for (name, e) in cases {
-        let (ours, t_ours) =
-            timed(|| vertex_connectivity(&e, ConnectivityMode::WholeGraph, 1).connectivity);
+    for (name, e, run_dp) in cases {
+        let (ours, t_ours) = timed(|| vertex_connectivity(&e, ConnectivityMode::WholeGraph, 1));
+        let (dp, t_dp) = if run_dp {
+            let fv = face_vertex_graph(&e);
+            let (dp, t) = timed(|| {
+                separating_cycle_connectivity(&e.graph, &fv, ConnectivityMode::WholeGraph, 1)
+                    .connectivity
+            });
+            (dp.to_string(), format!("{t:.2}"))
+        } else {
+            ("—".to_string(), "—".to_string())
+        };
         let (flow, t_flow) = timed(|| flow_vertex_connectivity(&e.graph, 6));
         println!(
-            "{:<28} {:>6} {:>6} {:>6} {:>12.2} {:>12.2}",
+            "{:<28} {:>5} {:>5} {:>5} {:>5} {:>10} {:>10.3} {:>10} {:>10.2}",
             name,
             e.graph.num_vertices(),
-            ours,
+            ours.connectivity,
+            dp,
             flow,
+            ours.candidates,
             t_ours,
+            t_dp,
             t_flow
         );
     }

@@ -1275,5 +1275,7 @@ mod tests {
         assert_eq!(fv.graph, fresh.graph);
         assert_eq!(fv.num_original, fresh.num_original);
         assert_eq!(fv.face_of, fresh.face_of);
+        assert_eq!(fv.walks, fresh.walks);
+        assert_eq!(fv.walk_offsets, fresh.walk_offsets);
     }
 }

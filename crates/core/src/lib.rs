@@ -24,7 +24,8 @@
 //! 5. [`listing`] — the listing loop with the coin-flip stopping rule (Section 4.2).
 //! 6. [`separating`] / [`connectivity`] — S-separating subgraph isomorphism
 //!    (Section 5.2) and planar vertex connectivity via separating cycles in the
-//!    face–vertex graph (Sections 5.1, Lemma 5.2).
+//!    face–vertex graph (Section 5.1, Lemmas 5.1–5.2): enumerated on a budget
+//!    below the minimum degree, with the separating DP as the fallback.
 //! 7. [`index`] — the versioned build-once / serve-many artifact: cover rounds,
 //!    embedding, and per-batch decompositions frozen into one immutable
 //!    [`index::PsiIndex`] (optionally serialised via [`psi_graph::io`]), served
@@ -77,8 +78,8 @@ pub mod state;
 
 pub use arena::{ArenaStats, StateArena, StateId};
 pub use connectivity::{
-    st_connectivity_capped, vertex_connectivity, vertex_connectivity_with_fv, ConnectivityMode,
-    ConnectivityResult,
+    separating_cycle_connectivity, st_connectivity_capped, vertex_connectivity,
+    vertex_connectivity_with_fv, ConnectivityMode, ConnectivityResult,
 };
 pub use cover::{
     batch_budget_for, build_cover, build_cover_with_stats, build_separating_cover,

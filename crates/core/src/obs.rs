@@ -32,6 +32,9 @@ pub(crate) struct CoreMetrics {
     pub query_find_one_ns: Arc<Histogram>,
     pub query_connectivity_ns: Arc<Histogram>,
     pub query_connectivity_batch_ns: Arc<Histogram>,
+    // --- vertex connectivity ---
+    pub connectivity_candidates_total: Arc<Counter>,
+    pub connectivity_dp_fallbacks_total: Arc<Counter>,
     // --- mutation / flush / epochs ---
     pub mutations_insert_total: Arc<Counter>,
     pub mutations_delete_total: Arc<Counter>,
@@ -146,6 +149,8 @@ pub(crate) fn metrics() -> &'static CoreMetrics {
             query_find_one_ns: reg.histogram("psi_query_find_one_ns"),
             query_connectivity_ns: reg.histogram("psi_query_connectivity_ns"),
             query_connectivity_batch_ns: reg.histogram("psi_query_connectivity_batch_ns"),
+            connectivity_candidates_total: reg.counter("psi_connectivity_candidates_total"),
+            connectivity_dp_fallbacks_total: reg.counter("psi_connectivity_dp_fallbacks_total"),
             mutations_insert_total: reg.counter("psi_mutations_insert_total"),
             mutations_delete_total: reg.counter("psi_mutations_delete_total"),
             mutations_rejected_total: reg.counter("psi_mutations_rejected_total"),

@@ -174,6 +174,11 @@ impl EpochState {
     /// re-canonicalised through [`planar_embedding`], a pure function of the
     /// target, and rounds flatten in stored order.
     pub(crate) fn freeze(&self, src: &dyn EpochSource) -> PsiIndex {
+        // Guards the invariant that every served epoch's target is planar: a
+        // build starts from a planar embedding and the live engine refuses every
+        // insertion that would break planarity before its epoch advances.
+        // `PsiIndex::from_bytes` does not re-test planarity, so a loaded artifact
+        // carries it only as far as its writer did.
         let embedding =
             planar_embedding(self.target(src)).expect("every served epoch has a planar target");
         let rounds: Vec<Vec<IndexedBatch>> = self
@@ -341,20 +346,10 @@ impl EpochState {
         let metrics = crate::obs::metrics();
         metrics.queries_total.add(pairs.len() as u64);
         let start = Instant::now();
-        let (n, target) = (self.n, self.target(src));
+        let target = self.target(src);
         let answers = pairs
             .par_iter()
-            .map(|&(s, t)| {
-                for x in [s, t] {
-                    if x as usize >= n {
-                        return Err(QueryError::VertexOutOfRange { vertex: x, n });
-                    }
-                }
-                if s == t {
-                    return Err(QueryError::IdenticalEndpoints { vertex: s });
-                }
-                Ok(st_connectivity_capped(target, s, t, CONNECTIVITY_CAP))
-            })
+            .map(|&(s, t)| st_connectivity_capped(target, s, t, CONNECTIVITY_CAP))
             .collect();
         metrics
             .query_connectivity_batch_ns

@@ -20,6 +20,14 @@ pub struct FaceVertexGraph {
     pub num_original: usize,
     /// For every face vertex (indexed from 0) the face of the embedding it represents.
     pub face_of: Vec<usize>,
+    /// Every facial walk of the embedding, concatenated in face order: face `f`'s
+    /// walk is `walks[walk_offsets[f]..walk_offsets[f + 1]]`, in the embedding's
+    /// cyclic order. `G'`'s adjacency lists are sorted, so this is where the
+    /// rotation at each original vertex can still be read.
+    pub walks: Vec<Vertex>,
+    /// Start of each face's walk in [`FaceVertexGraph::walks`], plus one end
+    /// sentinel.
+    pub walk_offsets: Vec<usize>,
 }
 
 impl FaceVertexGraph {
@@ -27,6 +35,18 @@ impl FaceVertexGraph {
     #[inline]
     pub fn is_original(&self, v: Vertex) -> bool {
         (v as usize) < self.num_original
+    }
+
+    /// Number of faces of the embedding (face vertices of `G'`).
+    #[inline]
+    pub fn num_faces(&self) -> usize {
+        self.face_of.len()
+    }
+
+    /// The facial walk of face `f`, in the embedding's cyclic order.
+    #[inline]
+    pub fn walk(&self, f: usize) -> &[Vertex] {
+        &self.walks[self.walk_offsets[f]..self.walk_offsets[f + 1]]
     }
 
     /// The original-vertex set `S` used by the separating-cycle search.
@@ -52,9 +72,12 @@ impl FaceVertexGraph {
 pub fn face_vertex_graph(embedding: &Embedding) -> FaceVertexGraph {
     let n = embedding.graph.num_vertices();
     let f = embedding.num_faces();
-    let mut builder =
-        GraphBuilder::with_capacity(n + f, embedding.faces.iter().map(|w| w.len()).sum());
+    let total: usize = embedding.faces.iter().map(|w| w.len()).sum();
+    let mut builder = GraphBuilder::with_capacity(n + f, total);
     let mut face_of = Vec::with_capacity(f);
+    let mut walks = Vec::with_capacity(total);
+    let mut walk_offsets = Vec::with_capacity(f + 1);
+    walk_offsets.push(0);
     for (fi, face) in embedding.faces.iter().enumerate() {
         let face_vertex = (n + fi) as Vertex;
         face_of.push(fi);
@@ -63,11 +86,15 @@ pub fn face_vertex_graph(embedding: &Embedding) -> FaceVertexGraph {
         for &v in face {
             builder.add_edge(face_vertex, v);
         }
+        walks.extend_from_slice(face);
+        walk_offsets.push(walks.len());
     }
     FaceVertexGraph {
         graph: builder.build(),
         num_original: n,
         face_of,
+        walks,
+        walk_offsets,
     }
 }
 
@@ -96,6 +123,17 @@ mod tests {
             unique.dedup();
             assert_eq!(fv.graph.degree(fv_vertex), unique.len());
         }
+    }
+
+    #[test]
+    fn walks_keep_the_facial_order() {
+        let e = generators::wheel_embedded(6);
+        let fv = face_vertex_graph(&e);
+        assert_eq!(fv.num_faces(), e.num_faces());
+        for (f, face) in e.faces.iter().enumerate() {
+            assert_eq!(fv.walk(f), &face[..]);
+        }
+        assert_eq!(*fv.walk_offsets.last().unwrap(), fv.walks.len());
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! what the name promises. These are the target-graph families of the experiment suite:
 //! grids and triangulated grids (diameter `Θ(√n)` planar graphs), random stacked
 //! triangulations (maximal planar graphs), cycles and wheels (low-connectivity
-//! controls), platonic solids and double wheels (3-, 4- and 5-connected controls for
-//! the vertex-connectivity experiments), and torus grids (genus 1 inputs for the
-//! locally-bounded-treewidth generalisation).
+//! controls), platonic solids, double wheels and geodesic spheres (3-, 4- and
+//! 5-connected controls for the vertex-connectivity experiments), and torus grids
+//! (genus 1 inputs for the locally-bounded-treewidth generalisation).
 
 use crate::embedding::Embedding;
 use psi_graph::{GraphBuilder, Vertex};
@@ -229,6 +229,44 @@ pub fn icosahedron() -> Embedding {
     Embedding::new(b.build(), faces)
 }
 
+/// Geodesic sphere: the icosahedron with every triangle split `level` times into
+/// four at its edge midpoints, so `n = 10 · 4^level + 2` (12, 42, 162, 642, …).
+/// The twelve original vertices keep degree 5 and every midpoint has degree 6; the
+/// graph is a 5-connected triangulation at every level.
+pub fn geodesic_sphere(level: u32) -> Embedding {
+    let ico = icosahedron();
+    let mut n = ico.graph.num_vertices();
+    let mut faces = ico.faces;
+    for _ in 0..level {
+        let mut midpoint: std::collections::HashMap<(Vertex, Vertex), Vertex> =
+            std::collections::HashMap::with_capacity(faces.len() * 3 / 2);
+        let mut mid = |a: Vertex, b: Vertex| {
+            *midpoint.entry((a.min(b), a.max(b))).or_insert_with(|| {
+                n += 1;
+                (n - 1) as Vertex
+            })
+        };
+        let mut split = Vec::with_capacity(4 * faces.len());
+        for face in &faces {
+            let (a, b, c) = (face[0], face[1], face[2]);
+            let (ab, bc, ca) = (mid(a, b), mid(b, c), mid(c, a));
+            split.push(vec![a, ab, ca]);
+            split.push(vec![ab, b, bc]);
+            split.push(vec![ca, bc, c]);
+            split.push(vec![ab, bc, ca]);
+        }
+        faces = split;
+    }
+    // Every edge lies on two faces; the builder drops the second copy.
+    let mut b = GraphBuilder::with_capacity(n, 3 * faces.len());
+    for face in &faces {
+        for i in 0..3 {
+            b.add_edge(face[i], face[(i + 1) % 3]);
+        }
+    }
+    Embedding::new(b.build(), faces)
+}
+
 /// `w × h` torus grid with its quadrilateral faces: a genus-1 (non-planar) embedding.
 pub fn torus_grid_embedded(w: usize, h: usize) -> Embedding {
     assert!(w >= 3 && h >= 3);
@@ -282,6 +320,21 @@ mod tests {
         assert!(i.graph.vertices().all(|v| i.graph.degree(v) == 5));
         assert_eq!(i.graph.num_edges(), 30);
         assert_eq!(i.num_faces(), 20);
+    }
+
+    #[test]
+    fn geodesic_spheres_are_valid_triangulations() {
+        for (level, n) in [(0u32, 12usize), (1, 42), (2, 162), (3, 642)] {
+            let e = geodesic_sphere(level);
+            e.validate().unwrap();
+            assert!(e.is_planar());
+            assert_eq!(e.graph.num_vertices(), n);
+            assert_eq!(e.graph.num_edges(), 3 * n - 6);
+            assert_eq!(e.num_faces(), 2 * n - 4);
+            assert_eq!(e.graph.min_degree(), 5);
+            assert_eq!(e.graph.max_degree(), if level == 0 { 5 } else { 6 });
+        }
+        assert_eq!(geodesic_sphere(0).graph, icosahedron().graph);
     }
 
     #[test]

@@ -19,8 +19,8 @@
 //!   instead of wrapping.
 
 use planar_subiso::{
-    map_cover_batches, ArenaStats, ConnectivityMode, CoverStats, ParallelDpStats, Pattern, Psi,
-    SepStats,
+    map_cover_batches, separating_cycle_connectivity, ArenaStats, ConnectivityMode, CoverStats,
+    ParallelDpStats, Pattern, Psi, SepStats,
 };
 use psi_graph::CsrGraph;
 use psi_obs::trace::{self, SpanRecord};
@@ -126,6 +126,22 @@ fn span_nesting_matches_call_tree() {
     assert!(snap.decide(&Pattern::triangle()).unwrap());
     let conn = snap.vertex_connectivity(ConnectivityMode::WholeGraph, 7);
     assert!(conn.connectivity >= 2);
+    // The grid's corners settle that query by the minimum degree; a wheel (δ = 3)
+    // enumerates the cut size 2 under `query.vertex_connectivity`, and the paper's
+    // DP loop runs the separating DP itself.
+    let wheel = psi_planar::generators::wheel_embedded(7);
+    let wheel_psi = Psi::builder()
+        .open_embedded(&wheel)
+        .expect("wheel is planar");
+    assert_eq!(
+        wheel_psi
+            .vertex_connectivity(ConnectivityMode::WholeGraph, 7)
+            .connectivity,
+        3
+    );
+    let fv = psi_planar::face_vertex_graph(&wheel);
+    let dp = separating_cycle_connectivity(&wheel.graph, &fv, ConnectivityMode::WholeGraph, 7);
+    assert_eq!(dp.connectivity, 3);
 
     Psi::set_tracing(false);
     let spans = trace::snapshot_spans();
@@ -142,6 +158,7 @@ fn span_nesting_matches_call_tree() {
         "freeze",
         "snapshot",
         "query.vertex_connectivity",
+        "connectivity.enumerate",
         "dp.separating",
     ] {
         assert!(
@@ -174,6 +191,17 @@ fn span_nesting_matches_call_tree() {
     );
     let publish = first(&spans, "flush.publish");
     assert!(publish.instant, "flush.publish is an instant event");
+    let enumerate = first(&spans, "connectivity.enumerate");
+    assert!(
+        spans.iter().any(|q| q.name == "query.vertex_connectivity"
+            && nested_under(&spans, q, "connectivity.enumerate")),
+        "the enumeration must nest under its connectivity query"
+    );
+    assert!(enumerate.fields().contains(&("c", 2)));
+    assert!(enumerate
+        .fields()
+        .iter()
+        .any(|&(k, v)| k == "candidates" && v > 0));
 
     // Span fields carry the engine's real quantities.
     let embed = first(&spans, "planarity.embed");
@@ -337,8 +365,11 @@ fn layer_counter_totals_identical_at_1_and_4_threads() {
     let g = grid(10, 10);
 
     // Per-run totals returned by the layers themselves (the same numbers the
-    // registry absorbs) must not depend on the worker count.
-    let run = |threads: usize| -> (usize, String, CoverStats) {
+    // registry absorbs) must not depend on the worker count. The separating DP
+    // runs through the paper's loop on the pool; the engine's own query takes the
+    // enumeration, whose cut and candidate count must not depend on it either.
+    let fv = psi_planar::face_vertex_graph(&wheel);
+    let run = |threads: usize| {
         let psi = Psi::builder()
             .threads(threads)
             .open_embedded(&wheel)
@@ -348,17 +379,31 @@ fn layer_counter_totals_identical_at_1_and_4_threads() {
             .num_threads(threads)
             .build()
             .unwrap();
+        let dp = pool.install(|| {
+            separating_cycle_connectivity(&wheel.graph, &fv, ConnectivityMode::WholeGraph, 42)
+        });
+        assert_eq!(dp.connectivity, conn.connectivity);
+        assert!(dp.stats.sep_states > 0);
         let (_, cover) =
             pool.install(|| map_cover_batches(&g, 4, 1, 7, 2, 64, |b| b.num_windows()));
-        (conn.connectivity, format!("{:?}", conn.stats), cover)
+        (
+            dp.connectivity,
+            format!("{:?}", dp.stats),
+            cover,
+            (conn.cut, conn.candidates),
+        )
     };
 
-    let (c1, sep1, cover1) = run(1);
-    let (c4, sep4, cover4) = run(4);
+    let (c1, sep1, cover1, fast1) = run(1);
+    let (c4, sep4, cover4, fast4) = run(4);
     assert_eq!(c1, c4, "connectivity verdict must be thread-independent");
     assert_eq!(
         sep1, sep4,
         "separating-DP counter totals must be thread-independent"
+    );
+    assert_eq!(
+        fast1, fast4,
+        "the enumeration's cut must be thread-independent"
     );
     assert_eq!(
         format!("{cover1:?}"),

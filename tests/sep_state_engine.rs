@@ -10,8 +10,8 @@
 //! through `--ignored`.
 
 use planar_subiso::{
-    find_separating_occurrence_with_stats, run_parallel, vertex_connectivity, ConnectivityMode,
-    ParallelDpConfig, Pattern, SepStats, SeparatingInstance,
+    find_separating_occurrence_with_stats, run_parallel, separating_cycle_connectivity,
+    ConnectivityMode, ParallelDpConfig, Pattern, SepStats, SeparatingInstance,
 };
 use psi_graph::{generators, Vertex};
 use psi_planar::generators as pg;
@@ -50,10 +50,13 @@ fn check_separating(
     (occ, stats)
 }
 
-/// A whole-graph connectivity computation, checked against its pinned state count;
-/// returns the connectivity.
+/// The paper's whole-graph separating-cycle loop (the DP for every cut size, as
+/// `vertex_connectivity` runs it only on its fallback), checked against its pinned
+/// state count; returns the connectivity.
 fn check_connectivity(case: &str, e: &psi_planar::Embedding, pinned: usize) -> usize {
-    let result = vertex_connectivity(e, ConnectivityMode::WholeGraph, 1);
+    let fv = psi_planar::face_vertex_graph(e);
+    let result = separating_cycle_connectivity(&e.graph, &fv, ConnectivityMode::WholeGraph, 1);
+    assert!(result.dp_ran && result.candidates == 0);
     assert_states_within(case, result.states_explored, pinned);
     assert_pruning_fires(case, &result.stats);
     result.connectivity
