@@ -226,18 +226,16 @@ impl CoverBatch {
     }
 
     /// Per-window vertex ranges `[start, end)` into the union's vertex ids.
-    pub fn segment_ranges(&self) -> Vec<(usize, usize)> {
-        (0..self.windows.len())
-            .map(|w| {
-                let start = self.windows[w].2 as usize;
-                let end = self
-                    .windows
-                    .get(w + 1)
-                    .map(|&(_, _, o)| o as usize)
-                    .unwrap_or(self.local_to_global.len());
-                (start, end)
-            })
-            .collect()
+    pub fn segment_ranges(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        (0..self.windows.len()).map(move |w| {
+            let start = self.windows[w].2 as usize;
+            let end = self
+                .windows
+                .get(w + 1)
+                .map(|&(_, _, o)| o as usize)
+                .unwrap_or(self.local_to_global.len());
+            (start, end)
+        })
     }
 
     /// A binarised tree decomposition of the union, assembled **per segment** and

@@ -33,9 +33,7 @@ pub fn find_one_disconnected(
     let l = components.len();
     if l <= 1 {
         // connected (or empty) pattern: defer to the main pipeline
-        let mut sub_config = *config;
-        sub_config.whole_graph = config.whole_graph;
-        return SubgraphIsomorphism::with_config(pattern.clone(), sub_config).find_one(target);
+        return SubgraphIsomorphism::with_config(pattern.clone(), *config).find_one(target);
     }
     let n = target.num_vertices();
     let reps = default_repetitions(l, pattern.k(), n);

@@ -411,7 +411,7 @@ pub struct DynamicPsiIndex {
 
 /// A bounded, content-addressed cache of per-batch tree decompositions.
 ///
-/// `decomposition_described()` dominates flush cost, yet churn workloads keep
+/// [`FlatDecomposition::of_batch`] dominates flush cost, yet churn workloads keep
 /// re-creating batches the engine has already decomposed (an insert followed by
 /// the matching delete restores a cluster's exact batch content). When a flush
 /// replaces a cluster's batches, the old `Arc`'d vector is *harvested* into the
@@ -784,7 +784,7 @@ impl DynamicPsiIndex {
     /// one `Arc` swap at the end publishes it — snapshots pinning the old epoch
     /// keep scanning the retired map, which is freed when the last one drops.
     /// Replaced cluster vectors are harvested into the decomposition cache
-    /// before the swap so re-created batch content skips `decomposition_described`.
+    /// before the swap so re-created batch content skips its decomposition.
     fn rebuild_clusters(&mut self, r: usize, affected: &[Vertex]) -> usize {
         let d = self.state.params.d as usize;
         let mut rebuilt = 0usize;
@@ -811,17 +811,13 @@ impl DynamicPsiIndex {
                 &mut self.batch,
                 &self.counters,
                 &mut |b| {
-                    // Mirror the build exactly (including the layered-segment
-                    // count) so freeze() stays bit-identical to a fresh build.
-                    // A cache hit is equality-verified against the emitted
-                    // batch, and the decomposition is a pure function of batch
-                    // content, so reuse preserves bit-identity.
-                    let decomp = decomp_cache.lookup(&b).unwrap_or_else(|| {
-                        let (btd, layered) = b.decomposition_described();
-                        let mut decomp = FlatDecomposition::from_binary(&btd);
-                        decomp.layered_segments = layered as u32;
-                        decomp
-                    });
+                    // The build's own rule, so freeze() stays bit-identical to
+                    // a fresh build. A cache hit is equality-verified against
+                    // the emitted batch, and the decomposition is a pure
+                    // function of batch content, so reuse preserves bit-identity.
+                    let decomp = decomp_cache
+                        .lookup(&b)
+                        .unwrap_or_else(|| FlatDecomposition::of_batch(&b));
                     batches.push(IndexedBatch { batch: b, decomp });
                     None
                 },

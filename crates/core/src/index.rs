@@ -53,14 +53,14 @@
 //! validation + wrapping, not re-derivation). Malformed files fail with
 //! section-labelled [`IndexLoadError`]s, never panics.
 
-use crate::cover::{map_cover_batches, CoverBatch, CoverStats, DEFAULT_BATCH_BUDGET};
+use crate::cover::{map_cover_batches, CoverBatch, DEFAULT_BATCH_BUDGET};
 use crate::pattern::Pattern;
 use psi_graph::io::{
     decode_csr, encode_csr, push_u32, push_u32_slice, push_u64, SectionReadError, SectionedFile,
     SliceReader,
 };
 use psi_graph::{CsrGraph, Vertex};
-use psi_planar::Embedding;
+use psi_planar::{validate_walks, Embedding};
 use psi_treedecomp::BinaryTreeDecomposition;
 use std::fmt;
 use std::path::Path;
@@ -188,6 +188,18 @@ impl FlatDecomposition {
         }
     }
 
+    /// The decomposition the index stores for `batch`: the flattened
+    /// [`CoverBatch::decomposition_described`] with its layered-segment count.
+    /// The build and the dynamic index's flush both store exactly this, so a
+    /// flushed batch carries the bytes a fresh build of its content would.
+    pub(crate) fn of_batch(batch: &CoverBatch) -> Self {
+        let (btd, layered) = batch.decomposition_described();
+        FlatDecomposition {
+            layered_segments: layered as u32,
+            ..FlatDecomposition::from_binary(&btd)
+        }
+    }
+
     /// Number of tree nodes.
     pub fn num_nodes(&self) -> usize {
         self.bag_offsets.len() - 1
@@ -238,17 +250,6 @@ pub struct IndexedBatch {
     pub decomp: FlatDecomposition,
 }
 
-/// Per-round statistics recorded at build time.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct IndexBuildStats {
-    /// Total batches stored across all rounds.
-    pub batches: usize,
-    /// Total decomposition nodes stored across all rounds.
-    pub decomposition_nodes: usize,
-    /// Cover pass counters of the last round.
-    pub last_round: CoverStats,
-}
-
 /// The immutable build-once / serve-many index artifact. See the module docs.
 ///
 /// Every section is `Arc`-shared: cloning the index — or handing individual
@@ -291,53 +292,38 @@ impl PsiIndex {
             rounds = params.rounds,
         );
         let build_start = std::time::Instant::now();
-        let target = embedding.graph.clone();
-        let rounds: Vec<Arc<Vec<IndexedBatch>>> = (0..params.rounds)
+        let rounds = (0..params.rounds)
             .map(|r| {
                 let (batches, _stats) = map_cover_batches(
-                    &target,
+                    &embedding.graph,
                     params.k as usize,
                     params.d as usize,
                     params.round_seed(r),
                     1, // min_vertices: store every window so k' < k patterns are served
                     params.batch_budget as usize,
-                    |batch| {
-                        let (btd, layered) = batch.decomposition_described();
-                        let mut decomp = FlatDecomposition::from_binary(&btd);
-                        decomp.layered_segments = layered as u32;
-                        IndexedBatch { batch, decomp }
+                    |batch| IndexedBatch {
+                        decomp: FlatDecomposition::of_batch(&batch),
+                        batch,
                     },
                 );
-                Arc::new(batches)
+                batches
             })
             .collect();
-        let mut face_offsets = Vec::with_capacity(embedding.faces.len() + 1);
-        face_offsets.push(0u64);
-        let total: usize = embedding.faces.iter().map(|f| f.len()).sum();
-        let mut face_data = Vec::with_capacity(total);
-        for face in &embedding.faces {
-            face_data.extend_from_slice(face);
-            face_offsets.push(face_data.len() as u64);
-        }
+        let index = PsiIndex::from_parts(params, embedding, rounds);
         let metrics = crate::obs::metrics();
         metrics.index_builds_total.add(1);
         metrics
             .index_build_ns
             .record_duration(build_start.elapsed());
-        PsiIndex {
-            params,
-            target: Arc::new(target),
-            face_offsets: Arc::new(face_offsets),
-            face_data: Arc::new(face_data),
-            rounds,
-        }
+        index
     }
 
-    /// Assembles an index from already-built parts — the freeze path of the dynamic
-    /// index, which maintains the rounds incrementally and must produce the exact
-    /// struct (and therefore the exact bytes) a from-scratch [`PsiIndex::build`]
-    /// would. `faces` are the embedding's facial walks in canonical order; `rounds`
-    /// must be the canonical batch streams (cluster-pure, ascending centre order).
+    /// Assembles an index from already-built parts — the last step of
+    /// [`PsiIndex::build`] and of the dynamic index's freeze, which maintains the
+    /// rounds incrementally and must produce the exact struct (and therefore the
+    /// exact bytes) a from-scratch build would. `faces` are the embedding's facial
+    /// walks in canonical order; `rounds` must be the canonical batch streams
+    /// (cluster-pure, ascending centre order).
     pub(crate) fn from_parts(
         params: IndexParams,
         embedding: &Embedding,
@@ -381,20 +367,6 @@ impl PsiIndex {
     /// Stored cover rounds (each a deterministic, `Arc`-shared batch sequence).
     pub fn rounds(&self) -> &[Arc<Vec<IndexedBatch>>] {
         &self.rounds
-    }
-
-    /// Build statistics (batch and decomposition-node totals).
-    pub fn stats(&self) -> IndexBuildStats {
-        IndexBuildStats {
-            batches: self.rounds.iter().map(|r| r.len()).sum(),
-            decomposition_nodes: self
-                .rounds
-                .iter()
-                .flat_map(|r| r.iter())
-                .map(|b| b.decomp.num_nodes())
-                .sum(),
-            last_round: CoverStats::default(),
-        }
     }
 
     /// Materialises the stored embedding (target plus facial walks). `O(n + m)`.
@@ -477,8 +449,10 @@ impl PsiIndex {
 
     /// Deserialises and **validates** an index: container framing and checksums
     /// first ([`SectionedFile::from_bytes`]), then every structural invariant the
-    /// query engines rely on — CSR well-formedness, id ranges, window offsets,
-    /// decomposition tree shape. Load never re-derives covers or decompositions.
+    /// query engines rely on — CSR well-formedness, id ranges, faces that form a
+    /// plane embedding of the target ([`psi_planar::validate_walks`] with genus
+    /// 0), window offsets, decomposition tree shape. Load never re-derives
+    /// covers or decompositions.
     pub fn from_bytes(data: &[u8]) -> Result<PsiIndex, IndexLoadError> {
         // Current version first; on a version mismatch retry with any older
         // still-supported schema (v2 lacks the per-batch `layered_segments`
@@ -576,6 +550,25 @@ impl PsiIndex {
         }
         if face_data.iter().any(|&v| v as usize >= n) {
             return Err(fail("faces", "walk vertex out of range"));
+        }
+        // The walks must embed the target in the plane: the readers derive the
+        // face–vertex graph from them, the live engine splices them, and a
+        // freeze re-embeds the target expecting it planar.
+        let walks = face_offsets
+            .windows(2)
+            .map(|w| &face_data[w[0] as usize..w[1] as usize]);
+        match validate_walks(&target, walks) {
+            Ok(0) => {}
+            Ok(genus) => {
+                let detail = format!("walks embed the target on genus {genus}, not the plane");
+                return Err(fail("faces", &detail));
+            }
+            Err(e) => {
+                return Err(fail(
+                    "faces",
+                    &format!("not an embedding of the target: {e}"),
+                ))
+            }
         }
 
         // rounds
@@ -820,8 +813,9 @@ pub enum QueryError {
     PatternTooLarge { k: usize, max_k: usize },
     /// Pattern diameter exceeds the index's `d` (stored windows are too short).
     DiameterTooLarge { diameter: usize, max_d: usize },
-    /// Disconnected patterns need the colour-coding reduction, which draws fresh
-    /// covers per colouring — incompatible with frozen rounds.
+    /// The pattern is disconnected. A frozen index cannot serve it (the
+    /// colour-coding reduction draws fresh covers per colouring, incompatible
+    /// with frozen rounds), and listing is defined for connected patterns only.
     DisconnectedPattern,
     /// An s–t endpoint is not a vertex of the indexed target.
     VertexOutOfRange { vertex: Vertex, n: usize },
@@ -844,7 +838,7 @@ impl fmt::Display for QueryError {
             QueryError::DisconnectedPattern => {
                 write!(
                     f,
-                    "disconnected patterns are not servable from a frozen index"
+                    "pattern is disconnected: index queries and listing need a connected pattern"
                 )
             }
             QueryError::VertexOutOfRange { vertex, n } => {
@@ -992,23 +986,16 @@ pub(crate) fn backtrack_step(
 
 /// Whether any stored window of `ib` is large enough to host `k` vertices.
 pub(crate) fn batch_can_host(ib: &IndexedBatch, k: usize) -> bool {
-    let n = ib.batch.local_to_global.len();
-    if n < k {
-        return false;
-    }
-    let ws = &ib.batch.windows;
-    (0..ws.len()).any(|w| {
-        let start = ws[w].2 as usize;
-        let end = ws.get(w + 1).map(|&(_, _, o)| o as usize).unwrap_or(n);
-        end - start >= k
-    })
+    ib.batch
+        .segment_ranges()
+        .any(|(start, end)| end - start >= k)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::connectivity::ConnectivityMode;
-    use crate::isomorphism::{decide_decomposed, DpStrategy};
+    use crate::isomorphism::{batch_dp, DpStrategy};
     use crate::pattern::verify_occurrence;
     use crate::snapshot::PsiSnapshot;
     use psi_planar::generators as pg;
@@ -1051,9 +1038,8 @@ mod tests {
                         backtrack_step(&plan, &ib.batch.graph, 0, &mut assigned, &mut budget)
                             .expect("~256-vertex batches complete under the budget");
                     let btd = ib.decomp.to_binary(ib.batch.graph.num_vertices());
-                    let dp =
-                        decide_decomposed(DpStrategy::Sequential, &pattern, &ib.batch.graph, &btd);
-                    assert_eq!(fast, dp, "fast path and DP disagree on a batch");
+                    let dp = batch_dp(DpStrategy::Sequential, &pattern, &ib.batch.graph, &btd);
+                    assert_eq!(fast, dp.is_some(), "fast path and DP disagree on a batch");
                 }
             }
         }
@@ -1154,9 +1140,8 @@ mod tests {
         let e = pg::triangulated_grid_embedded(9, 7);
         let index = PsiIndex::build(&e, IndexParams::default());
         for ib in index.rounds().iter().flat_map(|r| r.iter()).take(10) {
-            let (btd, layered) = ib.batch.decomposition_described();
-            let mut flat = FlatDecomposition::from_binary(&btd);
-            flat.layered_segments = layered as u32;
+            let btd = ib.batch.decomposition();
+            let flat = FlatDecomposition::of_batch(&ib.batch);
             assert_eq!(flat, ib.decomp);
             let back = flat.to_binary(ib.batch.graph.num_vertices());
             assert_eq!(back.bags, btd.bags);

@@ -7,7 +7,7 @@
 //! path-parallel algorithm of Section 3.3).
 
 use crate::cover::{batch_budget_for, search_cover};
-use crate::dp::{recover_occurrences, run_sequential, run_sequential_subtree};
+use crate::dp::{recover_occurrences, run_sequential, run_sequential_subtree, DpResult};
 use crate::dp_parallel::{run_parallel, ParallelDpConfig};
 use crate::pattern::{verify_occurrence, Pattern};
 use crate::state::words_is_complete;
@@ -154,7 +154,12 @@ impl SubgraphIsomorphism {
         btd: &BinaryTreeDecomposition,
         map: Option<&[Vertex]>,
     ) -> Option<Vec<Vertex>> {
-        search_decomposed_with(self.config.strategy, &self.pattern, graph, btd, map)
+        let decision = batch_dp(self.config.strategy, &self.pattern, graph, btd)?;
+        let occ = dp_witness(&decision, &self.pattern, graph, btd);
+        Some(match map {
+            Some(map) => occ.into_iter().map(|local| map[local as usize]).collect(),
+            None => occ,
+        })
     }
 
     /// Lists all occurrences with high probability (Section 4.2). See
@@ -178,15 +183,18 @@ impl SubgraphIsomorphism {
     }
 }
 
-/// Decision-only DP over one piece/batch: runs the chosen engine without derivation
-/// tracking and reports whether a complete match exists. Shared by the classic query
-/// path and the index read path ([`crate::snapshot`]).
-pub(crate) fn decide_decomposed(
+/// The decision DP over one piece or batch, under one `dp.batch` span: the
+/// chosen engine runs without derivation tracking (tracking disables the
+/// lifted-side dedup, which is exponentially more expensive on no-instance
+/// windows). Returns the run when a complete match exists, for [`dp_witness`]
+/// to recover an occurrence from. Shared by [`SubgraphIsomorphism`] and the
+/// index read path ([`crate::snapshot`]).
+pub(crate) fn batch_dp(
     strategy: DpStrategy,
     pattern: &Pattern,
     graph: &CsrGraph,
     btd: &BinaryTreeDecomposition,
-) -> bool {
+) -> Option<DpResult> {
     let mut span = psi_obs::span!(
         "dp.batch",
         n = graph.num_vertices(),
@@ -206,59 +214,29 @@ pub(crate) fn decide_decomposed(
         span.field("arena_hits", arena.hits);
         span.field("arena_misses", arena.misses);
     }
-    decision.found()
+    decision.found().then_some(decision)
 }
 
-/// Runs the DP over an explicit decomposition and recovers one occurrence,
-/// translating local vertex ids back through `map`. Shared by
-/// [`SubgraphIsomorphism`] and the index read path ([`crate::snapshot`]) —
-/// both split into a decision pass without
-/// derivation tracking (tracking disables the lifted-side dedup, which is
-/// exponentially more expensive on no-instance windows) followed by re-deriving only
-/// the occurrence-bearing subtree.
-pub(crate) fn search_decomposed_with(
-    strategy: DpStrategy,
+/// One occurrence, in `graph`'s vertex ids, from a run [`batch_dp`] returned.
+/// Both engines produce identical tables, so the first (deepest, in postorder)
+/// node holding a complete state is located and only that node's subtree is
+/// re-derived with tracking — not the whole piece or batch.
+pub(crate) fn dp_witness(
+    decision: &DpResult,
     pattern: &Pattern,
     graph: &CsrGraph,
     btd: &BinaryTreeDecomposition,
-    map: Option<&[Vertex]>,
-) -> Option<Vec<Vertex>> {
-    let mut span = psi_obs::span!(
-        "dp.batch",
-        n = graph.num_vertices(),
-        k = pattern.k(),
-        nodes = btd.num_nodes(),
-    );
-    let decision = match strategy {
-        DpStrategy::PathParallel => {
-            run_parallel(graph, pattern, btd, ParallelDpConfig::default()).0
-        }
-        DpStrategy::Sequential => run_sequential(graph, pattern, btd, false),
-    };
-    if span.is_recording() {
-        let arena = decision.arena_stats();
-        span.field("total_states", decision.total_states as u64);
-        span.field("arena_states", arena.states_interned as u64);
-        span.field("arena_hits", arena.hits);
-        span.field("arena_misses", arena.misses);
-    }
-    if !decision.found() {
-        return None;
-    }
-    // Both engines produce identical tables, so locate the first (deepest, in
-    // postorder) node holding a complete state and re-derive that node's subtree
-    // with tracking — not the whole piece/batch.
+) -> Vec<Vertex> {
     let node = btd
         .postorder()
         .into_iter()
         .find(|&v| decision.tables[v].iter().any(words_is_complete))
-        .expect("found() implies a complete state at some node");
+        .expect("a found run holds a complete state at some node");
     let found = run_sequential_subtree(graph, pattern, btd, node);
-    let occ = recover_occurrences(&found, btd, 1).into_iter().next()?;
-    Some(match map {
-        Some(map) => occ.into_iter().map(|local| map[local as usize]).collect(),
-        None => occ,
-    })
+    recover_occurrences(&found, btd, 1)
+        .into_iter()
+        .next()
+        .expect("a complete state derives an occurrence")
 }
 
 /// Convenience wrapper: decide with default configuration.

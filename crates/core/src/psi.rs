@@ -392,12 +392,14 @@ impl Psi {
 
     /// Lists all occurrences of `pattern` via the coin-flip listing loop
     /// (classic cover path over the live target; the outcome reports
-    /// completeness explicitly).
-    pub fn list_all(&self, pattern: &Pattern) -> ListingOutcome {
+    /// completeness explicitly). Listing is defined for connected patterns: a
+    /// disconnected one fails with [`QueryError::DisconnectedPattern`].
+    pub fn list_all(&self, pattern: &Pattern) -> Result<ListingOutcome, PsiError> {
+        admit_listing(pattern)?;
         let target = self.dynamic.target_csr();
-        install(&self.pool, || {
+        Ok(install(&self.pool, || {
             SubgraphIsomorphism::new(pattern.clone()).list_all_outcome(target)
-        })
+        }))
     }
 
     /// Capped pairwise s–t vertex connectivity for many pairs, in input order.
@@ -502,9 +504,11 @@ impl Psi {
         Ok(SubgraphIsomorphism::new(pattern.clone()).find_one(target))
     }
 
-    /// One-shot exhaustive listing on an arbitrary graph (see [`Psi::decide_in`]).
+    /// One-shot exhaustive listing on an arbitrary graph (see [`Psi::decide_in`]);
+    /// a disconnected pattern fails as in [`Psi::list_all`].
     pub fn list_all_in(pattern: &Pattern, target: &CsrGraph) -> Result<ListingOutcome, PsiError> {
         check_planarity(target)?;
+        admit_listing(pattern)?;
         Ok(SubgraphIsomorphism::new(pattern.clone()).list_all_outcome(target))
     }
 
@@ -517,6 +521,15 @@ impl Psi {
     ) -> Result<ConnectivityResult, PsiError> {
         let embedding = planar_embedding(target)?;
         Ok(vertex_connectivity(&embedding, mode, seed))
+    }
+}
+
+/// The listing loop's precondition, as a typed error: a connected pattern.
+fn admit_listing(pattern: &Pattern) -> Result<(), QueryError> {
+    if pattern.is_connected() {
+        Ok(())
+    } else {
+        Err(QueryError::DisconnectedPattern)
     }
 }
 
@@ -563,6 +576,17 @@ mod tests {
         assert!(matches!(
             Psi::builder().rounds(0).open(&gg::grid(4, 4)),
             Err(PsiError::ZeroParam("rounds"))
+        ));
+        let two_edges = Pattern::from_edges(4, &[(0, 1), (2, 3)]);
+        let grid = gg::triangulated_grid(4, 4);
+        let psi = Psi::open(&grid).unwrap();
+        assert!(matches!(
+            psi.list_all(&two_edges),
+            Err(PsiError::Query(QueryError::DisconnectedPattern))
+        ));
+        assert!(matches!(
+            Psi::list_all_in(&two_edges, &grid),
+            Err(PsiError::Query(QueryError::DisconnectedPattern))
         ));
     }
 

@@ -35,14 +35,16 @@
 use crate::connectivity::{
     st_connectivity_capped, vertex_connectivity_with_fv, ConnectivityMode, ConnectivityResult,
 };
+use crate::dp::DpResult;
 use crate::index::{
     backtrack_step, batch_can_host, IndexParams, IndexedBatch, MatchPlan, PsiIndex, QueryError,
     CONNECTIVITY_CAP, FAST_PATH_NODE_BUDGET,
 };
-use crate::isomorphism::{decide_decomposed, search_decomposed_with, DpStrategy};
+use crate::isomorphism::{batch_dp, dp_witness, DpStrategy};
 use crate::pattern::{verify_occurrence, Pattern};
 use psi_graph::{CsrGraph, Vertex};
 use psi_planar::{face_vertex_graph, planar_embedding, Embedding, FaceVertexGraph};
+use psi_treedecomp::BinaryTreeDecomposition;
 use rayon::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
@@ -175,10 +177,12 @@ impl EpochState {
     /// target, and rounds flatten in stored order.
     pub(crate) fn freeze(&self, src: &dyn EpochSource) -> PsiIndex {
         // Guards the invariant that every served epoch's target is planar: a
-        // build starts from a planar embedding and the live engine refuses every
-        // insertion that would break planarity before its epoch advances.
-        // `PsiIndex::from_bytes` does not re-test planarity, so a loaded artifact
-        // carries it only as far as its writer did.
+        // build starts from a planar embedding, `PsiIndex::from_bytes` admits
+        // only faces that pass `Embedding::validate`'s rules with Euler
+        // characteristic 2·components, and the live engine refuses every
+        // insertion that would break planarity before its epoch advances. The
+        // load does not check that the corners at each vertex form one
+        // rotation, so a pinched walk set could still carry a non-planar target.
         let embedding =
             planar_embedding(self.target(src)).expect("every served epoch has a planar target");
         let rounds: Vec<Vec<IndexedBatch>> = self
@@ -230,10 +234,12 @@ impl EpochState {
             .flat_map(|batches| batches.iter())
     }
 
-    /// The decision scan: per batch, the exhaustive backtracking fast path
-    /// (exact whenever it completes under [`FAST_PATH_NODE_BUDGET`]), with the
-    /// stored decomposition's DP as the polynomial fallback.
-    fn scan_decide(&self, pattern: &Pattern) -> bool {
+    /// The one scan behind `decide` and `find_one`: per batch that can host
+    /// the pattern, the exhaustive backtracking fast path (exact whenever it
+    /// completes under [`FAST_PATH_NODE_BUDGET`]), with the stored
+    /// decomposition's DP as the polynomial fallback. Returns the first hit in
+    /// stored order.
+    fn scan(&self, pattern: &Pattern) -> Option<Hit<'_>> {
         let k = pattern.k();
         let plan = MatchPlan::new(pattern);
         let mut assigned = Vec::with_capacity(k);
@@ -243,47 +249,19 @@ impl EpochState {
             }
             assigned.clear();
             let mut budget = FAST_PATH_NODE_BUDGET;
-            match backtrack_step(&plan, &ib.batch.graph, 0, &mut assigned, &mut budget) {
-                Ok(true) => return true,
-                Ok(false) => continue,
-                Err(()) => {}
-            }
-            let btd = ib.decomp.to_binary(ib.batch.graph.num_vertices());
-            if decide_decomposed(DpStrategy::Sequential, pattern, &ib.batch.graph, &btd) {
-                return true;
-            }
-        }
-        false
-    }
-
-    /// The search scan: [`EpochState::scan_decide`]'s order and fallback, with
-    /// the first hit mapped to target vertex ids.
-    fn scan_find_one(&self, pattern: &Pattern) -> Option<Vec<Vertex>> {
-        let k = pattern.k();
-        let plan = MatchPlan::new(pattern);
-        let mut assigned = Vec::with_capacity(k);
-        for ib in self.batches() {
-            if !batch_can_host(ib, k) {
-                continue;
-            }
-            assigned.clear();
-            let mut budget = FAST_PATH_NODE_BUDGET;
-            let map = &ib.batch.local_to_global;
-            match backtrack_step(&plan, &ib.batch.graph, 0, &mut assigned, &mut budget) {
-                Ok(true) => {
-                    let occ = plan.to_occurrence(&assigned);
-                    return Some(occ.into_iter().map(|v| map[v as usize]).collect());
-                }
-                Ok(false) => continue,
-                Err(()) => {}
-            }
-            let btd = ib.decomp.to_binary(ib.batch.graph.num_vertices());
             let graph = &ib.batch.graph;
-            let occ =
-                search_decomposed_with(DpStrategy::Sequential, pattern, graph, &btd, Some(map));
-            if occ.is_some() {
-                return occ;
-            }
+            let found = match backtrack_step(&plan, graph, 0, &mut assigned, &mut budget) {
+                Ok(true) => Found::Fast(plan, assigned),
+                Ok(false) => continue,
+                Err(()) => {
+                    let btd = ib.decomp.to_binary(graph.num_vertices());
+                    match batch_dp(DpStrategy::Sequential, pattern, graph, &btd) {
+                        Some(decision) => Found::Dp(btd, decision),
+                        None => continue,
+                    }
+                }
+            };
+            return Some(Hit { ib, found });
         }
         None
     }
@@ -295,7 +273,7 @@ impl EpochState {
         let start = Instant::now();
         let verdict = match self.admit(pattern)? {
             Some(short) => short.is_some(),
-            None => self.scan_decide(pattern),
+            None => self.scan(pattern).is_some(),
         };
         metrics.query_decide_ns.record_duration(start.elapsed());
         Ok(verdict)
@@ -312,7 +290,7 @@ impl EpochState {
         let start = Instant::now();
         let witness = match self.admit(pattern)? {
             Some(short) => short,
-            None => self.scan_find_one(pattern),
+            None => self.scan(pattern).map(|hit| hit.witness(pattern)),
         };
         if let Some(occ) = &witness {
             debug_assert!(verify_occurrence(pattern, self.target(src), occ));
@@ -373,6 +351,34 @@ impl EpochState {
             .query_connectivity_ns
             .record_duration(start.elapsed());
         result
+    }
+}
+
+/// The first hit of [`EpochState::scan`]: the batch it lies in and how it was
+/// found there.
+struct Hit<'a> {
+    ib: &'a IndexedBatch,
+    found: Found,
+}
+
+/// What found a hit.
+enum Found {
+    /// The fast path's full assignment, by plan position.
+    Fast(MatchPlan, Vec<Vertex>),
+    /// The batch DP's run over the materialised decomposition.
+    Dp(BinaryTreeDecomposition, DpResult),
+}
+
+impl Hit<'_> {
+    /// The hit's occurrence in target vertex ids: the fast path's assignment
+    /// reordered by pattern vertex, or one recovered from the DP run.
+    fn witness(self, pattern: &Pattern) -> Vec<Vertex> {
+        let occ = match self.found {
+            Found::Fast(plan, assigned) => plan.to_occurrence(&assigned),
+            Found::Dp(btd, decision) => dp_witness(&decision, pattern, &self.ib.batch.graph, &btd),
+        };
+        let map = &self.ib.batch.local_to_global;
+        occ.into_iter().map(|v| map[v as usize]).collect()
     }
 }
 

@@ -1,7 +1,6 @@
 //! Combinatorial embeddings given by their facial walks.
 
 use psi_graph::{CsrGraph, Vertex};
-use std::collections::HashMap;
 use std::fmt;
 
 /// Problems detected while validating an embedding.
@@ -99,52 +98,7 @@ impl Embedding {
     /// face (isolated vertices as singleton faces), and Euler's formula yields a
     /// nonnegative integral genus per connected component.
     pub fn validate(&self) -> Result<(), EmbeddingError> {
-        let mut edge_count: HashMap<(Vertex, Vertex), usize> = HashMap::new();
-        let mut on_face = vec![false; self.graph.num_vertices()];
-        for (fi, face) in self.faces.iter().enumerate() {
-            match face.len() {
-                0 => return Err(EmbeddingError::DegenerateFace { face: fi }),
-                // A singleton face embeds an isolated vertex inside some region.
-                1 => {
-                    if self.graph.degree(face[0]) != 0 {
-                        return Err(EmbeddingError::DegenerateFace { face: fi });
-                    }
-                    on_face[face[0] as usize] = true;
-                    continue;
-                }
-                // A two-vertex walk traverses one edge on both sides — the face of an
-                // isolated-edge component. Longer walks are the usual facial cycles.
-                _ => {}
-            }
-            for i in 0..face.len() {
-                let u = face[i];
-                let v = face[(i + 1) % face.len()];
-                if !self.graph.has_edge(u, v) {
-                    return Err(EmbeddingError::NonEdgeOnFace { face: fi, u, v });
-                }
-                on_face[u as usize] = true;
-                *edge_count.entry((u.min(v), u.max(v))).or_insert(0) += 1;
-            }
-        }
-        for (u, v) in self.graph.edges() {
-            let count = edge_count.get(&(u, v)).copied().unwrap_or(0);
-            if count != 2 {
-                return Err(EmbeddingError::WrongEdgeMultiplicity { u, v, count });
-            }
-        }
-        if let Some(v) = on_face.iter().position(|&seen| !seen) {
-            return Err(EmbeddingError::VertexNotOnAnyFace { v: v as Vertex });
-        }
-        let chi = self.euler_characteristic();
-        let max_chi = 2 * self.num_components() as i64;
-        if chi > max_chi || (max_chi - chi) % 2 != 0 {
-            return Err(EmbeddingError::InconsistentEuler {
-                n: self.graph.num_vertices(),
-                m: self.graph.num_edges(),
-                f: self.faces.len(),
-            });
-        }
-        Ok(())
+        validate_walks(&self.graph, self.faces.iter().map(Vec::as_slice)).map(|_genus| ())
     }
 
     /// Quick necessary condition for planarity of a simple graph (`m ≤ 3n − 6` for `n ≥ 3`).
@@ -153,6 +107,77 @@ impl Embedding {
         let m = graph.num_edges();
         n < 3 || m <= 3 * n - 6
     }
+}
+
+/// The rules of [`Embedding::validate`] over borrowed parts: checks that `faces`
+/// are the facial walks of an embedding of `graph` and returns its total genus
+/// (0 for a planar embedding). The walks are borrowed, so flat stored faces are
+/// checked without assembling an [`Embedding`]. Every walk vertex must be a
+/// vertex of `graph`.
+pub fn validate_walks<'a>(
+    graph: &CsrGraph,
+    faces: impl IntoIterator<Item = &'a [Vertex]>,
+) -> Result<i64, EmbeddingError> {
+    // Facial sides per edge `{a < b}`, counted at `b`'s slot in `a`'s sorted
+    // CSR neighbour list.
+    let offsets = graph.csr_offsets();
+    let mut sides = vec![0u32; graph.degree_sum()];
+    let mut on_face = vec![false; graph.num_vertices()];
+    let mut num_faces = 0usize;
+    for (fi, face) in faces.into_iter().enumerate() {
+        num_faces += 1;
+        match face.len() {
+            0 => return Err(EmbeddingError::DegenerateFace { face: fi }),
+            // A singleton face embeds an isolated vertex inside some region.
+            1 => {
+                if graph.degree(face[0]) != 0 {
+                    return Err(EmbeddingError::DegenerateFace { face: fi });
+                }
+                on_face[face[0] as usize] = true;
+                continue;
+            }
+            // A two-vertex walk traverses one edge on both sides — the face of an
+            // isolated-edge component. Longer walks are the usual facial cycles.
+            _ => {}
+        }
+        for i in 0..face.len() {
+            let u = face[i];
+            let v = face[(i + 1) % face.len()];
+            let (a, b) = (u.min(v), u.max(v));
+            let slot = graph
+                .neighbors(a)
+                .binary_search(&b)
+                .map_err(|_| EmbeddingError::NonEdgeOnFace { face: fi, u, v })?;
+            on_face[u as usize] = true;
+            let count = &mut sides[offsets[a as usize] + slot];
+            *count = count.saturating_add(1);
+        }
+    }
+    for u in graph.vertices() {
+        let first = offsets[u as usize];
+        for (slot, &v) in graph.neighbors(u).iter().enumerate() {
+            let count = sides[first + slot];
+            if u < v && count != 2 {
+                let count = count as usize;
+                return Err(EmbeddingError::WrongEdgeMultiplicity { u, v, count });
+            }
+        }
+    }
+    if let Some(v) = on_face.iter().position(|&seen| !seen) {
+        return Err(EmbeddingError::VertexNotOnAnyFace { v: v as Vertex });
+    }
+    let (n, m) = (graph.num_vertices(), graph.num_edges());
+    let components = if n == 0 {
+        0
+    } else {
+        psi_graph::connected_components(graph).num_components
+    };
+    let chi = n as i64 - m as i64 + num_faces as i64;
+    let max_chi = 2 * components as i64;
+    if chi > max_chi || (max_chi - chi) % 2 != 0 {
+        return Err(EmbeddingError::InconsistentEuler { n, m, f: num_faces });
+    }
+    Ok((max_chi - chi) / 2)
 }
 
 #[cfg(test)]

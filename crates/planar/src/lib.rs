@@ -24,7 +24,7 @@ pub mod face_vertex;
 pub mod generators;
 pub mod planarity;
 
-pub use embedding::{Embedding, EmbeddingError};
+pub use embedding::{validate_walks, Embedding, EmbeddingError};
 pub use face_vertex::{face_vertex_graph, FaceVertexGraph};
 pub use planarity::{
     check_planarity, is_planar_graph, planar_embedding, rotation_system, KuratowskiKind,

@@ -11,6 +11,7 @@ use planar_subiso::{IndexLoadError, IndexParams, Pattern, Psi, PsiIndex, PsiSnap
 use proptest::prelude::*;
 use psi_graph::generators as gg;
 use psi_graph::io::{encode_csr, push_u32_slice, push_u64, SectionReadError, SectionedFile};
+use psi_graph::CsrGraph;
 use psi_planar::generators as pg;
 use psi_planar::planar_embedding;
 
@@ -163,21 +164,11 @@ fn malformed_artifacts_are_rejected_with_structured_errors() {
 fn semantically_inconsistent_sections_are_rejected() {
     let e = pg::triangulated_grid_embedded(6, 6);
     let index = build(&e, IndexParams::default());
-    let good =
-        SectionedFile::from_bytes(&index.to_bytes(), planar_subiso::INDEX_SCHEMA_VERSION).unwrap();
+    let good = sections(&index);
 
     // Rebuild the file with one section replaced by garbage (valid checksum!).
     let rebuild_with = |victim: &str, payload: Vec<u8>| -> Vec<u8> {
-        let mut f = SectionedFile::new(good.version);
-        for name in good.section_names() {
-            let data = if name == victim {
-                payload.clone()
-            } else {
-                good.section(name).unwrap().to_vec()
-            };
-            f.push_section(name, data);
-        }
-        f.to_bytes()
+        replace_sections(&good, &[(victim, payload)])
     };
 
     for victim in ["meta", "target", "faces", "round0"] {
@@ -228,6 +219,70 @@ fn semantically_inconsistent_sections_are_rejected() {
     }
     let err = PsiIndex::from_bytes(&f.to_bytes()).expect_err("missing section accepted");
     assert!(err.to_string().contains("faces"));
+
+    // Faces that are not a plane embedding of the target, under valid
+    // checksums: an index of `base` whose target section (and meta edge count)
+    // is swapped for `target` and whose faces section holds `walks`.
+    let faces_rejected = |base: &psi_planar::Embedding, target: &CsrGraph, walks: &[Vec<u32>]| {
+        let file = sections(&build(base, IndexParams::default()));
+        let mut meta = file.section("meta").unwrap().to_vec();
+        let m_at = meta.len() - 8;
+        meta[m_at..].copy_from_slice(&(target.num_edges() as u64).to_le_bytes());
+        let mut csr = Vec::new();
+        encode_csr(target, &mut csr);
+        let mut faces = Vec::new();
+        push_u64(&mut faces, walks.len() as u64);
+        push_u64(&mut faces, walks.iter().map(Vec::len).sum::<usize>() as u64);
+        let mut offset = 0;
+        push_u64(&mut faces, offset);
+        for walk in walks {
+            offset += walk.len() as u64;
+            push_u64(&mut faces, offset);
+        }
+        push_u32_slice(&mut faces, &walks.concat());
+        let replaced = [("meta", meta), ("target", csr), ("faces", faces)];
+        let err = PsiIndex::from_bytes(&replace_sections(&file, &replaced))
+            .expect_err("non-embedding faces accepted");
+        match err {
+            IndexLoadError::Section { section, detail } if section == "faces" => detail,
+            other => panic!("expected a faces error, got {other}"),
+        }
+    };
+    // A K5 target under the faces of K5 − e.
+    let k5 = gg::complete(5);
+    let k5_minus_e = planar_embedding(&psi_graph::GraphBuilder::from_edges(
+        5,
+        &k5.edges().skip(1).collect::<Vec<_>>(),
+    ))
+    .unwrap();
+    faces_rejected(&k5_minus_e, &k5, &k5_minus_e.faces);
+    // A 5×5 triangulated grid whose only face is the walk [0, 1, 2].
+    let grid = pg::triangulated_grid_embedded(5, 5);
+    faces_rejected(&grid, &grid.graph, &[vec![0, 1, 2]]);
+    // A 4×4 torus grid under its own faces: every walk rule holds, genus 1.
+    let torus = pg::torus_grid_embedded(4, 4);
+    let base = pg::triangulated_grid_embedded(4, 4);
+    let detail = faces_rejected(&base, &torus.graph, &torus.faces);
+    assert!(detail.contains("genus 1"), "{detail}");
+}
+
+/// The sections of a freshly serialised index.
+fn sections(index: &PsiIndex) -> SectionedFile {
+    SectionedFile::from_bytes(&index.to_bytes(), planar_subiso::INDEX_SCHEMA_VERSION).unwrap()
+}
+
+/// `file` re-serialised (with valid checksums) with the named sections' payloads
+/// replaced.
+fn replace_sections(file: &SectionedFile, replace: &[(&str, Vec<u8>)]) -> Vec<u8> {
+    let mut f = SectionedFile::new(file.version);
+    for name in file.section_names() {
+        let data = match replace.iter().find(|(victim, _)| *victim == name) {
+            Some((_, payload)) => payload.clone(),
+            None => file.section(name).unwrap().to_vec(),
+        };
+        f.push_section(name, data);
+    }
+    f.to_bytes()
 }
 
 /// Query admission: structured [`QueryError`]s for unservable patterns, identical

@@ -4,13 +4,19 @@
 //! * equal answers — on a 5×5 grid after a few diagonal inserts, the three
 //!   front ends return identical results for all six query operations,
 //!   witnesses and connectivity cuts included;
+//! * the DP fallback — on a 300-vertex wheel, with and without a planted K4,
+//!   the hub's window exhausts the fast path's node budget, so K4 queries are
+//!   answered by the stored decomposition's DP on every front end;
 //! * equal instrumentation — every operation on every front end records its
 //!   `query.*` span carrying that front end's epoch, plus one latency sample
 //!   in the operation's histogram.
 
-use planar_subiso::{ConnectivityMode, Pattern, Psi, PsiError, PsiIndex, PsiSnapshot, QueryError};
+use planar_subiso::{
+    verify_occurrence, ConnectivityMode, Pattern, Psi, PsiError, PsiIndex, PsiSnapshot, QueryError,
+};
+use psi_baselines::ullmann_decide;
 use psi_graph::Vertex;
-use psi_obs::trace;
+use psi_obs::trace::{self, SpanRecord};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Tracing and the metrics registry are process-wide: the tests of this file
@@ -33,8 +39,14 @@ fn live_and_frozen() -> (Psi, PsiSnapshot) {
     for (u, v) in DIAGONALS {
         psi.insert_edge(u, v).unwrap();
     }
-    let frozen = PsiIndex::build(&psi.dynamic().embedding(), psi.params());
-    (psi, PsiSnapshot::from(frozen))
+    let frozen = frozen_of(&psi);
+    (psi, frozen)
+}
+
+/// A frozen index of the live engine's current graph (built from the live
+/// embedding), served as epoch 0.
+fn frozen_of(psi: &Psi) -> PsiSnapshot {
+    PsiSnapshot::from(PsiIndex::build(&psi.dynamic().embedding(), psi.params()))
 }
 
 fn query_error<T>(r: Result<T, PsiError>) -> Result<T, QueryError> {
@@ -42,6 +54,23 @@ fn query_error<T>(r: Result<T, PsiError>) -> Result<T, QueryError> {
         PsiError::Query(q) => q,
         other => panic!("expected a query error, got {other}"),
     })
+}
+
+/// `decide` and `find_one` of every pattern agree across the three front ends.
+fn assert_patterns_agree(
+    psi: &mut Psi,
+    frozen: &PsiSnapshot,
+    pinned: &PsiSnapshot,
+    patterns: &[Pattern],
+) {
+    for p in patterns {
+        let want = frozen.decide(p);
+        assert_eq!(query_error(psi.decide(p)), want, "live decide {p:?}");
+        assert_eq!(pinned.decide(p), want, "pinned decide {p:?}");
+        let want = frozen.find_one(p);
+        assert_eq!(query_error(psi.find_one(p)), want, "live find_one {p:?}");
+        assert_eq!(pinned.find_one(p), want, "pinned find_one {p:?}");
+    }
 }
 
 #[test]
@@ -61,14 +90,7 @@ fn frozen_live_and_pinned_answer_identically() {
         Pattern::empty(),
     ];
     assert_eq!(frozen.decide(&Pattern::triangle()), Ok(true));
-    for p in &patterns {
-        let want = frozen.decide(p);
-        assert_eq!(query_error(psi.decide(p)), want, "live decide {p:?}");
-        assert_eq!(pinned.decide(p), want, "pinned decide {p:?}");
-        let want = frozen.find_one(p);
-        assert_eq!(query_error(psi.find_one(p)), want, "live find_one {p:?}");
-        assert_eq!(pinned.find_one(p), want, "pinned find_one {p:?}");
-    }
+    assert_patterns_agree(&mut psi, &frozen, &pinned, &patterns);
 
     let want = frozen.decide_batch(&patterns);
     assert_eq!(psi.decide_batch(&patterns), want);
@@ -92,6 +114,75 @@ fn frozen_live_and_pinned_answer_identically() {
     ] {
         assert_eq!(got.connectivity, want.connectivity);
         assert_eq!(got.cut, want.cut);
+    }
+}
+
+/// Whether some `child` span ran directly inside a `parent` span: same thread,
+/// one level deeper, and inside the parent's time interval.
+fn nests_under(spans: &[SpanRecord], parent: &str, child: &str) -> bool {
+    spans.iter().filter(|p| p.name == parent).any(|p| {
+        spans.iter().any(|c| {
+            c.name == child
+                && c.tid == p.tid
+                && c.depth == p.depth + 1
+                && c.start_us >= p.start_us
+                && c.start_us <= p.start_us + p.dur_us
+        })
+    })
+}
+
+/// The wheel's hub (vertex 299) sits in one 297-vertex window per round, where
+/// a K4 search rooted at the hub runs out of the fast path's node budget: the
+/// scan falls back to that batch's stored decomposition. Without a rim chord
+/// the DP answers no in every round; with the chord {249, 251} it finds the K4
+/// {299, 249, 250, 251} in round 0. Every front end must give the same answer
+/// as Ullmann's exact search, record the DP's `dp.batch` span inside its
+/// query span, and return the same witness.
+#[test]
+fn hub_windows_fall_back_to_the_dp_on_every_front_end() {
+    let _guard = obs_lock();
+    let wheel = psi_graph::generators::wheel(300);
+    let mut psi = Psi::open(&wheel).unwrap();
+    let k4 = Pattern::clique(4);
+    let patterns = [
+        Pattern::triangle(),
+        Pattern::cycle(4),
+        Pattern::path(3),
+        Pattern::star(3),
+        k4.clone(),
+    ];
+    for chord in [None, Some((249, 251))] {
+        if let Some((u, v)) = chord {
+            psi.insert_edge(u, v).unwrap();
+        }
+        let (frozen, pinned) = (frozen_of(&psi), psi.snapshot());
+        let target = frozen.target().clone();
+        for p in &patterns {
+            assert_eq!(frozen.decide(p), Ok(ullmann_decide(p, &target)), "{p:?}");
+        }
+        let present = chord.is_some();
+
+        Psi::set_tracing(true);
+        trace::clear();
+        assert_eq!(frozen.decide(&k4), Ok(present));
+        let witness = frozen.find_one(&k4).unwrap();
+        let spans = trace::snapshot_spans();
+        Psi::set_tracing(false);
+        trace::clear();
+        for query in ["query.decide", "query.find_one"] {
+            assert!(
+                nests_under(&spans, query, "dp.batch"),
+                "no `dp.batch` span inside `{query}`"
+            );
+        }
+        if present {
+            let witness = witness.expect("the planted K4 is found");
+            assert!(verify_occurrence(&k4, &target, &witness));
+            assert_eq!(witness, vec![299, 249, 250, 251]);
+        } else {
+            assert_eq!(witness, None);
+        }
+        assert_patterns_agree(&mut psi, &frozen, &pinned, &patterns);
     }
 }
 
