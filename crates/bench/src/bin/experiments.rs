@@ -1,15 +1,17 @@
 //! Prints the paper-style experiment tables recorded in `EXPERIMENTS.md`: T1
-//! (this pipeline against Eppstein's sequential algorithm and Ullmann) and
-//! F1–F11 (one table per lemma or theorem of the paper). The sections are
-//! text-only: run them with
+//! (this paper's pipeline and the default engine against Eppstein's sequential
+//! algorithm and Ullmann) and F1–F11 (one table per lemma or theorem of the
+//! paper). The query tables time the paper's DP on every cover batch
+//! (`DpStrategy::Sequential`); only T1's "engine" column times the default. The
+//! sections are text-only: run them with
 //! `cargo run -p psi_bench --release --bin experiments [section ...]` (no
 //! arguments runs every section) and paste the relevant rows into
 //! `EXPERIMENTS.md`. An unknown section name exits with status 2. The engine's
 //! seeded end-to-end benchmark is `perfbench/`, not this binary.
 
 use planar_subiso::{
-    build_cover, separating_cycle_connectivity, vertex_connectivity, ConnectivityMode, Pattern,
-    SubgraphIsomorphism,
+    build_cover, separating_cycle_connectivity, vertex_connectivity, ConnectivityMode, DpStrategy,
+    Pattern, QueryConfig, SubgraphIsomorphism,
 };
 use psi_baselines::{eppstein_sequential_decide, flow_vertex_connectivity, ullmann_decide};
 use psi_bench::{size_sweep, table1_patterns, target_with_n};
@@ -26,6 +28,15 @@ fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     let start = Instant::now();
     let out = f();
     (out, start.elapsed().as_secs_f64() * 1000.0)
+}
+
+/// The paper's query: the bounded-treewidth DP on every cover batch.
+fn paper_query(p: Pattern) -> SubgraphIsomorphism {
+    let config = QueryConfig {
+        strategy: DpStrategy::Sequential,
+        ..QueryConfig::default()
+    };
+    SubgraphIsomorphism::with_config(p, config)
 }
 
 /// Every section, in the order a bare run prints them.
@@ -78,25 +89,28 @@ fn median_of(all_ms: &[f64]) -> f64 {
     }
 }
 
-/// T1 — Table 1 analogue: decision time of this paper's pipeline vs. the baselines.
+/// T1 — Table 1 analogue: decision time of this paper's pipeline (the DP on
+/// every batch) vs. the baselines, with the default engine (the fast-path
+/// kernel, the DP only on budget misses) beside them.
 fn t1_decision() {
     println!("\n== T1: decision time [ms], this paper vs. baselines ==");
     println!(
-        "{:<10} {:>8} {:>12} {:>14} {:>12}",
-        "pattern", "n", "this paper", "eppstein-seq", "ullmann"
+        "{:<10} {:>8} {:>12} {:>12} {:>14} {:>12}",
+        "pattern", "n", "this paper", "engine", "eppstein-seq", "ullmann"
     );
     for n in [4096usize, 16384] {
         let g = target_with_n(n);
         for (name, p) in table1_patterns() {
-            let query = SubgraphIsomorphism::new(p.clone());
-            let (_, ours) = timed(|| query.decide(&g));
+            let (_, ours) = timed(|| paper_query(p.clone()).decide(&g));
+            let (_, engine) = timed(|| SubgraphIsomorphism::new(p.clone()).decide(&g));
             let (_, epp) = timed(|| eppstein_sequential_decide(&p, &g));
             let (_, ull) = timed(|| ullmann_decide(&p, &g));
             println!(
-                "{:<10} {:>8} {:>12.2} {:>14.2} {:>12.2}",
+                "{:<10} {:>8} {:>12.2} {:>12.2} {:>14.2} {:>12.2}",
                 name,
                 g.num_vertices(),
                 ours,
+                engine,
                 epp,
                 ull
             );
@@ -183,7 +197,7 @@ fn f3_scaling_n() {
     let p = Pattern::cycle(4);
     for n in size_sweep(psi_bench::MILLION) {
         let g = target_with_n(n);
-        let query = SubgraphIsomorphism::new(p.clone());
+        let query = paper_query(p.clone());
         let (_, ms) = timed(|| query.decide(&g));
         let nlogn = g.num_vertices() as f64 * (g.num_vertices() as f64).log2();
         println!(
@@ -201,7 +215,7 @@ fn f4_scaling_k() {
     println!("{:>4} {:>12}", "k", "time [ms]");
     let g = target_with_n(16_384);
     for k in 3..=8usize {
-        let query = SubgraphIsomorphism::new(Pattern::cycle(k));
+        let query = paper_query(Pattern::cycle(k));
         let (_, ms) = timed(|| query.decide(&g));
         println!("{:>4} {:>12.2}", k, ms);
     }
@@ -249,7 +263,7 @@ fn f6_disconnected() {
         ),
     ];
     for (name, p) in patterns {
-        let query = SubgraphIsomorphism::new(p);
+        let query = paper_query(p);
         let (found, ms) = timed(|| query.find_one(&g).is_some());
         println!("{:<24} {:>12.2}   found={found}", name, ms);
     }
@@ -342,7 +356,7 @@ fn f8_threads() {
             .num_threads(threads)
             .build()
             .unwrap();
-        let query = SubgraphIsomorphism::new(p.clone());
+        let query = paper_query(p.clone());
         let mut samples: Vec<f64> = (0..5)
             .map(|_| timed(|| pool.install(|| query.decide(&g))).1)
             .collect();

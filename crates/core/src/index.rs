@@ -1,11 +1,12 @@
 //! The versioned index artifact: build once, serve many queries.
 //!
 //! Every classic query ([`crate::isomorphism::SubgraphIsomorphism::find_one`],
-//! [`crate::connectivity::vertex_connectivity`]) rebuilds clustering, cover windows,
-//! per-batch tree decompositions and (for connectivity) the face–vertex graph from
-//! scratch — ~200 ms end-to-end for `decide(C4)` at n = 1M. All of those products
-//! are **read-only after construction** (Eppstein's preprocess-then-query framing of
-//! planar subgraph isomorphism, JGAA 1999), so [`PsiIndex`] freezes these once:
+//! [`crate::connectivity::vertex_connectivity`]) rebuilds from scratch the
+//! clustering, the cover windows, a tree decomposition for each batch whose fast
+//! path runs out of budget, and (for connectivity) the face–vertex graph. All of
+//! those products are **read-only after construction** (Eppstein's
+//! preprocess-then-query framing of planar subgraph isomorphism, JGAA 1999), so
+//! [`PsiIndex`] freezes these once:
 //!
 //! * the target graph and the facial walks of its planar embedding,
 //! * `rounds` independent k-d covers (Section 2.1), each stored as the streamed
@@ -856,7 +857,8 @@ impl fmt::Display for QueryError {
 
 impl std::error::Error for QueryError {}
 
-/// Node budget for the exhaustive backtracking fast path on one stored batch.
+/// Node budget for the exhaustive backtracking fast path on one batch, stored
+/// or streamed (the default [`crate::isomorphism::DpStrategy::FastPath`]).
 /// Every candidate vertex considered costs one node. The search is *exact*
 /// whenever it completes under the budget — both "occurs" and "absent" verdicts
 /// are certain, because batches are disjoint unions of windows and a connected
@@ -995,7 +997,7 @@ pub(crate) fn batch_can_host(ib: &IndexedBatch, k: usize) -> bool {
 mod tests {
     use super::*;
     use crate::connectivity::ConnectivityMode;
-    use crate::isomorphism::{batch_dp, DpStrategy};
+    use crate::isomorphism::batch_dp;
     use crate::pattern::verify_occurrence;
     use crate::snapshot::PsiSnapshot;
     use psi_planar::generators as pg;
@@ -1038,7 +1040,7 @@ mod tests {
                         backtrack_step(&plan, &ib.batch.graph, 0, &mut assigned, &mut budget)
                             .expect("~256-vertex batches complete under the budget");
                     let btd = ib.decomp.to_binary(ib.batch.graph.num_vertices());
-                    let dp = batch_dp(DpStrategy::Sequential, &pattern, &ib.batch.graph, &btd);
+                    let dp = batch_dp(&pattern, &ib.batch.graph, &btd);
                     assert_eq!(fast, dp.is_some(), "fast path and DP disagree on a batch");
                 }
             }

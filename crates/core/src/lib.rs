@@ -17,9 +17,13 @@
 //!    `O(n d)` total size worth of bounded-treewidth pieces such that each fixed
 //!    occurrence survives with probability ≥ 1/2.
 //! 2. [`dp`] / [`dp_parallel`] — the bounded-treewidth partial-match dynamic program
-//!    (Sections 3.2 and 3.3), sequential and path-parallel with shortcuts.
+//!    (Sections 3.2 and 3.3): the sequential DP the queries run, and the
+//!    path-parallel DP with shortcuts ([`run_parallel`], called directly).
 //! 3. [`isomorphism`] — the public query API: decide / find one / list all / count, with
-//!    `O(log n)` cover repetitions for the high-probability guarantee.
+//!    `O(log n)` cover repetitions for the high-probability guarantee. Each cover
+//!    batch goes through the kernel the index shares: an exhaustive backtracking
+//!    search on a node budget, with the DP on the batches where it runs out;
+//!    [`DpStrategy::Sequential`] runs the paper's DP on every batch.
 //! 4. [`disconnected`] — colour-coding reduction for disconnected patterns (Section 4.1).
 //! 5. [`listing`] — the listing loop with the coin-flip stopping rule (Section 4.2).
 //! 6. [`separating`] / [`connectivity`] — S-separating subgraph isomorphism

@@ -492,7 +492,7 @@ impl Psi {
     /// only), then the classic cover pipeline. Use an opened engine instead
     /// when the target serves many queries.
     pub fn decide_in(pattern: &Pattern, target: &CsrGraph) -> Result<bool, PsiError> {
-        Ok(Psi::find_one_in(pattern, target)?.is_some() || pattern.k() == 0)
+        Ok(Psi::find_one_in(pattern, target)?.is_some())
     }
 
     /// One-shot find-one on an arbitrary graph (see [`Psi::decide_in`]).

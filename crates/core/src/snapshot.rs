@@ -35,16 +35,14 @@
 use crate::connectivity::{
     st_connectivity_capped, vertex_connectivity_with_fv, ConnectivityMode, ConnectivityResult,
 };
-use crate::dp::DpResult;
 use crate::index::{
-    backtrack_step, batch_can_host, IndexParams, IndexedBatch, MatchPlan, PsiIndex, QueryError,
-    CONNECTIVITY_CAP, FAST_PATH_NODE_BUDGET,
+    batch_can_host, IndexParams, IndexedBatch, MatchPlan, PsiIndex, QueryError, CONNECTIVITY_CAP,
+    FAST_PATH_NODE_BUDGET,
 };
-use crate::isomorphism::{batch_dp, dp_witness, DpStrategy};
+use crate::isomorphism::{search_batch, BatchHit};
 use crate::pattern::{verify_occurrence, Pattern};
 use psi_graph::{CsrGraph, Vertex};
 use psi_planar::{face_vertex_graph, planar_embedding, Embedding, FaceVertexGraph};
-use psi_treedecomp::BinaryTreeDecomposition;
 use rayon::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
@@ -235,33 +233,22 @@ impl EpochState {
     }
 
     /// The one scan behind `decide` and `find_one`: per batch that can host
-    /// the pattern, the exhaustive backtracking fast path (exact whenever it
-    /// completes under [`FAST_PATH_NODE_BUDGET`]), with the stored
-    /// decomposition's DP as the polynomial fallback. Returns the first hit in
-    /// stored order.
-    fn scan(&self, pattern: &Pattern) -> Option<Hit<'_>> {
+    /// the pattern, the shared kernel ([`search_batch`]) under
+    /// [`FAST_PATH_NODE_BUDGET`], with the stored decomposition for its DP.
+    /// Returns the first hit in stored order.
+    fn scan(&self, plan: &MatchPlan, pattern: &Pattern) -> Option<(&IndexedBatch, BatchHit)> {
         let k = pattern.k();
-        let plan = MatchPlan::new(pattern);
         let mut assigned = Vec::with_capacity(k);
         for ib in self.batches() {
             if !batch_can_host(ib, k) {
                 continue;
             }
-            assigned.clear();
-            let mut budget = FAST_PATH_NODE_BUDGET;
             let graph = &ib.batch.graph;
-            let found = match backtrack_step(&plan, graph, 0, &mut assigned, &mut budget) {
-                Ok(true) => Found::Fast(plan, assigned),
-                Ok(false) => continue,
-                Err(()) => {
-                    let btd = ib.decomp.to_binary(graph.num_vertices());
-                    match batch_dp(DpStrategy::Sequential, pattern, graph, &btd) {
-                        Some(decision) => Found::Dp(btd, decision),
-                        None => continue,
-                    }
-                }
-            };
-            return Some(Hit { ib, found });
+            let td = || ib.decomp.to_binary(graph.num_vertices());
+            let budget = FAST_PATH_NODE_BUDGET;
+            if let Some(hit) = search_batch(plan, pattern, graph, budget, &mut assigned, td) {
+                return Some((ib, hit));
+            }
         }
         None
     }
@@ -273,7 +260,7 @@ impl EpochState {
         let start = Instant::now();
         let verdict = match self.admit(pattern)? {
             Some(short) => short.is_some(),
-            None => self.scan(pattern).is_some(),
+            None => self.scan(&MatchPlan::new(pattern), pattern).is_some(),
         };
         metrics.query_decide_ns.record_duration(start.elapsed());
         Ok(verdict)
@@ -290,7 +277,13 @@ impl EpochState {
         let start = Instant::now();
         let witness = match self.admit(pattern)? {
             Some(short) => short,
-            None => self.scan(pattern).map(|hit| hit.witness(pattern)),
+            None => {
+                let plan = MatchPlan::new(pattern);
+                self.scan(&plan, pattern).map(|(ib, hit)| {
+                    let occ = hit.occurrence(&plan, pattern, &ib.batch.graph).into_iter();
+                    occ.map(|v| ib.batch.local_to_global[v as usize]).collect()
+                })
+            }
         };
         if let Some(occ) = &witness {
             debug_assert!(verify_occurrence(pattern, self.target(src), occ));
@@ -351,34 +344,6 @@ impl EpochState {
             .query_connectivity_ns
             .record_duration(start.elapsed());
         result
-    }
-}
-
-/// The first hit of [`EpochState::scan`]: the batch it lies in and how it was
-/// found there.
-struct Hit<'a> {
-    ib: &'a IndexedBatch,
-    found: Found,
-}
-
-/// What found a hit.
-enum Found {
-    /// The fast path's full assignment, by plan position.
-    Fast(MatchPlan, Vec<Vertex>),
-    /// The batch DP's run over the materialised decomposition.
-    Dp(BinaryTreeDecomposition, DpResult),
-}
-
-impl Hit<'_> {
-    /// The hit's occurrence in target vertex ids: the fast path's assignment
-    /// reordered by pattern vertex, or one recovered from the DP run.
-    fn witness(self, pattern: &Pattern) -> Vec<Vertex> {
-        let occ = match self.found {
-            Found::Fast(plan, assigned) => plan.to_occurrence(&assigned),
-            Found::Dp(btd, decision) => dp_witness(&decision, pattern, &self.ib.batch.graph, &btd),
-        };
-        let map = &self.ib.batch.local_to_global;
-        occ.into_iter().map(|v| map[v as usize]).collect()
     }
 }
 

@@ -13,7 +13,10 @@
 //! on a single-core host — scheduling is then maximally adversarial (workers get
 //! preempted mid-chunk constantly), which is exactly what we want to survive.
 
-use planar_subiso::{run_parallel, run_sequential, ParallelDpConfig, Pattern, SubgraphIsomorphism};
+use planar_subiso::{
+    batch_budget_for, run_parallel, run_sequential, search_cover, ParallelDpConfig, Pattern,
+    SubgraphIsomorphism,
+};
 use psi_graph::generators;
 use psi_treedecomp::{min_degree_decomposition, BinaryTreeDecomposition};
 
@@ -126,13 +129,10 @@ fn cover_construction_is_bit_identical_across_runs() {
     }
 }
 
-/// The PathParallel strategy (parallel DP + subtree-restricted witness recovery) must
-/// agree with the Sequential strategy on every verdict, and its witnesses — recovered
-/// by re-deriving only the occurrence-bearing subtree of the decomposition — must
-/// always verify.
+/// Section 3.3's path-parallel DP, run on every batch of as many cover rounds as
+/// the default query draws, must agree with the default query's verdicts.
 #[test]
 fn path_parallel_verdicts_agree_with_sequential() {
-    use planar_subiso::{DpStrategy, QueryConfig};
     let pool = pool4();
     let g = generators::triangulated_grid(12, 12);
     let g_neg = generators::grid(10, 10); // bipartite: no odd cycles, no triangles
@@ -143,29 +143,27 @@ fn path_parallel_verdicts_agree_with_sequential() {
         (&g_neg, Pattern::triangle()),
         (&g_neg, Pattern::cycle(5)),
     ] {
-        let seq_query = SubgraphIsomorphism::new(pattern.clone());
-        let par_query = SubgraphIsomorphism::with_config(
-            pattern.clone(),
-            QueryConfig {
-                strategy: DpStrategy::PathParallel,
-                ..QueryConfig::default()
-            },
-        );
+        let (k, d) = (pattern.k(), pattern.diameter());
+        let rounds = 4 * (target.num_vertices() as f64).log2().ceil() as u64 + 1;
+        let path_parallel = || {
+            (0..rounds).any(|seed| {
+                let (hit, _) = search_cover(target, k, d, seed, k, batch_budget_for(k), |batch| {
+                    let btd = batch.decomposition();
+                    let (run, _) =
+                        run_parallel(&batch.graph, &pattern, &btd, ParallelDpConfig::default());
+                    run.found().then_some(())
+                });
+                hit.is_some()
+            })
+        };
+        let query = SubgraphIsomorphism::new(pattern.clone());
         for run in 0..3 {
-            let seq = pool.install(|| seq_query.find_one(target));
-            let par = pool.install(|| par_query.find_one(target));
+            let default = pool.install(|| query.decide(target));
             assert_eq!(
-                seq.is_some(),
-                par.is_some(),
-                "strategy verdicts diverged on run {run}, k={}",
-                pattern.k()
+                default,
+                pool.install(path_parallel),
+                "strategy verdicts diverged on run {run}, k={k}"
             );
-            if let Some(occ) = par {
-                assert!(
-                    planar_subiso::verify_occurrence(&pattern, target, &occ),
-                    "subtree-recovered witness does not verify"
-                );
-            }
         }
     }
 }

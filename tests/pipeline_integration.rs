@@ -3,41 +3,57 @@
 //! decomposition (psi-treedecomp) → DP → verified occurrences.
 
 use planar_subiso::{
-    decide, find_one, verify_occurrence, DpStrategy, Pattern, QueryConfig, SubgraphIsomorphism,
+    batch_budget_for, decide, find_one, run_parallel, search_cover, verify_occurrence, DpStrategy,
+    ParallelDpConfig, Pattern, QueryConfig, SubgraphIsomorphism,
 };
-use psi_graph::generators;
+use psi_graph::{generators, CsrGraph};
 
-fn check_planted(k: usize, seed: u64) {
+/// The default query runs the fast-path kernel; `Sequential` runs the paper's DP
+/// on every batch. Both answer against the oracles.
+const STRATEGIES: [DpStrategy; 2] = [DpStrategy::FastPath, DpStrategy::Sequential];
+
+fn query(p: &Pattern, config: QueryConfig) -> SubgraphIsomorphism {
+    SubgraphIsomorphism::with_config(p.clone(), config)
+}
+
+fn with_strategy(strategy: DpStrategy) -> QueryConfig {
+    QueryConfig {
+        strategy,
+        ..QueryConfig::default()
+    }
+}
+
+fn check_planted(k: usize, seed: u64, strategy: DpStrategy) {
     let (g, planted) = generators::grid_with_planted_cycle(12, 12, k);
     // sanity: the planted vertex set really carries a k-cycle
     for i in 0..k {
         assert!(g.has_edge(planted[i], planted[(i + 1) % k]));
     }
-    let query = SubgraphIsomorphism::with_config(
-        Pattern::cycle(k),
-        QueryConfig {
-            seed,
-            ..QueryConfig::default()
-        },
-    );
-    let occ = query
+    let config = QueryConfig {
+        seed,
+        ..with_strategy(strategy)
+    };
+    let occ = query(&Pattern::cycle(k), config)
         .find_one(&g)
-        .unwrap_or_else(|| panic!("planted C{k} not found"));
+        .unwrap_or_else(|| panic!("planted C{k} not found ({strategy:?})"));
     assert!(verify_occurrence(&Pattern::cycle(k), &g, &occ));
 }
 
 #[test]
 fn planted_patterns_are_found_and_verified() {
-    check_planted(4, 1);
-    check_planted(6, 2);
+    for strategy in STRATEGIES {
+        check_planted(4, 1, strategy);
+        check_planted(6, 2, strategy);
+    }
+    check_planted(8, 3, DpStrategy::FastPath);
 }
 
-/// The k = 8 DP pays the paper's `(τ+3)^k` factor in full on unlucky covers; run with
-/// `cargo test -- --ignored`.
+/// The paper's DP at k = 8 pays the `(τ+3)^k` factor in full on unlucky covers; run
+/// with `cargo test -- --ignored`.
 #[test]
 #[ignore = "C8 partial-match DP can take minutes on a single core"]
 fn planted_c8_is_found_and_verified() {
-    check_planted(8, 3);
+    check_planted(8, 3, DpStrategy::Sequential);
 }
 
 #[test]
@@ -55,7 +71,10 @@ fn pipeline_agrees_with_backtracking_oracle_on_random_planar_graphs() {
         let g = generators::random_stacked_triangulation(50, seed);
         for p in &patterns {
             let expected = psi_baselines::ullmann_decide(p, &g);
-            assert_eq!(decide(p, &g), expected, "seed {seed}, k={}", p.k());
+            for strategy in STRATEGIES {
+                let got = query(p, with_strategy(strategy)).decide(&g);
+                assert_eq!(got, expected, "seed {seed}, k={}, {strategy:?}", p.k());
+            }
         }
     }
 }
@@ -69,11 +88,27 @@ fn pipeline_agrees_with_eppstein_sequential_baseline() {
         Pattern::cycle(6),
         Pattern::path(6),
     ] {
-        assert_eq!(
-            decide(&p, &g),
-            psi_baselines::eppstein_sequential_decide(&p, &g)
-        );
+        let expected = psi_baselines::eppstein_sequential_decide(&p, &g);
+        for strategy in STRATEGIES {
+            let got = query(&p, with_strategy(strategy)).decide(&g);
+            assert_eq!(got, expected, "k={}, {strategy:?}", p.k());
+        }
     }
+}
+
+/// Section 3.3's path-parallel DP on every batch of the default's number of
+/// cover rounds: whether some batch holds `p`.
+fn path_parallel_decide(p: &Pattern, g: &CsrGraph) -> bool {
+    let (k, d) = (p.k(), p.diameter());
+    let rounds = 4 * (g.num_vertices() as f64).log2().ceil() as u64 + 1;
+    (0..rounds).any(|seed| {
+        let (hit, _) = search_cover(g, k, d, seed, k, batch_budget_for(k), |batch| {
+            let btd = batch.decomposition();
+            let (run, _) = run_parallel(&batch.graph, p, &btd, ParallelDpConfig::default());
+            run.found().then_some(())
+        });
+        hit.is_some()
+    })
 }
 
 #[test]
@@ -81,24 +116,15 @@ fn strategies_and_modes_agree() {
     let g = generators::random_stacked_triangulation(60, 17);
     for p in [Pattern::triangle(), Pattern::clique(4), Pattern::cycle(5)] {
         let default = decide(&p, &g);
-        let parallel = SubgraphIsomorphism::with_config(
-            p.clone(),
-            QueryConfig {
-                strategy: DpStrategy::PathParallel,
-                ..QueryConfig::default()
-            },
-        )
-        .decide(&g);
-        let whole = SubgraphIsomorphism::with_config(
-            p.clone(),
-            QueryConfig {
-                whole_graph: true,
-                ..QueryConfig::default()
-            },
-        )
-        .decide(&g);
-        assert_eq!(default, parallel);
+        let sequential = query(&p, with_strategy(DpStrategy::Sequential)).decide(&g);
+        let whole = QueryConfig {
+            whole_graph: true,
+            ..QueryConfig::default()
+        };
+        let whole = query(&p, whole).decide(&g);
+        assert_eq!(default, sequential);
         assert_eq!(default, whole);
+        assert_eq!(default, path_parallel_decide(&p, &g));
     }
 }
 

@@ -6,7 +6,9 @@
 //!   witnesses and connectivity cuts included;
 //! * the DP fallback — on a 300-vertex wheel, with and without a planted K4,
 //!   the hub's window exhausts the fast path's node budget, so K4 queries are
-//!   answered by the stored decomposition's DP on every front end;
+//!   answered by the batch DP on every front end: the stored decomposition's
+//!   on the three index front ends, a streamed batch's on the one-shot
+//!   classics (`Psi::decide_in`, `Psi::find_one_in`), which run the same kernel;
 //! * equal instrumentation — every operation on every front end records its
 //!   `query.*` span carrying that front end's epoch, plus one latency sample
 //!   in the operation's histogram.
@@ -135,9 +137,11 @@ fn nests_under(spans: &[SpanRecord], parent: &str, child: &str) -> bool {
 /// a K4 search rooted at the hub runs out of the fast path's node budget: the
 /// scan falls back to that batch's stored decomposition. Without a rim chord
 /// the DP answers no in every round; with the chord {249, 251} it finds the K4
-/// {299, 249, 250, 251} in round 0. Every front end must give the same answer
-/// as Ullmann's exact search, record the DP's `dp.batch` span inside its
-/// query span, and return the same witness.
+/// {299, 249, 250, 251} in round 0. Every index front end must give the same
+/// answer as Ullmann's exact search, record the DP's `dp.batch` span inside
+/// its query span, and return the same witness. The one-shot classics must
+/// give Ullmann's answers too, with the DP's span inside a `cover.shard` span
+/// and a witness that verifies.
 #[test]
 fn hub_windows_fall_back_to_the_dp_on_every_front_end() {
     let _guard = obs_lock();
@@ -183,6 +187,32 @@ fn hub_windows_fall_back_to_the_dp_on_every_front_end() {
             assert_eq!(witness, None);
         }
         assert_patterns_agree(&mut psi, &frozen, &pinned, &patterns);
+
+        // The one-shot classics run the same kernel on streamed cover batches.
+        // K4, the last pattern, goes through `find_one_in` under tracing: the
+        // hub's window sends each round's search to the batch DP.
+        for p in &patterns[..4] {
+            let want = ullmann_decide(p, &target);
+            assert_eq!(Psi::decide_in(p, &target).ok(), Some(want), "classic {p:?}");
+        }
+        Psi::set_tracing(true);
+        trace::clear();
+        let witness = Psi::find_one_in(&k4, &target).unwrap();
+        let spans = trace::snapshot_spans();
+        Psi::set_tracing(false);
+        trace::clear();
+        assert!(
+            nests_under(&spans, "cover.shard", "dp.batch"),
+            "no `dp.batch` span inside `cover.shard`"
+        );
+        assert_eq!(
+            witness.is_some(),
+            ullmann_decide(&k4, &target),
+            "classic {k4:?}"
+        );
+        if let Some(witness) = witness {
+            assert!(verify_occurrence(&k4, &target, &witness));
+        }
     }
 }
 
