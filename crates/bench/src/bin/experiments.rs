@@ -10,8 +10,8 @@
 //! seeded end-to-end benchmark is `perfbench/`, not this binary.
 
 use planar_subiso::{
-    build_cover, separating_cycle_connectivity, vertex_connectivity, ConnectivityMode, DpStrategy,
-    Pattern, QueryConfig, SubgraphIsomorphism,
+    map_cover_batches, separating_cycle_connectivity, vertex_connectivity, ConnectivityMode,
+    DpStrategy, Pattern, QueryConfig, SubgraphIsomorphism,
 };
 use psi_baselines::{eppstein_sequential_decide, flow_vertex_connectivity, ullmann_decide};
 use psi_bench::{size_sweep, table1_patterns, target_with_n};
@@ -133,18 +133,26 @@ fn f1_cover() {
         let mut max_width = 0usize;
         let mut max_mult = 0usize;
         for s in 0..trials {
-            let cover = build_cover(&g, k, d, s);
-            if cover.some_piece_contains(&planted) {
+            // Batch budget 0: every batch is one cover piece.
+            let (pieces, _) = map_cover_batches(&g, k, d, s, 1, 0, |piece| {
+                let wide = s == 0 && piece.graph.num_vertices() > 2;
+                let width = wide.then(|| min_degree_decomposition(&piece.graph).width());
+                (piece.local_to_global, width)
+            });
+            if pieces
+                .iter()
+                .any(|(verts, _)| planted.iter().all(|v| verts.contains(v)))
+            {
                 retained += 1;
             }
-            max_mult = max_mult.max(cover.max_pieces_per_vertex(g.num_vertices()));
-            if s == 0 {
-                for piece in &cover.pieces {
-                    if piece.num_vertices() > 2 {
-                        max_width = max_width.max(min_degree_decomposition(&piece.graph).width());
-                    }
+            let mut count = vec![0usize; g.num_vertices()];
+            for (verts, width) in &pieces {
+                for &v in verts {
+                    count[v as usize] += 1;
                 }
+                max_width = max_width.max(width.unwrap_or(0));
             }
+            max_mult = max_mult.max(count.into_iter().max().unwrap_or(0));
         }
         println!(
             "{:>8} {:>4} {:>4} {:>12} {:>14} {:>11.2}",

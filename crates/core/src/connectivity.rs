@@ -35,7 +35,7 @@
 //! The enumeration is sequential and deterministic, so the returned cut does not
 //! depend on the thread count.
 
-use crate::cover::{search_separating_cover, LAYERED_ATTEMPT_WIDTH};
+use crate::cover::{round_seed, search_separating_cover};
 use crate::index::QueryError;
 use crate::pattern::Pattern;
 use crate::separating::{
@@ -639,6 +639,12 @@ impl<'a> CycleSearch<'a> {
     }
 }
 
+/// Min-degree width above which [`best_whole_graph_decomposition`] also tries the
+/// guaranteed-width layered construction. The DP cost is exponential in the width,
+/// so below this threshold the heuristic is already fine and the embedding work
+/// would be pure overhead.
+const LAYERED_ATTEMPT_WIDTH: usize = 6;
+
 /// The decomposition the whole-graph cycle searches share: min-degree, upgraded to
 /// the guaranteed-width layered construction when the heuristic comes out wide and
 /// the Baker/Eppstein bound beats it (the face–vertex graph is planar, so the
@@ -782,12 +788,10 @@ fn search_with_cover(
     let k = cycle.k();
     let d = cycle.diameter();
     for round in 0..repetitions.max(1) {
-        let round_seed = seed
-            .wrapping_add(round as u64)
-            .wrapping_mul(0x9E3779B97F4A7C15);
+        let cover_seed = round_seed(seed, round as u64);
         // Minors are searched as they are cut from their cluster — the round never
         // materialises the full piece list, and a hit stops every shard.
-        let hit = search_separating_cover(g_prime, k, d, in_s, round_seed, k, |piece| {
+        let hit = search_separating_cover(g_prime, k, d, in_s, cover_seed, k, |piece| {
             let inst = SeparatingInstance {
                 graph: &piece.graph,
                 in_s: &piece.in_s,

@@ -31,8 +31,8 @@
 //! ([`crate::isomorphism`], [`crate::listing`], [`crate::connectivity`]) process
 //! batches as they appear and stop all shards through a shared flag as soon as a
 //! witness is found, instead of materialising the full `O(nd)`-vertex piece list
-//! up front. [`build_cover`] retains the eager API (each batch is one window) for
-//! diagnostics, experiments, and the bit-identity tests.
+//! up front. A batch budget of 0 flushes after every window, so one batch is one
+//! piece: that is how the experiments and the tests read the cover window by window.
 //!
 //! The S-separating variant additionally contracts, per cluster, every connected
 //! component of the *rest of the graph* and every connected component of
@@ -58,12 +58,6 @@ pub const SHARD_VERTEX_TARGET: usize = 4096;
 /// over dozens of small windows.
 pub const DEFAULT_BATCH_BUDGET: usize = 256;
 
-/// Min-degree width above which the guaranteed-width layered construction is also
-/// tried (and adopted when narrower). The DP cost is exponential in the width, so
-/// below this threshold the heuristic is already fine and the embedding work would be
-/// pure overhead; above it, a missed `3d + 2` guarantee would dominate the run time.
-pub const LAYERED_ATTEMPT_WIDTH: usize = 6;
-
 /// The batch budget appropriate for a `k`-vertex pattern.
 ///
 /// Packing pays off when the per-window DP is near-linear (small patterns: bounded
@@ -78,69 +72,6 @@ pub fn batch_budget_for(k: usize) -> usize {
         DEFAULT_BATCH_BUDGET
     } else {
         0
-    }
-}
-
-/// One subgraph of the k-d cover.
-#[derive(Clone, Debug)]
-pub struct CoverPiece {
-    /// The induced window subgraph over local ids `0..len`.
-    pub graph: CsrGraph,
-    /// `local_to_global[i]` is the original id of local vertex `i`.
-    pub local_to_global: Vec<Vertex>,
-    /// Centre vertex of the cluster this piece was cut from. (A centre vertex, not a
-    /// dense cluster id: dense ids renumber globally whenever the centre set changes,
-    /// while centre stamps survive incremental updates of untouched clusters.)
-    pub cluster: u32,
-    /// The BFS level the window starts at.
-    pub level_start: u32,
-}
-
-impl CoverPiece {
-    /// Number of vertices in the window.
-    pub fn num_vertices(&self) -> usize {
-        self.graph.num_vertices()
-    }
-
-    /// Whether every given global vertex lies in this window (linear scan; the piece
-    /// carries no `O(n)` reverse map by design).
-    pub fn contains_all(&self, vertices: &[Vertex]) -> bool {
-        vertices.iter().all(|v| self.local_to_global.contains(v))
-    }
-}
-
-/// The full cover of a target graph (eager materialisation; the streaming consumers
-/// use [`search_cover`] / [`map_cover_batches`] instead).
-#[derive(Clone, Debug)]
-pub struct Cover {
-    /// The cover pieces.
-    pub pieces: Vec<CoverPiece>,
-    /// The clustering used to build the cover (kept for diagnostics / experiments).
-    pub clustering: Clustering,
-    /// The window height (`d + 1` BFS levels per piece).
-    pub window: u32,
-}
-
-impl Cover {
-    /// Total number of vertices summed over all pieces (the `O(nd)` bound of Thm 2.4).
-    pub fn total_piece_vertices(&self) -> usize {
-        self.pieces.iter().map(|p| p.num_vertices()).sum()
-    }
-
-    /// Maximum number of pieces any single original vertex belongs to.
-    pub fn max_pieces_per_vertex(&self, n: usize) -> usize {
-        let mut count = vec![0usize; n];
-        for p in &self.pieces {
-            for &v in &p.local_to_global {
-                count[v as usize] += 1;
-            }
-        }
-        count.into_iter().max().unwrap_or(0)
-    }
-
-    /// Whether some piece contains all the given (global) vertices.
-    pub fn some_piece_contains(&self, vertices: &[Vertex]) -> bool {
-        self.pieces.iter().any(|p| p.contains_all(vertices))
     }
 }
 
@@ -238,8 +169,10 @@ impl CoverBatch {
         })
     }
 
-    /// A binarised tree decomposition of the union, assembled **per segment** and
-    /// chained.
+    /// A binarised tree decomposition of the union: the min-degree decomposition
+    /// of each segment, chained. Every batch takes this one rule: the index build
+    /// and the dynamic flush store it, and the classic path, the paper's DP and
+    /// listing run on it.
     ///
     /// Decomposing the union in one pass would let the elimination heuristic
     /// interleave segments, producing a tree in which partial matches of *different
@@ -250,23 +183,8 @@ impl CoverBatch {
     /// empty) matches across, so the batched DP costs the sum of the per-window DPs
     /// plus `O(1)` chain overhead.
     pub fn decomposition(&self) -> psi_treedecomp::BinaryTreeDecomposition {
-        self.decomposition_described().0
-    }
-
-    /// As [`CoverBatch::decomposition`], additionally reporting how many segments
-    /// adopted the guaranteed-width layered construction (recorded in the frozen
-    /// index's metadata).
-    ///
-    /// Per segment the min-degree heuristic runs first; only when its width exceeds
-    /// [`LAYERED_ATTEMPT_WIDTH`] is the segment embedded and the Baker/Eppstein
-    /// decomposition tried, keeping the common case (thousands of tiny windows, all of
-    /// width ≤ `3(d+1)` already) free of embedding work. The narrower decomposition
-    /// wins; ties keep min-degree. Both candidates — and therefore the choice — are
-    /// pure functions of the batch content, so freeze determinism is unaffected.
-    pub fn decomposition_described(&self) -> (psi_treedecomp::BinaryTreeDecomposition, usize) {
         let mut bags: Vec<Vec<Vertex>> = Vec::new();
         let mut edges: Vec<(usize, usize)> = Vec::new();
-        let mut layered_segments = 0usize;
         for (start, end) in self.segment_ranges() {
             let adjacency: Vec<Vec<Vertex>> = (start..end)
                 .map(|v| {
@@ -278,19 +196,7 @@ impl CoverBatch {
                 })
                 .collect();
             let seg = CsrGraph::from_sorted_adjacency(adjacency);
-            let mut td = psi_treedecomp::min_degree_decomposition(&seg);
-            if td.width() > LAYERED_ATTEMPT_WIDTH {
-                if let Ok(embedding) = psi_planar::planar_embedding(&seg) {
-                    if let Some(layered) =
-                        psi_treedecomp::layered_decomposition_auto(&seg, &embedding.faces)
-                    {
-                        if layered.width() < td.width() {
-                            td = layered;
-                            layered_segments += 1;
-                        }
-                    }
-                }
-            }
+            let td = psi_treedecomp::min_degree_decomposition(&seg);
             let base = bags.len();
             if base > 0 {
                 // attach this segment's first bag to the previous segment's last bag;
@@ -305,10 +211,14 @@ impl CoverBatch {
             edges.extend(td.tree_edges.iter().map(|&(a, b)| (base + a, base + b)));
         }
         let td = psi_treedecomp::TreeDecomposition::new(bags, edges, self.graph.num_vertices());
-        (
-            psi_treedecomp::BinaryTreeDecomposition::from_decomposition(&td),
-            layered_segments,
-        )
+        psi_treedecomp::BinaryTreeDecomposition::from_decomposition(&td)
+    }
+
+    /// [`CoverBatch::decomposition`] and the number of its segments that took the
+    /// layered Baker/Eppstein construction, which is always 0: batches no longer
+    /// try it. Only perfbench's serve replay still reads this pair.
+    pub fn decomposition_described(&self) -> (psi_treedecomp::BinaryTreeDecomposition, usize) {
+        (self.decomposition(), 0)
     }
 }
 
@@ -334,10 +244,27 @@ impl PassCounters {
     }
 }
 
-/// The clustering every cover round starts from (`β = 2k`, Observation 1).
+/// Base seed of the default index (`IndexParams`) and of the default classic
+/// query (`QueryConfig`).
+pub(crate) const DEFAULT_SEED: u64 = 0xC0FFEE;
+
+/// The clustering seed of cover round `round` drawn from base seed `base`. The
+/// index's stored rounds, the classic query's repetitions, listing's iterations
+/// (from a salted base) and Cover-mode connectivity all derive their rounds'
+/// seeds here, so index round `r` clusters exactly like round `r` of a classic
+/// query with the same base seed.
+pub(crate) fn round_seed(base: u64, round: u64) -> u64 {
+    base.wrapping_add(round).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+}
+
+/// The clustering parameter of every cover round (`β = 2k`, Observation 1).
+pub(crate) fn cover_beta(k: usize) -> f64 {
+    2.0 * k.max(1) as f64
+}
+
+/// The clustering every cover round starts from.
 fn cover_clustering(graph: &CsrGraph, k: usize, seed: u64) -> Clustering {
-    let beta = 2.0 * k.max(1) as f64;
-    cluster_parallel(graph, beta, seed)
+    cluster_parallel(graph, cover_beta(k), seed)
 }
 
 /// Contiguous cluster-id ranges of roughly [`SHARD_VERTEX_TARGET`] members each.
@@ -717,29 +644,7 @@ where
     F: Fn(CoverBatch) -> R + Sync,
 {
     let clustering = cover_clustering(graph, k, seed);
-    let (results, stats) =
-        map_cover_batches_for_clustering(graph, &clustering, d, min_vertices, batch_budget, f);
-    (results, stats)
-}
-
-/// [`map_cover_batches`] over an explicit clustering — the single streaming driver
-/// every batch-producing entry point funnels through. Public so consumers that fix
-/// their own clustering (tests pinning adversarial cluster shapes, the index builder)
-/// reuse the exact sharded pipeline instead of a parallel construction, keeping
-/// emitted batches bit-identical across all entry points.
-pub fn map_cover_batches_for_clustering<R, F>(
-    graph: &CsrGraph,
-    clustering: &Clustering,
-    d: usize,
-    min_vertices: usize,
-    batch_budget: usize,
-    f: F,
-) -> (Vec<R>, CoverStats)
-where
-    R: Send,
-    F: Fn(CoverBatch) -> R + Sync,
-{
-    let shards = shard_ranges(clustering);
+    let shards = shard_ranges(&clustering);
     let mut span = psi_obs::span!(
         "cover.build",
         n = graph.num_vertices(),
@@ -754,7 +659,7 @@ where
             let mut out = Vec::new();
             let none = run_shard::<()>(
                 graph,
-                clustering,
+                &clustering,
                 range,
                 d,
                 min_vertices,
@@ -770,49 +675,11 @@ where
             out
         })
         .collect();
-    let stats = counters.stats(clustering, shards.len());
+    let stats = counters.stats(&clustering, shards.len());
     span.field("pieces", stats.pieces as u64);
     span.field("batches", stats.batches as u64);
     crate::obs::record_cover_pass(&stats);
     (per_shard.into_iter().flatten().collect(), stats)
-}
-
-/// Builds the Parallel Treewidth k-d Cover of `graph` for a connected pattern with `k`
-/// vertices and diameter `d` (eager variant: every window becomes a piece).
-///
-/// The `seed` fixes the clustering; repeat with fresh seeds to drive the failure
-/// probability down (each fixed occurrence is covered with probability ≥ 1/2 per run).
-pub fn build_cover(graph: &CsrGraph, k: usize, d: usize, seed: u64) -> Cover {
-    build_cover_with_stats(graph, k, d, seed).0
-}
-
-/// [`build_cover`] plus the pass counters (piece counts, scratch accounting).
-pub fn build_cover_with_stats(
-    graph: &CsrGraph,
-    k: usize,
-    d: usize,
-    seed: u64,
-) -> (Cover, CoverStats) {
-    let clustering = cover_clustering(graph, k, seed);
-    // Budget 0 flushes after every window: one batch == one piece.
-    let (pieces, stats) = map_cover_batches_for_clustering(graph, &clustering, d, 1, 0, |batch| {
-        debug_assert_eq!(batch.num_windows(), 1);
-        let (cluster, level_start, _) = batch.windows[0];
-        CoverPiece {
-            graph: batch.graph,
-            local_to_global: batch.local_to_global,
-            cluster,
-            level_start,
-        }
-    });
-    (
-        Cover {
-            pieces,
-            clustering,
-            window: (d + 1) as u32,
-        },
-        stats,
-    )
 }
 
 /// One piece of the S-separating cover: a **minor** of the target graph in which some
@@ -990,42 +857,6 @@ impl BlobMap {
     }
 }
 
-/// Builds the S-separating k-d cover (Section 5.2.1, eager variant).
-///
-/// `in_s[v]` marks the vertices of the set `S` that the sought occurrence must separate.
-pub fn build_separating_cover(
-    graph: &CsrGraph,
-    k: usize,
-    d: usize,
-    in_s: &[bool],
-    seed: u64,
-) -> (Vec<SeparatingCoverPiece>, Clustering) {
-    let clustering = cover_clustering(graph, k, seed);
-    let pieces = separating_cover_for_clustering(graph, &clustering, d, in_s);
-    (pieces, clustering)
-}
-
-/// The separating cover induced by an explicit clustering (exposed so tests can pin
-/// adversarial cluster shapes; [`build_separating_cover`] is the randomised entry).
-pub fn separating_cover_for_clustering(
-    graph: &CsrGraph,
-    clustering: &Clustering,
-    d: usize,
-    in_s: &[bool],
-) -> Vec<SeparatingCoverPiece> {
-    let out = std::sync::Mutex::new(Vec::new());
-    let none = search_separating_clustering::<()>(graph, clustering, d, in_s, 1, &|piece| {
-        out.lock().unwrap().push(piece);
-        None
-    });
-    debug_assert!(none.is_none());
-    let mut pieces = out.into_inner().unwrap();
-    // shards race into the mutex; (cluster, level) is unique per piece, so sorting
-    // restores the canonical deterministic order
-    pieces.sort_by_key(|p| (p.cluster, p.level_start));
-    pieces
-}
-
 /// Streams the separating cover of one round through `f` piece by piece with
 /// cross-shard early exit — the `Cover`-mode connectivity pipeline consumes minors as
 /// they are cut instead of materialising all of them. Pieces whose minor has fewer
@@ -1046,7 +877,7 @@ pub fn search_separating_cover<T: Send>(
     search_separating_clustering(graph, &clustering, d, in_s, min_vertices, &f)
 }
 
-/// Shard-parallel driver shared by the eager and streaming separating entry points.
+/// Shard-parallel body of [`search_separating_cover`] over an explicit clustering.
 ///
 /// `emit` semantics: called per piece in deterministic order per shard. When it
 /// returns `Some`, every shard stops at its next cluster boundary.
@@ -1222,28 +1053,31 @@ mod tests {
     use super::*;
     use psi_graph::generators;
 
+    /// The pieces of one cover round: batch budget 0 puts one window in each batch.
+    fn pieces(g: &CsrGraph, k: usize, d: usize, seed: u64) -> Vec<CoverBatch> {
+        map_cover_batches(g, k, d, seed, 1, 0, |b| b).0
+    }
+
     #[test]
     fn cover_pieces_partition_properties() {
         let g = generators::triangulated_grid(20, 20);
         let (k, d) = (4usize, 2usize);
-        let cover = build_cover(&g, k, d, 7);
-        assert!(!cover.pieces.is_empty());
+        let pieces = pieces(&g, k, d, 7);
+        assert!(!pieces.is_empty());
         // every vertex appears in at least one piece and at most d+1 pieces
         let n = g.num_vertices();
         let mut count = vec![0usize; n];
-        for p in &cover.pieces {
+        for p in &pieces {
+            assert_eq!(p.num_windows(), 1);
             for &v in &p.local_to_global {
                 count[v as usize] += 1;
             }
         }
         assert!(count.iter().all(|&c| c >= 1), "some vertex in no piece");
-        assert!(
-            cover.max_pieces_per_vertex(n) <= d + 1,
-            "vertex in more than d+1 pieces: {}",
-            cover.max_pieces_per_vertex(n)
-        );
+        let max = count.iter().copied().max().unwrap_or(0);
+        assert!(max <= d + 1, "vertex in more than d+1 pieces: {max}");
         // total size O(nd)
-        assert!(cover.total_piece_vertices() <= n * (d + 1));
+        assert!(count.iter().sum::<usize>() <= n * (d + 1));
     }
 
     #[test]
@@ -1252,8 +1086,10 @@ mod tests {
         let trials = 40;
         let mut hits = 0;
         for s in 0..trials {
-            let cover = build_cover(&g, 6, 3, s);
-            if cover.some_piece_contains(&planted) {
+            let (retained, _) = map_cover_batches(&g, 6, 3, s, 1, 0, |b| {
+                planted.iter().all(|v| b.local_to_global.contains(v))
+            });
+            if retained.contains(&true) {
                 hits += 1;
             }
         }
@@ -1270,9 +1106,8 @@ mod tests {
         // decomposition width as an upper-bound proxy with slack for the heuristic.
         let g = generators::triangulated_grid(16, 16);
         let d = 2usize;
-        let cover = build_cover(&g, 4, d, 3);
-        for p in &cover.pieces {
-            if p.num_vertices() < 3 {
+        for p in pieces(&g, 4, d, 3) {
+            if p.graph.num_vertices() < 3 {
                 continue;
             }
             let td = psi_treedecomp::min_degree_decomposition(&p.graph);
@@ -1288,12 +1123,10 @@ mod tests {
     #[test]
     fn cover_of_small_graph_is_whole_graph() {
         let g = generators::cycle(6);
-        let cover = build_cover(&g, 6, 3, 1);
         // with beta = 12 the whole cycle is almost surely one cluster; in any case every
         // vertex is covered
-        let n = g.num_vertices();
-        let mut covered = vec![false; n];
-        for p in &cover.pieces {
+        let mut covered = vec![false; g.num_vertices()];
+        for p in pieces(&g, 6, 3, 1) {
             for &v in &p.local_to_global {
                 covered[v as usize] = true;
             }
@@ -1306,36 +1139,31 @@ mod tests {
         // The streamed construction must reproduce exactly what the generic
         // `induced_subgraph` extracts for the same vertex set.
         let g = generators::random_stacked_triangulation(300, 9);
-        let cover = build_cover(&g, 4, 2, 21);
-        for p in &cover.pieces {
+        for p in pieces(&g, 4, 2, 21) {
             let reference = psi_graph::induced_subgraph(&g, &p.local_to_global);
-            assert_eq!(p.graph, reference.graph, "cluster {}", p.cluster);
+            assert_eq!(p.graph, reference.graph, "window {:?}", p.windows[0]);
             assert_eq!(p.local_to_global, reference.local_to_global);
         }
     }
 
     #[test]
     fn batched_cover_is_bit_identical_to_eager_cover() {
-        // Satellite regression: unpacking the size-bucketed disjoint-union batches
-        // must reproduce the eager pieces exactly (same windows, same order, same
+        // Unpacking the size-bucketed disjoint-union batches must reproduce the
+        // one-window-per-batch cover exactly (same windows, same order, same
         // graphs) for a fixed seed, for several batch budgets.
         let g = generators::triangulated_grid(30, 30);
         let (k, d, seed) = (4usize, 2usize, 99u64);
-        let eager = build_cover(&g, k, d, seed);
-        for budget in [0usize, 64, 256, 100_000] {
+        let eager = pieces(&g, k, d, seed);
+        for budget in [64usize, 256, 100_000] {
             let (batches, stats) = map_cover_batches(&g, k, d, seed, 1, budget, |b| b);
             assert_eq!(stats.batches, batches.len());
             let mut unpacked = 0usize;
             for batch in &batches {
-                for (w, &(cluster, level_start, offset)) in batch.windows.iter().enumerate() {
-                    let end = batch
-                        .windows
-                        .get(w + 1)
-                        .map(|&(_, _, o)| o as usize)
-                        .unwrap_or(batch.local_to_global.len());
-                    let verts = &batch.local_to_global[offset as usize..end];
-                    let piece = &eager.pieces[unpacked];
-                    assert_eq!((piece.cluster, piece.level_start), (cluster, level_start));
+                for (w, (start, end)) in batch.segment_ranges().enumerate() {
+                    let (cluster, level_start, offset) = batch.windows[w];
+                    let verts = &batch.local_to_global[start..end];
+                    let piece = &eager[unpacked];
+                    assert_eq!(piece.windows, [(cluster, level_start, 0)]);
                     assert_eq!(piece.local_to_global, verts, "budget {budget}");
                     // edges of the segment must match the piece graph exactly
                     for (i, &v) in verts.iter().enumerate() {
@@ -1350,7 +1178,7 @@ mod tests {
                     unpacked += 1;
                 }
             }
-            assert_eq!(unpacked, eager.pieces.len(), "budget {budget}");
+            assert_eq!(unpacked, eager.len(), "budget {budget}");
         }
     }
 
@@ -1358,12 +1186,12 @@ mod tests {
     fn small_windows_are_skipped_not_constructed() {
         let g = generators::triangulated_grid(20, 20);
         let (k, d, seed) = (6usize, 1usize, 5u64);
-        let (cover, all) = build_cover_with_stats(&g, k, d, seed);
+        let (sizes, all) = map_cover_batches(&g, k, d, seed, 1, 0, |b| b.graph.num_vertices());
         let (_, filtered) = map_cover_batches(&g, k, d, seed, k, DEFAULT_BATCH_BUDGET, |_| ());
-        let small = cover.pieces.iter().filter(|p| p.num_vertices() < k).count();
-        assert_eq!(all.pieces, cover.pieces.len());
+        let small = sizes.iter().filter(|&&n| n < k).count();
+        assert_eq!(all.pieces, sizes.len());
         assert_eq!(filtered.skipped_small, small);
-        assert_eq!(filtered.pieces, cover.pieces.len() - small);
+        assert_eq!(filtered.pieces, sizes.len() - small);
         // scratch stays O(n): 12 bytes per member vertex across all shards
         assert!(filtered.scratch_bytes <= 12 * g.num_vertices() + 12 * SHARD_VERTEX_TARGET);
     }
@@ -1372,7 +1200,13 @@ mod tests {
     fn separating_cover_structure() {
         let g = generators::triangulated_grid(12, 12);
         let in_s: Vec<bool> = (0..g.num_vertices()).map(|_| true).collect();
-        let (pieces, _clustering) = build_separating_cover(&g, 4, 2, &in_s, 5);
+        let pieces = std::sync::Mutex::new(Vec::new());
+        let none = search_separating_cover::<()>(&g, 4, 2, &in_s, 5, 1, |p| {
+            pieces.lock().unwrap().push(p);
+            None
+        });
+        assert!(none.is_none());
+        let pieces = pieces.into_inner().unwrap();
         assert!(!pieces.is_empty());
         for p in &pieces {
             let n = p.graph.num_vertices();
@@ -1401,12 +1235,39 @@ mod tests {
     #[test]
     fn cover_deterministic_for_seed() {
         let g = generators::random_stacked_triangulation(200, 2);
-        let a = build_cover(&g, 3, 1, 11);
-        let b = build_cover(&g, 3, 1, 11);
-        assert_eq!(a.pieces.len(), b.pieces.len());
-        for (x, y) in a.pieces.iter().zip(&b.pieces) {
-            assert_eq!(x.local_to_global, y.local_to_global);
-        }
+        let a = pieces(&g, 3, 1, 11);
+        let b = pieces(&g, 3, 1, 11);
+        assert_eq!(a, b);
+    }
+
+    /// Every minor of the separating cover of a pinned clustering with `d = 1`:
+    /// every cluster is cut, none is skipped.
+    fn separating_pieces(
+        g: &CsrGraph,
+        clustering: &Clustering,
+        in_s: &[bool],
+    ) -> Vec<SeparatingCoverPiece> {
+        let pieces = std::sync::Mutex::new(Vec::new());
+        let none = search_separating_clustering::<()>(g, clustering, 1, in_s, 1, &|p| {
+            pieces.lock().unwrap().push(p);
+            None
+        });
+        assert!(none.is_none());
+        pieces.into_inner().unwrap()
+    }
+
+    /// The minor cut from cluster `C` (the cluster of vertex 2) with the full
+    /// window {2, 3}, from the separating cover of a pinned clustering.
+    fn full_window_piece_of_c(
+        g: &CsrGraph,
+        clustering: &Clustering,
+        in_s: &[bool],
+    ) -> SeparatingCoverPiece {
+        let c_id = clustering.cluster_of[2];
+        separating_pieces(g, clustering, in_s)
+            .into_iter()
+            .find(|p| p.cluster == c_id && p.allowed.iter().filter(|&&a| a).count() == 2)
+            .expect("full-window piece of cluster C")
     }
 
     /// The archetype regression (separating-minor contraction fidelity): two clusters
@@ -1435,13 +1296,7 @@ mod tests {
         let mut in_s = vec![false; 6];
         in_s[0] = true; // s
         in_s[5] = true; // t
-        let pieces = separating_cover_for_clustering(&g, &clustering, 1, &in_s);
-        // the piece cut from cluster C with the full window {2, 3}
-        let c_id = clustering.cluster_of[2];
-        let piece = pieces
-            .iter()
-            .find(|p| p.cluster == c_id && p.allowed.iter().filter(|&&a| a).count() == 2)
-            .expect("full-window piece of cluster C");
+        let piece = full_window_piece_of_c(&g, &clustering, &in_s);
         // Removing the entire allowed image must NOT separate S: s and t stay
         // connected through the contracted {X, Y} component.
         let mask: Vec<bool> = (0..piece.graph.num_vertices())
@@ -1482,12 +1337,7 @@ mod tests {
         let mut in_s = vec![false; 6];
         in_s[0] = true;
         in_s[5] = true;
-        let pieces = separating_cover_for_clustering(&g, &clustering, 1, &in_s);
-        let c_id = clustering.cluster_of[2];
-        let piece = pieces
-            .iter()
-            .find(|p| p.cluster == c_id && p.allowed.iter().filter(|&&a| a).count() == 2)
-            .expect("full-window piece of cluster C");
+        let piece = full_window_piece_of_c(&g, &clustering, &in_s);
         let inst = crate::separating::SeparatingInstance {
             graph: &piece.graph,
             in_s: &piece.in_s,
@@ -1508,37 +1358,38 @@ mod tests {
         let center = vec![0, 0, INVALID_VERTEX, 3, 3];
         let clustering = Clustering::from_assignment(center, vec![0.0; 5]);
         let in_s = vec![true; 5];
-        let pieces = separating_cover_for_clustering(&g, &clustering, 1, &in_s);
-        assert!(!pieces.is_empty());
+        assert!(!separating_pieces(&g, &clustering, &in_s).is_empty());
     }
 
     #[test]
     fn streamed_separating_cover_matches_eager() {
+        // Same seed, same clustering and BFS levels: the streamed separating
+        // minors allow exactly the windows of the one-window-per-batch cover, and
+        // an allowed vertex is in `S` exactly when its original is.
         let g = generators::triangulated_grid(10, 10);
         let in_s: Vec<bool> = (0..g.num_vertices()).map(|v| v % 3 == 0).collect();
-        let (eager, _clustering) = build_separating_cover(&g, 4, 2, &in_s, 17);
         let streamed = std::sync::Mutex::new(Vec::new());
         let none = search_separating_cover::<()>(&g, 4, 2, &in_s, 17, 1, |p| {
-            streamed.lock().unwrap().push((
-                p.cluster,
-                p.level_start,
-                p.original_of.clone(),
-                p.in_s.clone(),
-            ));
+            let mut allowed = Vec::new();
+            for (v, &orig) in p.original_of.iter().enumerate() {
+                if p.allowed[v] {
+                    assert_eq!(p.in_s[v], in_s[orig as usize]);
+                    allowed.push(orig);
+                }
+            }
+            allowed.sort_unstable();
+            streamed.lock().unwrap().push((p.level_start, allowed));
             None
         });
         assert!(none.is_none());
         let mut streamed = streamed.into_inner().unwrap();
         streamed.sort();
-        let mut reference: Vec<_> = eager
-            .iter()
+        let mut reference: Vec<_> = pieces(&g, 4, 2, 17)
+            .into_iter()
             .map(|p| {
-                (
-                    p.cluster,
-                    p.level_start,
-                    p.original_of.clone(),
-                    p.in_s.clone(),
-                )
+                let mut verts = p.local_to_global;
+                verts.sort_unstable();
+                (p.windows[0].1, verts)
             })
             .collect();
         reference.sort();

@@ -7,8 +7,8 @@
 //!
 //! 1. an embedding repair — a face split/merge for the four local cases
 //!    (chord inside a face, cross-component join, bridge deletion, ordinary
-//!    deletion), or a planarity re-test *scoped to the affected biconnected
-//!    block* with a full re-embed as the structural fallback,
+//!    deletion), or, for an insert that merges biconnected blocks, one LR
+//!    embedding of the whole target that re-embeds it or refuses the edge,
 //! 2. a per-round clustering repair (lazy Dijkstra over the provably affected
 //!    vertices only — see [`psi_cluster::incremental`]),
 //! 3. *marking dirty* exactly the clusters whose membership or induced subgraph
@@ -38,16 +38,15 @@
 
 use crate::connectivity::{ConnectivityMode, ConnectivityResult};
 use crate::cover::{
-    emit_cluster_batches, BatchBuilder, ClusterScratch, ClusterView, CoverBatch, PassCounters,
+    cover_beta, emit_cluster_batches, round_seed, BatchBuilder, ClusterScratch, ClusterView,
+    CoverBatch, PassCounters,
 };
 use crate::index::{FlatDecomposition, IndexParams, IndexedBatch, PsiIndex, QueryError};
 use crate::pattern::Pattern;
 use crate::snapshot::{EpochSource, EpochState, PsiSnapshot, RoundMap};
 use psi_cluster::DynamicClustering;
-use psi_graph::{
-    biconnected_components, induced_subgraph, AdjacencyList, CsrGraph, NeighborSource, Vertex,
-};
-use psi_planar::{check_planarity, planar_embedding, Embedding, NonPlanarWitness};
+use psi_graph::{AdjacencyList, CsrGraph, NeighborSource, Vertex};
+use psi_planar::{planar_embedding, Embedding, NonPlanarWitness};
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::sync::Arc;
@@ -88,7 +87,7 @@ pub enum MutationError {
     },
     /// Inserting the edge would make the target non-planar; the boxed witness is
     /// a Kuratowski subdivision of the *would-be* graph (in target vertex ids)
-    /// containing the rejected edge's biconnected block.
+    /// inside the rejected edge's biconnected block.
     NonPlanar(Box<NonPlanarWitness>),
 }
 
@@ -535,8 +534,11 @@ impl DynamicPsiIndex {
         let (state, walks) = EpochState::from_index(index);
         let (params, n) = (state.params, state.n);
         let target = state.target(&()).clone(); // filled by `from_index`
+        let beta = cover_beta(params.k as usize);
         let clusterings: Vec<DynamicClustering> = (0..params.rounds)
-            .map(|r| DynamicClustering::from_graph(&target, params.beta(), params.round_seed(r)))
+            .map(|r| {
+                DynamicClustering::from_graph(&target, beta, round_seed(params.seed, r.into()))
+            })
             .collect();
         let dirty = vec![BTreeSet::new(); clusterings.len()];
         DynamicPsiIndex {
@@ -636,20 +638,23 @@ impl DynamicPsiIndex {
             self.faces.merge_for_insert(fu, fv, u, v);
         } else {
             // Same component, no shared face: the insertion merges biconnected
-            // blocks. Re-test planarity scoped to the merged block, then fall
-            // back to a full re-embed (the block merge invalidates walks far
-            // from the edge, so no local splice is possible).
+            // blocks, which invalidates walks far from the edge, so no local
+            // splice is possible. One LR pass re-embeds the whole target or
+            // refuses the edge; only the merged block can fail, and the witness
+            // is extracted from it.
             self.graph.insert_edge(u, v);
             let csr = self.graph.to_csr();
-            if let Err(e) = scoped_planarity_check(&csr, u, v) {
-                self.graph.delete_edge(u, v);
-                metrics.mutations_rejected_total.add(1);
-                return Err(e);
+            match planar_embedding(&csr) {
+                Ok(embedding) => {
+                    self.faces = FaceStore::from_walks(csr.num_vertices(), embedding.faces);
+                    stats.reembedded = true;
+                }
+                Err(witness) => {
+                    self.graph.delete_edge(u, v);
+                    metrics.mutations_rejected_total.add(1);
+                    return Err(MutationError::NonPlanar(witness));
+                }
             }
-            let embedding =
-                planar_embedding(&csr).expect("block-scoped planarity test admitted the edge");
-            self.faces = FaceStore::from_walks(csr.num_vertices(), embedding.faces);
-            stats.reembedded = true;
         }
         for r in 0..self.clusterings.len() {
             let mut affected = self.clusterings[r].insert_edge(&self.graph, u, v);
@@ -972,61 +977,6 @@ fn merge_center(affected: &mut Vec<Vertex>, c: Vertex) {
     }
 }
 
-/// Planarity of the target plus the freshly inserted edge `{u, v}`, decided by
-/// re-running the LR test **only on the biconnected block containing the edge**:
-/// every other block of the new graph is a block of the (planar) old graph, so
-/// the merged block alone decides. A rejection certificate is remapped to
-/// target vertex ids and verified against `csr` in debug builds.
-fn scoped_planarity_check(csr: &CsrGraph, u: Vertex, v: Vertex) -> Result<(), MutationError> {
-    let bc = biconnected_components(csr);
-    let key = (u.min(v), u.max(v));
-    let mut component = u32::MAX;
-    for (i, e) in csr.edges().enumerate() {
-        if e == key {
-            component = bc.edge_component[i];
-            break;
-        }
-    }
-    debug_assert_ne!(component, u32::MAX, "inserted edge must be present");
-    let mut block: Vec<Vertex> = Vec::new();
-    for (i, (a, b)) in csr.edges().enumerate() {
-        if bc.edge_component[i] == component {
-            block.push(a);
-            block.push(b);
-        }
-    }
-    block.sort_unstable();
-    block.dedup();
-    // Two distinct vertices share at most one block, so the induced subgraph of
-    // the block's vertex set is exactly the block.
-    let sub = induced_subgraph(csr, &block);
-    match check_planarity(&sub.graph) {
-        Ok(()) => Ok(()),
-        Err(w) => {
-            let mut edges: Vec<(Vertex, Vertex)> = w
-                .edges
-                .iter()
-                .map(|&(a, b)| {
-                    let (ga, gb) = (sub.to_global(a), sub.to_global(b));
-                    (ga.min(gb), ga.max(gb))
-                })
-                .collect();
-            edges.sort_unstable();
-            let witness = NonPlanarWitness {
-                edges,
-                kind: w.kind,
-                branch_vertices: w
-                    .branch_vertices
-                    .iter()
-                    .map(|&x| sub.to_global(x))
-                    .collect(),
-            };
-            debug_assert!(witness.verify(csr), "remapped witness must verify");
-            Err(MutationError::NonPlanar(Box::new(witness)))
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1248,8 +1198,8 @@ mod tests {
         // A square with chord 0-2 and a pendant 4 on vertex 1, with the pendant
         // embedded *inside* triangle [0,1,2]. Vertex 4 then shares no face with
         // vertex 3, yet G + {3,4} is planar (flip the pendant into the outer
-        // face). The insert must fail both fast paths, pass the scoped
-        // planarity re-test, fully re-embed, and still match scratch.
+        // face). The insert must fail both fast paths, pass the LR test of the
+        // whole target, fully re-embed, and still match scratch.
         let graph = psi_graph::GraphBuilder::from_edges(
             5,
             &[(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 4)],

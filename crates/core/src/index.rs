@@ -51,10 +51,11 @@
 //! [`PsiIndex::save`] writes a [`psi_graph::io::SectionedFile`]: magic, schema
 //! version ([`INDEX_SCHEMA_VERSION`]), and a checksummed section table over flat
 //! little-endian payloads (the same CSR/flat arrays held in memory — loading is
-//! validation + wrapping, not re-derivation). Malformed files fail with
+//! validation + wrapping, not re-derivation, except for the decompositions an
+//! older artifact marks as layered). Malformed files fail with
 //! section-labelled [`IndexLoadError`]s, never panics.
 
-use crate::cover::{map_cover_batches, CoverBatch, DEFAULT_BATCH_BUDGET};
+use crate::cover::{map_cover_batches, round_seed, CoverBatch, DEFAULT_BATCH_BUDGET, DEFAULT_SEED};
 use crate::pattern::Pattern;
 use psi_graph::io::{
     decode_csr, encode_csr, push_u32, push_u32_slice, push_u64, SectionReadError, SectionedFile,
@@ -77,10 +78,11 @@ use std::sync::Arc;
 /// * **2** — window stamps are cluster *centre vertices* and batches are
 ///   cluster-pure, making every round's byte stream a pure function of the cluster
 ///   set — the invariant the incremental [`crate::dynamic`] updates splice against.
-/// * **3** — each stored decomposition records `layered_segments`, the number of
+/// * **3** — each stored decomposition carries one more word, the number of
 ///   cover segments whose bags came from the guaranteed-width layered construction
-///   ([`psi_treedecomp::layered_decomposition_auto`]) instead of the min-degree
-///   heuristic. v2 artifacts still load (the count defaults to 0).
+///   instead of the min-degree heuristic. Batches no longer try that
+///   construction, so the word is now always written as 0; where the load finds
+///   it nonzero, it re-derives the batch's decomposition.
 /// * **4** — the stored face–vertex graph (section `fvgraph`) is dropped: no
 ///   reader used it, since connectivity queries derive the graph from the
 ///   stored faces once per served epoch. v2 and v3 artifacts still load; their
@@ -105,8 +107,10 @@ pub struct IndexParams {
     pub rounds: u32,
     /// Batch budget for packing small windows (see [`crate::cover::batch_budget_for`]).
     pub batch_budget: u32,
-    /// Base seed; round `r` derives its clustering seed exactly like the classic
-    /// query path, so index round 0 sees the same cover as a fresh query's round 0.
+    /// Base seed; round `r` derives its clustering seed exactly like round `r` of
+    /// the classic query path, so with equal base seeds the index's round `r`
+    /// stores every window of at least `k` vertices that round `r` of a classic
+    /// `k`-vertex query draws.
     pub seed: u64,
 }
 
@@ -117,27 +121,16 @@ impl Default for IndexParams {
             d: 2,
             rounds: 3,
             batch_budget: DEFAULT_BATCH_BUDGET as u32,
-            seed: 0xC0FFEE,
+            seed: DEFAULT_SEED,
         }
-    }
-}
-
-impl IndexParams {
-    pub(crate) fn round_seed(&self, round: u32) -> u64 {
-        self.seed
-            .wrapping_add(u64::from(round))
-            .wrapping_mul(0x9E3779B97F4A7C15)
-    }
-
-    /// The clustering parameter of every stored round (`β = 2k`, Observation 1).
-    pub(crate) fn beta(&self) -> f64 {
-        2.0 * (self.k.max(1)) as f64
     }
 }
 
 /// A tree decomposition in flat arrays — the serialised (and resident) form of a
 /// [`BinaryTreeDecomposition`]. `children` stores two entries per node
 /// (`u32::MAX` for "no child"); `parent` is reconstructed on materialisation.
+/// On disk each one also carries schema v3's layered-segment word, written as 0;
+/// a batch loaded with a nonzero word gets the decomposition a fresh build stores.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FlatDecomposition {
     /// Bag boundaries: node `i`'s bag is `bag_data[bag_offsets[i]..bag_offsets[i+1]]`.
@@ -148,10 +141,6 @@ pub struct FlatDecomposition {
     pub children: Vec<u32>,
     /// Root node id.
     pub root: u32,
-    /// How many of the batch's cover segments got their bags from the
-    /// guaranteed-width layered construction rather than the min-degree heuristic
-    /// (provenance only — the DP never reads it). 0 in artifacts older than v3.
-    pub layered_segments: u32,
 }
 
 impl FlatDecomposition {
@@ -185,20 +174,15 @@ impl FlatDecomposition {
             bag_data,
             children,
             root: btd.root as u32,
-            layered_segments: 0,
         }
     }
 
     /// The decomposition the index stores for `batch`: the flattened
-    /// [`CoverBatch::decomposition_described`] with its layered-segment count.
-    /// The build and the dynamic index's flush both store exactly this, so a
-    /// flushed batch carries the bytes a fresh build of its content would.
+    /// [`CoverBatch::decomposition`]. The build and the dynamic index's flush both
+    /// store exactly this, so a flushed batch carries the bytes a fresh build of
+    /// its content would.
     pub(crate) fn of_batch(batch: &CoverBatch) -> Self {
-        let (btd, layered) = batch.decomposition_described();
-        FlatDecomposition {
-            layered_segments: layered as u32,
-            ..FlatDecomposition::from_binary(&btd)
-        }
+        FlatDecomposition::from_binary(&batch.decomposition())
     }
 
     /// Number of tree nodes.
@@ -299,7 +283,7 @@ impl PsiIndex {
                     &embedding.graph,
                     params.k as usize,
                     params.d as usize,
-                    params.round_seed(r),
+                    round_seed(params.seed, r.into()),
                     1, // min_vertices: store every window so k' < k patterns are served
                     params.batch_budget as usize,
                     |batch| IndexedBatch {
@@ -427,7 +411,7 @@ impl PsiIndex {
                 }
                 push_u64(&mut payload, ib.decomp.num_nodes() as u64);
                 push_u32(&mut payload, ib.decomp.root);
-                push_u32(&mut payload, ib.decomp.layered_segments);
+                push_u32(&mut payload, 0); // the v3 layered-segment word
                 push_u32_slice(&mut payload, &ib.decomp.bag_offsets);
                 push_u32_slice(&mut payload, &ib.decomp.bag_data);
                 push_u32_slice(&mut payload, &ib.decomp.children);
@@ -453,11 +437,13 @@ impl PsiIndex {
     /// query engines rely on — CSR well-formedness, id ranges, faces that form a
     /// plane embedding of the target ([`psi_planar::validate_walks`] with genus
     /// 0), window offsets, decomposition tree shape. Load never re-derives
-    /// covers or decompositions.
+    /// covers; it re-derives a batch's decomposition only where a nonzero
+    /// layered-segment word marks bags of the retired layered construction, so
+    /// the loaded index equals a fresh build of its content.
     pub fn from_bytes(data: &[u8]) -> Result<PsiIndex, IndexLoadError> {
         // Current version first; on a version mismatch retry with any older
-        // still-supported schema (v2 lacks the per-batch `layered_segments`
-        // count; v2 and v3 carry an `fvgraph` section, which is skipped).
+        // still-supported schema (v2 lacks the per-batch layered-segment word;
+        // v2 and v3 carry an `fvgraph` section, which is skipped).
         let file = match SectionedFile::from_bytes(data, INDEX_SCHEMA_VERSION) {
             Ok(file) => file,
             Err(SectionReadError::UnsupportedVersion { found, .. })
@@ -651,15 +637,20 @@ fn decode_round(
             }
             windows.push((cluster, level_start, offset));
         }
-        let decomp = decode_decomposition(&mut r, name, b, bn, schema_version)?;
-        batches.push(IndexedBatch {
-            batch: CoverBatch {
-                graph,
-                local_to_global,
-                windows,
-            },
-            decomp,
-        });
+        let (decomp, layered) = decode_decomposition(&mut r, name, b, bn, schema_version)?;
+        let batch = CoverBatch {
+            graph,
+            local_to_global,
+            windows,
+        };
+        // A nonzero layered-segment word marks bags of the retired layered
+        // construction: re-derive them, so the index equals a fresh build.
+        let decomp = if layered {
+            FlatDecomposition::of_batch(&batch)
+        } else {
+            decomp
+        };
+        batches.push(IndexedBatch { batch, decomp });
     }
     if !r.is_empty() {
         return Err(fail("trailing bytes".into()));
@@ -669,14 +660,15 @@ fn decode_round(
 
 /// Decodes and validates one flat decomposition (bounds, monotone bag offsets, and
 /// a full tree-shape check: every non-root has exactly one parent and the root
-/// reaches every node — the DP's postorder traversal relies on it).
+/// reaches every node — the DP's postorder traversal relies on it), and whether
+/// its layered-segment word is nonzero.
 fn decode_decomposition(
     r: &mut SliceReader,
     name: &str,
     batch: usize,
     batch_n: usize,
     schema_version: u32,
-) -> Result<FlatDecomposition, IndexLoadError> {
+) -> Result<(FlatDecomposition, bool), IndexLoadError> {
     let fail = |detail: String| IndexLoadError::Section {
         section: name.to_string(),
         detail,
@@ -697,13 +689,11 @@ fn decode_decomposition(
     if root as usize >= nodes {
         return Err(fail(format!("batch {batch}: root out of range")));
     }
-    // v3 records which construction produced the segments' bags; v2 predates it.
-    let layered_segments = if schema_version >= 3 {
-        r.take_u32()
+    // v3 added the layered-segment word; v2 predates the layered construction.
+    let layered = schema_version >= 3
+        && r.take_u32()
             .ok_or_else(|| fail(format!("batch {batch}: missing layered count")))?
-    } else {
-        0
-    };
+            != 0;
     let bag_offsets = r
         .take_u32_vec(nodes + 1)
         .ok_or_else(|| fail(format!("batch {batch}: truncated bag offsets")))?;
@@ -753,13 +743,13 @@ fn decode_decomposition(
             "batch {batch}: decomposition tree disconnected"
         )));
     }
-    Ok(FlatDecomposition {
+    let decomp = FlatDecomposition {
         bag_offsets,
         bag_data,
         children,
         root,
-        layered_segments,
-    })
+    };
+    Ok((decomp, layered))
 }
 
 /// A failure while loading an index artifact. Container-level problems (framing,
@@ -1154,6 +1144,43 @@ mod tests {
         }
     }
 
+    /// The windows of `batch` with at least `k` vertices, as `(centre, level
+    /// start, vertices)` in stored order.
+    fn windows_of(batch: &CoverBatch, k: usize) -> Vec<(u32, u32, Vec<Vertex>)> {
+        batch
+            .segment_ranges()
+            .zip(&batch.windows)
+            .filter(|&((start, end), _)| end - start >= k)
+            .map(|((start, end), &(c, level, _))| {
+                (c, level, batch.local_to_global[start..end].to_vec())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn stored_rounds_hold_the_default_classic_query_covers() {
+        // The default index (k = 4, d = 2) and a default classic C4 query share
+        // their base seed, so each stored round's windows of 4 or more vertices
+        // are exactly the windows the query's cover holds in that round.
+        let g = psi_graph::generators::triangulated_grid(30, 30);
+        let embedding = psi_planar::planar_embedding(&g).unwrap();
+        let index = PsiIndex::build(&embedding, IndexParams::default());
+        let c4 = Pattern::cycle(4);
+        let (k, d) = (c4.k(), c4.diameter());
+        assert_eq!((k as u32, d as u32), (index.params().k, index.params().d));
+        for (r, round) in index.rounds().iter().enumerate() {
+            let stored: Vec<_> = round
+                .iter()
+                .flat_map(|ib| windows_of(&ib.batch, k))
+                .collect();
+            let seed = round_seed(DEFAULT_SEED, r as u64);
+            let budget = crate::cover::batch_budget_for(k);
+            let (drawn, _) = map_cover_batches(&g, k, d, seed, k, budget, |b| windows_of(&b, k));
+            assert!(!stored.is_empty());
+            assert_eq!(stored, drawn.concat(), "round {r}");
+        }
+    }
+
     #[test]
     fn serialisation_round_trips_in_memory() {
         let index = small_index();
@@ -1176,17 +1203,12 @@ mod tests {
         fv
     }
 
-    #[test]
-    fn v2_artifacts_still_load() {
-        let index = small_index();
-        // Re-encode by hand in the v2 layout: the v3 `fvgraph` section, and no
-        // per-batch layered-segment count (plus the container version stamp).
-        let v4 = SectionedFile::from_bytes(&index.to_bytes(), INDEX_SCHEMA_VERSION).unwrap();
-        let mut v2 = SectionedFile::new(2);
-        for name in ["meta", "target", "faces"] {
-            v2.push_section(name, v4.section(name).unwrap().to_vec());
-        }
-        v2.push_section("fvgraph", legacy_fvgraph_section(&index));
+    /// Encodes `index`'s rounds by hand into `file`. With `layered_word` each
+    /// batch stores other bags than its own (one bag holding every vertex) and,
+    /// after their root, a nonzero layered-segment word (the batch's window
+    /// count), as artifacts written while batches tried the layered construction
+    /// could; without it, the v2 layout.
+    fn push_rounds_by_hand(file: &mut SectionedFile, index: &PsiIndex, layered_word: bool) {
         for (r, batches) in index.rounds.iter().enumerate() {
             let mut payload = Vec::new();
             push_u64(&mut payload, batches.len() as u64);
@@ -1200,14 +1222,38 @@ mod tests {
                     push_u32(&mut payload, level_start);
                     push_u32(&mut payload, offset);
                 }
+                if layered_word {
+                    let n = ib.batch.graph.num_vertices() as u32;
+                    push_u64(&mut payload, 1);
+                    push_u32(&mut payload, 0);
+                    push_u32(&mut payload, ib.batch.num_windows() as u32);
+                    push_u32_slice(&mut payload, &[0, n]);
+                    push_u32_slice(&mut payload, &(0..n).collect::<Vec<_>>());
+                    push_u32_slice(&mut payload, &[u32::MAX, u32::MAX]);
+                    continue;
+                }
                 push_u64(&mut payload, ib.decomp.num_nodes() as u64);
                 push_u32(&mut payload, ib.decomp.root);
                 push_u32_slice(&mut payload, &ib.decomp.bag_offsets);
                 push_u32_slice(&mut payload, &ib.decomp.bag_data);
                 push_u32_slice(&mut payload, &ib.decomp.children);
             }
-            v2.push_section(&format!("round{r}"), payload);
+            file.push_section(&format!("round{r}"), payload);
         }
+    }
+
+    #[test]
+    fn v2_artifacts_still_load() {
+        let index = small_index();
+        // Re-encode by hand in the v2 layout: the v3 `fvgraph` section, and no
+        // per-batch layered-segment word (plus the container version stamp).
+        let v4 = SectionedFile::from_bytes(&index.to_bytes(), INDEX_SCHEMA_VERSION).unwrap();
+        let mut v2 = SectionedFile::new(2);
+        for name in ["meta", "target", "faces"] {
+            v2.push_section(name, v4.section(name).unwrap().to_vec());
+        }
+        v2.push_section("fvgraph", legacy_fvgraph_section(&index));
+        push_rounds_by_hand(&mut v2, &index, false);
         let back = PsiIndex::from_bytes(&v2.to_bytes()).unwrap();
         assert_eq!(back.target, index.target);
         for (a, b) in back
@@ -1217,8 +1263,6 @@ mod tests {
             .zip(index.rounds.iter().flat_map(|r| r.iter()))
         {
             assert_eq!(a.batch, b.batch);
-            // v2 cannot carry provenance; everything else survives untouched.
-            assert_eq!(a.decomp.layered_segments, 0);
             assert_eq!(a.decomp.bag_offsets, b.decomp.bag_offsets);
             assert_eq!(a.decomp.bag_data, b.decomp.bag_data);
             assert_eq!(a.decomp.children, b.decomp.children);
@@ -1246,6 +1290,24 @@ mod tests {
         let back = PsiIndex::from_bytes(&v3).unwrap();
         assert_eq!(back, index);
         assert_eq!(back.to_bytes(), index.to_bytes(), "re-saving writes v4");
+
+        // v4 artifacts written while batches tried the layered construction
+        // carry nonzero layered-segment words; the load re-derives those
+        // batches' decompositions, and re-saving writes the words as 0.
+        let mut layered = SectionedFile::new(INDEX_SCHEMA_VERSION);
+        for name in ["meta", "target", "faces"] {
+            layered.push_section(name, v4.section(name).unwrap().to_vec());
+        }
+        push_rounds_by_hand(&mut layered, &index, true);
+        let layered = layered.to_bytes();
+        assert_ne!(layered, index.to_bytes());
+        let back = PsiIndex::from_bytes(&layered).unwrap();
+        assert_eq!(back, index);
+        assert_eq!(
+            back.to_bytes(),
+            index.to_bytes(),
+            "re-saving writes the words as 0"
+        );
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! sequential DP over the batch's decomposition when the search runs out.
 //! [`DpStrategy::Sequential`] runs the paper's DP on every batch instead.
 
-use crate::cover::{batch_budget_for, search_cover};
+use crate::cover::{batch_budget_for, round_seed, search_cover, DEFAULT_SEED};
 use crate::dp::{recover_occurrences, run_sequential, run_sequential_subtree, DpResult};
 use crate::index::{backtrack_step, MatchPlan, FAST_PATH_NODE_BUDGET};
 use crate::pattern::{verify_occurrence, Pattern};
@@ -46,7 +46,7 @@ pub struct QueryConfig {
 impl Default for QueryConfig {
     fn default() -> Self {
         QueryConfig {
-            seed: 0xC0FFEE,
+            seed: DEFAULT_SEED,
             repetitions: None,
             strategy: DpStrategy::FastPath,
             whole_graph: false,
@@ -127,11 +127,7 @@ impl SubgraphIsomorphism {
         }
         let d = self.pattern.diameter();
         for round in 0..self.config.rounds(target.num_vertices()) {
-            let seed = self
-                .config
-                .seed
-                .wrapping_add(round as u64)
-                .wrapping_mul(0x9E3779B97F4A7C15);
+            let seed = round_seed(self.config.seed, round as u64);
             // Stream the cover: windows smaller than k are never constructed, small
             // windows arrive packed into disjoint-union batches (one decomposition
             // per batch, segment-chained, built only if the kernel's DP runs; solo

@@ -86,10 +86,8 @@ pub use connectivity::{
     vertex_connectivity_with_fv, ConnectivityMode, ConnectivityResult,
 };
 pub use cover::{
-    batch_budget_for, build_cover, build_cover_with_stats, build_separating_cover,
-    map_cover_batches, map_cover_batches_for_clustering, search_cover, search_separating_cover,
-    separating_cover_for_clustering, Cover, CoverBatch, CoverPiece, CoverStats,
-    SeparatingCoverPiece, DEFAULT_BATCH_BUDGET,
+    batch_budget_for, map_cover_batches, search_cover, search_separating_cover, CoverBatch,
+    CoverStats, SeparatingCoverPiece, DEFAULT_BATCH_BUDGET,
 };
 pub use dp::{run_sequential, run_sequential_subtree, DpResult, NodeTable};
 pub use dp_parallel::{run_parallel, ParallelDpConfig, ParallelDpStats};

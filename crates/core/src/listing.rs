@@ -6,7 +6,7 @@
 //! `j` iterations (Observation 2 turns that into a high-probability guarantee that
 //! nothing was missed).
 
-use crate::cover::{batch_budget_for, map_cover_batches};
+use crate::cover::{batch_budget_for, map_cover_batches, round_seed};
 use crate::dp::{recover_occurrences, run_sequential};
 use crate::isomorphism::QueryConfig;
 use crate::pattern::{verify_occurrence, Pattern};
@@ -78,11 +78,7 @@ pub fn list_all_outcome(
     let mut complete = true;
     loop {
         iterations += 1;
-        let seed = config
-            .seed
-            .wrapping_add(0xA5A5_0000)
-            .wrapping_add(iterations as u64)
-            .wrapping_mul(0x9E3779B97F4A7C15);
+        let seed = round_seed(config.seed.wrapping_add(0xA5A5_0000), iterations as u64);
         let new_this_round: Vec<Vec<Vertex>> = if config.whole_graph {
             list_piece(pattern, target, None)
         } else {

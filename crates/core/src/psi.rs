@@ -178,12 +178,6 @@ impl PsiBuilder {
         self
     }
 
-    /// Target vertices per stored batch.
-    pub fn batch_budget(mut self, budget: u32) -> Self {
-        self.params.batch_budget = budget;
-        self
-    }
-
     /// The frozen randomness seed.
     pub fn seed(mut self, seed: u64) -> Self {
         self.params.seed = seed;
@@ -253,7 +247,7 @@ impl PsiBuilder {
     }
 
     /// Loads a serialised artifact and thaws it into a live engine. The stored
-    /// [`IndexParams`] win over the builder's `k`/`d`/`rounds`/… knobs (they are
+    /// [`IndexParams`] win over the builder's `k`/`d`/`rounds`/`seed` knobs (they are
     /// frozen into the artifact); `threads` still applies.
     pub fn load(self, path: impl AsRef<Path>) -> Result<Psi, PsiError> {
         let index = PsiIndex::load(path)?;

@@ -164,7 +164,7 @@ pub fn find_separating_occurrence(
 ///
 /// The search runs on a single tree decomposition of the instance graph; callers that
 /// need the near-linear-work pipeline combine it with
-/// [`crate::cover::build_separating_cover`]. Panics on decomposition bags wider than
+/// [`crate::cover::search_separating_cover`]. Panics on decomposition bags wider than
 /// 64 vertices (see [`find_separating_occurrence`]).
 pub fn find_separating_occurrence_with_stats(
     instance: &SeparatingInstance<'_>,

@@ -6,8 +6,8 @@
 //! non-ignored case checks the same code paths at a size the regular suite can afford.
 
 use planar_subiso::{
-    build_cover_with_stats, run_parallel, search_cover, ParallelDpConfig, Pattern,
-    SubgraphIsomorphism, DEFAULT_BATCH_BUDGET,
+    map_cover_batches, run_parallel, search_cover, ParallelDpConfig, Pattern, SubgraphIsomorphism,
+    DEFAULT_BATCH_BUDGET,
 };
 use psi_graph::generators;
 use psi_treedecomp::{min_degree_decomposition, BinaryTreeDecomposition};
@@ -27,19 +27,19 @@ fn million_vertex_cover_and_decide_c4() {
     assert_eq!(n, 1_000_000);
     println!("generator: {:.2} s", build_g.elapsed().as_secs_f64());
 
-    // Eager cover build: single-digit seconds on the
+    // One cover pass, one window per batch (budget 0): single-digit seconds on the
     // 1-core container; the bound below leaves ~3x headroom for slow CI runners.
     let t = Instant::now();
-    let (cover, stats) = build_cover_with_stats(&g, 4, 1, 7);
+    let (pieces, stats) = map_cover_batches(&g, 4, 1, 7, 1, 0, |batch| batch);
     let build_s = t.elapsed().as_secs_f64();
     println!(
-        "build_cover: {build_s:.2} s, {} pieces, {} clusters, {} shards, scratch {} KiB",
+        "cover pass: {build_s:.2} s, {} pieces, {} clusters, {} shards, scratch {} KiB",
         stats.pieces,
         stats.clusters,
         stats.shards,
         stats.scratch_bytes / 1024
     );
-    assert!(!cover.pieces.is_empty());
+    assert!(!pieces.is_empty());
     assert!(
         build_s < 30.0,
         "million-vertex cover build took {build_s:.1} s (single-digit seconds expected)"
@@ -51,7 +51,7 @@ fn million_vertex_cover_and_decide_c4() {
         "scratch {} bytes exceeds the O(n) bound",
         stats.scratch_bytes
     );
-    drop(cover);
+    drop(pieces);
 
     // Streamed pass with DP per batch, tracking the peak interned bytes of any single
     // batch: the arena footprint must stay bounded by the batch budget, not by n.
@@ -100,11 +100,18 @@ fn million_vertex_cover_and_decide_c4() {
 fn hundred_k_cover_and_decide_c4() {
     let g = generators::triangulated_grid(320, 320);
     let n = g.num_vertices();
-    let (cover, stats) = build_cover_with_stats(&g, 4, 1, 7);
-    assert!(!cover.pieces.is_empty());
+    let (pieces, stats) = map_cover_batches(&g, 4, 1, 7, 1, 0, |batch| batch.num_windows());
+    assert!(!pieces.is_empty());
     assert!(stats.scratch_bytes <= 12 * n + 12 * 4096);
-    assert_eq!(stats.pieces, cover.pieces.len());
-    assert_eq!(stats.skipped_small, 0, "eager build keeps every window");
+    assert_eq!(stats.pieces, pieces.len());
+    assert!(
+        pieces.iter().all(|&w| w == 1),
+        "budget 0: one window per batch"
+    );
+    assert_eq!(
+        stats.skipped_small, 0,
+        "min_vertices = 1 keeps every window"
+    );
     let query = SubgraphIsomorphism::new(Pattern::cycle(4));
     assert!(query.decide(&g));
 }

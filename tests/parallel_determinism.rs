@@ -14,8 +14,8 @@
 //! preempted mid-chunk constantly), which is exactly what we want to survive.
 
 use planar_subiso::{
-    batch_budget_for, run_parallel, run_sequential, search_cover, ParallelDpConfig, Pattern,
-    SubgraphIsomorphism,
+    batch_budget_for, map_cover_batches, run_parallel, run_sequential, search_cover,
+    ParallelDpConfig, Pattern, SubgraphIsomorphism,
 };
 use psi_graph::generators;
 use psi_treedecomp::{min_degree_decomposition, BinaryTreeDecomposition};
@@ -109,22 +109,18 @@ fn pipeline_verdicts_are_deterministic_under_real_pool() {
 fn cover_construction_is_bit_identical_across_runs() {
     let pool = pool4();
     let g = generators::random_stacked_triangulation(140, 42);
-    let reference: Vec<(u32, u32, Vec<psi_graph::Vertex>)> = pool.install(|| {
-        planar_subiso::build_cover(&g, 4, 3, 7)
-            .pieces
-            .iter()
-            .map(|p| (p.cluster, p.level_start, p.local_to_global.clone()))
-            .collect()
-    });
+    // Batch budget 0: every batch is one window.
+    let pieces = || {
+        let (pieces, _) = map_cover_batches(&g, 4, 3, 7, 1, 0, |b| {
+            let (cluster, level_start, _) = b.windows[0];
+            (cluster, level_start, b.local_to_global)
+        });
+        pieces
+    };
+    let reference = pool.install(pieces);
     assert!(!reference.is_empty());
     for run in 0..RUNS {
-        let again: Vec<(u32, u32, Vec<psi_graph::Vertex>)> = pool.install(|| {
-            planar_subiso::build_cover(&g, 4, 3, 7)
-                .pieces
-                .iter()
-                .map(|p| (p.cluster, p.level_start, p.local_to_global.clone()))
-                .collect()
-        });
+        let again = pool.install(pieces);
         assert_eq!(again, reference, "cover pieces diverged on run {run}");
     }
 }
