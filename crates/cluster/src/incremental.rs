@@ -120,18 +120,6 @@ impl DynamicClustering {
         self.center[v as usize] == v
     }
 
-    /// The shifted arrival time of `v`.
-    #[inline]
-    pub fn arrival_of(&self, v: Vertex) -> f64 {
-        self.arrival[v as usize]
-    }
-
-    /// Materialises the dense-id [`Clustering`] (for tests and one-shot consumers;
-    /// the incremental pipeline works through the `center_of` oracle instead).
-    pub fn to_clustering(&self) -> Clustering {
-        Clustering::from_assignment(self.center.clone(), self.arrival.clone())
-    }
-
     /// Repairs the clustering after inserting the edge `{u, v}`. `graph` must
     /// **already contain** the edge (improvements can relay back across it).
     ///

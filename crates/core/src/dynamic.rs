@@ -1,9 +1,11 @@
 //! Dynamic index mutation: incremental cover maintenance under edge flips.
 //!
 //! [`DynamicPsiIndex`] is the mutable counterpart of the immutable
-//! [`PsiIndex`] artifact. It keeps, per stored round, the live
-//! [`DynamicClustering`] state of the exponential-start-time clustering plus the
-//! round's batches grouped by cluster centre. An edge flip then costs only
+//! [`PsiIndex`] artifact. It keeps, per stored round, the round's batches
+//! grouped by cluster centre (the artifact's own [`StoredRound`] layout) plus
+//! the live [`DynamicClustering`] state of the exponential-start-time
+//! clustering, which the first accepted mutation builds: a thawed engine that
+//! is only read never clusters. An edge flip then costs only
 //!
 //! 1. an embedding repair — a face split/merge for the four local cases
 //!    (chord inside a face, cross-component join, bridge deletion, ordinary
@@ -22,7 +24,7 @@
 //! Because batches are cluster-pure, window stamps carry the centre *vertex*
 //! (not a dense renumbered id), and each round's canonical stream is the
 //! concatenation of per-cluster streams in ascending centre order, splicing the
-//! rebuilt clusters into the per-round `BTreeMap` reproduces the from-scratch
+//! rebuilt clusters into the round's [`StoredRound`] reproduces the from-scratch
 //! byte stream exactly: [`DynamicPsiIndex::freeze`] is **bit-for-bit identical**
 //! to [`PsiIndex::build`] on the mutated graph — the invariant the determinism
 //! suite pins under `PSI_THREADS = {1, 4}`.
@@ -41,9 +43,11 @@ use crate::cover::{
     cover_beta, emit_cluster_batches, round_seed, BatchBuilder, ClusterScratch, ClusterView,
     CoverBatch, PassCounters,
 };
-use crate::index::{FlatDecomposition, IndexParams, IndexedBatch, PsiIndex, QueryError};
+use crate::index::{
+    FlatDecomposition, IndexParams, IndexedBatch, PsiIndex, QueryError, StoredRound,
+};
 use crate::pattern::Pattern;
-use crate::snapshot::{EpochSource, EpochState, PsiSnapshot, RoundMap};
+use crate::snapshot::{EpochSource, EpochState, PsiSnapshot};
 use psi_cluster::DynamicClustering;
 use psi_graph::{AdjacencyList, CsrGraph, NeighborSource, Vertex};
 use psi_planar::{planar_embedding, Embedding, NonPlanarWitness};
@@ -383,27 +387,25 @@ impl ClusterView for DynClusterView<'_> {
 /// answers, and [`DynamicPsiIndex::freeze`]s back to a byte-identical
 /// [`PsiIndex`]. See the module docs for the invariants that make this work.
 pub struct DynamicPsiIndex {
-    /// The readable state: params, epoch, and per round the batches keyed by
-    /// cluster centre, `Arc`-shared with any outstanding [`PsiSnapshot`]s
-    /// (iterating values in key order reproduces the frozen round's flat batch
-    /// stream), plus the target/faces/face–vertex cells every accepted mutation
-    /// empties. A flush never mutates a published round map: it clones the map
-    /// (cheap — values are `Arc`s), splices the rebuilt clusters into the copy,
-    /// and swaps it in with one `Arc` store.
+    /// The readable state: params, epoch, and the stored rounds, `Arc`-shared
+    /// with any outstanding [`PsiSnapshot`]s and frozen indexes, plus the
+    /// target/faces/face–vertex cells every accepted mutation empties. A flush
+    /// never mutates a round another holder still reads: it edits the round
+    /// copy-on-write (cheap — its cluster groups are `Arc`s).
     state: EpochState,
     /// The current epoch's publication, shared by every snapshot of it; dropped
     /// by the next accepted mutation.
     published: Option<Arc<EpochState>>,
     graph: AdjacencyList,
     faces: FaceStore,
-    /// One live clustering per stored round, same `(β, seed)` as at build time.
+    /// One live clustering per stored round, same `(β, seed)` as at build
+    /// time; empty until the first accepted mutation builds them.
     clusterings: Vec<DynamicClustering>,
     /// Per round: centres whose batches are stale and must be re-emitted before
     /// the next batch scan (ordered so the flush is deterministic).
     dirty: Vec<BTreeSet<Vertex>>,
     scratch: ClusterScratch,
     batch: BatchBuilder,
-    counters: PassCounters,
     /// Content-addressed decomposition reuse across flushes (see [`DecompCache`]).
     decomp_cache: DecompCache,
 }
@@ -527,31 +529,23 @@ impl fmt::Debug for DynamicPsiIndex {
 }
 
 impl DynamicPsiIndex {
-    /// Thaws a frozen index into its mutable form. Costs one clustering pass per
-    /// round (the per-vertex arrival state is not serialised — it is a pure
-    /// function of the target and the frozen seeds) plus the batch regrouping.
+    /// Thaws a frozen index into its mutable form: the stored rounds move in
+    /// as they are, and nothing is clustered. The per-round clusterings (their
+    /// per-vertex arrival state is not serialised — it is a pure function of
+    /// the target and the frozen seeds) cost one clustering pass per round,
+    /// paid by the first accepted mutation.
     pub fn thaw(index: PsiIndex) -> DynamicPsiIndex {
         let (state, walks) = EpochState::from_index(index);
-        let (params, n) = (state.params, state.n);
-        let target = state.target(&()).clone(); // filled by `from_index`
-        let beta = cover_beta(params.k as usize);
-        let clusterings: Vec<DynamicClustering> = (0..params.rounds)
-            .map(|r| {
-                DynamicClustering::from_graph(&target, beta, round_seed(params.seed, r.into()))
-            })
-            .collect();
-        let dirty = vec![BTreeSet::new(); clusterings.len()];
         DynamicPsiIndex {
-            state,
             published: None,
-            graph: AdjacencyList::from_csr(&target),
-            faces: FaceStore::from_walks(n, walks),
-            clusterings,
-            dirty,
-            scratch: ClusterScratch::new(n),
-            batch: BatchBuilder::new(params.batch_budget as usize),
-            counters: PassCounters::default(),
+            graph: AdjacencyList::from_csr(state.target(&())), // filled by `from_index`
+            faces: FaceStore::from_walks(state.n, walks),
+            clusterings: Vec::new(),
+            dirty: vec![BTreeSet::new(); state.rounds.len()],
+            scratch: ClusterScratch::new(state.n),
+            batch: BatchBuilder::new(state.params.batch_budget as usize),
             decomp_cache: DecompCache::new(DECOMP_CACHE_CAP),
+            state,
         }
     }
 
@@ -605,6 +599,24 @@ impl DynamicPsiIndex {
         Ok(())
     }
 
+    /// Builds the per-round clusterings if this engine has none yet. Called by
+    /// a mutation after its arguments pass validation and before any repair,
+    /// so it clusters the epoch's target — still the graph the stored rounds
+    /// were cut from.
+    fn cluster_rounds(&mut self) {
+        if !self.clusterings.is_empty() {
+            return;
+        }
+        let params = self.state.params;
+        let target = self.state.target(self).clone();
+        let beta = cover_beta(params.k as usize);
+        self.clusterings = (0..params.rounds)
+            .map(|r| {
+                DynamicClustering::from_graph(&target, beta, round_seed(params.seed, r.into()))
+            })
+            .collect();
+    }
+
     /// Inserts edge `{u, v}`, maintaining planarity (rejecting with a verified
     /// Kuratowski witness when the edge would break it), the embedding, and
     /// every round's clustering; the affected clusters' batches are marked
@@ -626,6 +638,7 @@ impl DynamicPsiIndex {
                 v: u.max(v),
             });
         }
+        self.cluster_rounds();
         let mut stats = UpdateStats::default();
         if let Some(f) = self.faces.common_face(u, v) {
             // The new edge is a chord of face `f`: split it, planarity untouched.
@@ -697,6 +710,7 @@ impl DynamicPsiIndex {
                 v: u.max(v),
             });
         }
+        self.cluster_rounds();
         let sides = self.faces.edge_sides(u, v);
         if sides[0].0 == sides[1].0 {
             self.faces.split_for_bridge_delete(sides[0].0, u, v);
@@ -784,18 +798,17 @@ impl DynamicPsiIndex {
     /// for round `r`, through the same `emit_cluster_batches` path as the
     /// from-scratch build. Centres that are no longer centres are just removed.
     ///
-    /// The rebuild is copy-on-write: the published round map is never touched.
-    /// A clone of the map (`O(clusters)` `Arc` bumps) takes the splices, and
-    /// one `Arc` swap at the end publishes it — snapshots pinning the old epoch
-    /// keep scanning the retired map, which is freed when the last one drops.
-    /// Replaced cluster vectors are harvested into the decomposition cache
-    /// before the swap so re-created batch content skips its decomposition.
+    /// The rebuild is copy-on-write: a round that a snapshot or frozen index
+    /// still holds is cloned first (`O(clusters)` `Arc` bumps), so those
+    /// holders keep scanning the retired round, which is freed when the last
+    /// one drops. Replaced cluster vectors are harvested into the decomposition
+    /// cache so re-created batch content skips its decomposition.
     fn rebuild_clusters(&mut self, r: usize, affected: &[Vertex]) -> usize {
         let d = self.state.params.d as usize;
         let mut rebuilt = 0usize;
-        let mut map: RoundMap = (*self.state.rounds[r]).clone();
+        let round: &mut StoredRound = Arc::make_mut(&mut self.state.rounds[r]);
         for &c in affected {
-            if let Some(old) = map.remove(&c) {
+            if let Some(old) = round.groups.remove(&c) {
                 self.decomp_cache.admit(&old);
             }
             if !self.clusterings[r].is_center(c) {
@@ -814,7 +827,7 @@ impl DynamicPsiIndex {
                 1, // min_vertices: mirror the build (serve k' < k patterns too)
                 &mut self.scratch,
                 &mut self.batch,
-                &self.counters,
+                &PassCounters::default(), // nothing reads a flush's pass counts
                 &mut |b| {
                     // The build's own rule, so freeze() stays bit-identical to
                     // a fresh build. A cache hit is equality-verified against
@@ -828,9 +841,8 @@ impl DynamicPsiIndex {
                 },
             );
             rebuilt += batches.len();
-            map.insert(c, Arc::new(batches));
+            round.groups.insert(c, Arc::new(batches));
         }
-        self.state.rounds[r] = Arc::new(map); // publish: the single epoch swap
         psi_obs::event!("flush.publish", round = r, rebuilt = rebuilt);
         rebuilt
     }
@@ -1135,6 +1147,32 @@ mod tests {
             dynamic.connectivity_batch(&pairs),
             engine.connectivity_batch(&pairs)
         );
+    }
+
+    #[test]
+    fn first_accepted_mutation_clusters_and_freeze_shares_the_rounds() {
+        let e = pg::grid_embedded(6, 6);
+        let mut dynamic = DynamicPsiIndex::build(&e, params());
+        assert!(dynamic.clusterings.is_empty(), "thaw clustered");
+        assert!(dynamic.insert_edge(0, 1).is_err());
+        assert!(dynamic.delete_edge(0, 7).is_err());
+        assert!(dynamic.insert_edge(3, 3).is_err());
+        assert!(
+            dynamic.clusterings.is_empty(),
+            "a rejected mutation clustered"
+        );
+        dynamic.insert_edge(0, 7).unwrap();
+        assert_eq!(dynamic.clusterings.len(), params().rounds as usize);
+        assert!(dynamic.flush() > 0);
+        // Freeze hands the engine's cluster groups to the index: no batch copy.
+        let frozen = dynamic.freeze();
+        for (live, stored) in dynamic.state.rounds.iter().zip(frozen.rounds()) {
+            assert_eq!(live.groups.len(), stored.groups.len());
+            for (a, b) in live.groups.values().zip(stored.groups.values()) {
+                assert!(Arc::ptr_eq(a, b), "freeze copied a cluster's batches");
+            }
+        }
+        assert_matches_scratch(&mut dynamic);
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //! [`PsiIndex`] freezes these once:
 //!
 //! * the target graph and the facial walks of its planar embedding,
-//! * `rounds` independent k-d covers (Section 2.1), each stored as the streamed
-//!   [`CoverBatch`] sequence plus a flat per-batch tree decomposition.
+//! * `rounds` independent k-d covers (Section 2.1), each a [`StoredRound`]: the
+//!   streamed [`CoverBatch`]es, each with a flat tree decomposition, grouped by
+//!   cluster centre — the layout every served, thawed and frozen epoch shares.
 //!
 //! A frozen index is served as an epoch-0 [`crate::snapshot::PsiSnapshot`]
 //! (`PsiSnapshot::from(index)`), which answers pattern and connectivity queries
@@ -64,6 +65,7 @@ use psi_graph::io::{
 use psi_graph::{CsrGraph, Vertex};
 use psi_planar::{validate_walks, Embedding};
 use psi_treedecomp::BinaryTreeDecomposition;
+use std::collections::BTreeMap;
 use std::fmt;
 use std::path::Path;
 use std::sync::Arc;
@@ -235,6 +237,48 @@ pub struct IndexedBatch {
     pub decomp: FlatDecomposition,
 }
 
+/// One stored cover round: its batches grouped by cluster centre, in ascending
+/// centre order. Batches are cluster-pure and the build emits clusters in
+/// ascending centre order, so [`StoredRound::iter`] replays the canonical batch
+/// stream the artifact stores. Every group is `Arc`-shared: served, thawed and
+/// frozen epochs hold the same groups, and the dynamic index's flush swaps in
+/// rebuilt groups copy-on-write, reusing every untouched cluster's batches.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct StoredRound {
+    pub(crate) groups: BTreeMap<Vertex, Arc<Vec<IndexedBatch>>>,
+}
+
+impl StoredRound {
+    /// Groups a batch stream by the centre its first window carries — the one
+    /// place the grouping rule is written. A stream that is not in canonical
+    /// order comes out in it.
+    pub(crate) fn new(batches: Vec<IndexedBatch>) -> StoredRound {
+        let mut groups: BTreeMap<Vertex, Vec<IndexedBatch>> = BTreeMap::new();
+        for ib in batches {
+            groups.entry(ib.batch.windows[0].0).or_default().push(ib);
+        }
+        StoredRound {
+            groups: groups.into_iter().map(|(c, g)| (c, Arc::new(g))).collect(),
+        }
+    }
+
+    /// Number of stored batches.
+    pub fn len(&self) -> usize {
+        self.groups.values().map(|g| g.len()).sum()
+    }
+
+    /// Whether the round stores no batch.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The stored batches in stream order: clusters in ascending centre order,
+    /// each cluster's batches in emission order.
+    pub fn iter(&self) -> impl Iterator<Item = &IndexedBatch> {
+        self.groups.values().flat_map(|g| g.iter())
+    }
+}
+
 /// The immutable build-once / serve-many index artifact. See the module docs.
 ///
 /// Every section is `Arc`-shared: cloning the index — or handing individual
@@ -249,8 +293,7 @@ pub struct PsiIndex {
     /// Facial walks of the embedding, flattened (`face_offsets.len() == faces + 1`).
     face_offsets: Arc<Vec<u64>>,
     face_data: Arc<Vec<Vertex>>,
-    /// Stored cover rounds, each a deterministic batch sequence.
-    rounds: Vec<Arc<Vec<IndexedBatch>>>,
+    rounds: Vec<Arc<StoredRound>>,
 }
 
 /// The pieces [`PsiIndex::into_parts`] dismantles into (params, target CSR,
@@ -259,7 +302,7 @@ pub(crate) type IndexParts = (
     IndexParams,
     Arc<CsrGraph>,
     Vec<Vec<Vertex>>,
-    Vec<Arc<Vec<IndexedBatch>>>,
+    Vec<Arc<StoredRound>>,
 );
 
 impl PsiIndex {
@@ -291,10 +334,11 @@ impl PsiIndex {
                         batch,
                     },
                 );
-                batches
+                Arc::new(StoredRound::new(batches))
             })
             .collect();
-        let index = PsiIndex::from_parts(params, embedding, rounds);
+        let target = Arc::new(embedding.graph.clone());
+        let index = PsiIndex::from_parts(params, target, &embedding.faces, rounds);
         let metrics = crate::obs::metrics();
         metrics.index_builds_total.add(1);
         metrics
@@ -304,30 +348,30 @@ impl PsiIndex {
     }
 
     /// Assembles an index from already-built parts — the last step of
-    /// [`PsiIndex::build`] and of the dynamic index's freeze, which maintains the
-    /// rounds incrementally and must produce the exact struct (and therefore the
-    /// exact bytes) a from-scratch build would. `faces` are the embedding's facial
-    /// walks in canonical order; `rounds` must be the canonical batch streams
-    /// (cluster-pure, ascending centre order).
+    /// [`PsiIndex::build`] and of an epoch's freeze, which shares the epoch's
+    /// target and rounds and must produce the exact struct (and therefore the
+    /// exact bytes) a from-scratch build would. `faces` are the target's facial
+    /// walks in canonical order.
     pub(crate) fn from_parts(
         params: IndexParams,
-        embedding: &Embedding,
-        rounds: Vec<Vec<IndexedBatch>>,
+        target: Arc<CsrGraph>,
+        faces: &[Vec<Vertex>],
+        rounds: Vec<Arc<StoredRound>>,
     ) -> PsiIndex {
-        let mut face_offsets = Vec::with_capacity(embedding.faces.len() + 1);
+        let mut face_offsets = Vec::with_capacity(faces.len() + 1);
         face_offsets.push(0u64);
-        let total: usize = embedding.faces.iter().map(|f| f.len()).sum();
+        let total: usize = faces.iter().map(|f| f.len()).sum();
         let mut face_data = Vec::with_capacity(total);
-        for face in &embedding.faces {
+        for face in faces {
             face_data.extend_from_slice(face);
             face_offsets.push(face_data.len() as u64);
         }
         PsiIndex {
             params,
-            target: Arc::new(embedding.graph.clone()),
+            target,
             face_offsets: Arc::new(face_offsets),
             face_data: Arc::new(face_data),
-            rounds: rounds.into_iter().map(Arc::new).collect(),
+            rounds,
         }
     }
 
@@ -349,8 +393,10 @@ impl PsiIndex {
         &self.target
     }
 
-    /// Stored cover rounds (each a deterministic, `Arc`-shared batch sequence).
-    pub fn rounds(&self) -> &[Arc<Vec<IndexedBatch>>] {
+    /// Stored cover rounds, `Arc`-shared with every epoch served or thawed
+    /// from this index. [`StoredRound::iter`] yields a round's batches in
+    /// stored order and [`StoredRound::len`] counts them.
+    pub fn rounds(&self) -> &[Arc<StoredRound>] {
         &self.rounds
     }
 
@@ -396,10 +442,10 @@ impl PsiIndex {
         push_u32_slice(&mut faces, &self.face_data);
         file.push_section("faces", faces);
 
-        for (r, batches) in self.rounds.iter().enumerate() {
+        for (r, round) in self.rounds.iter().enumerate() {
             let mut payload = Vec::new();
-            push_u64(&mut payload, batches.len() as u64);
-            for ib in batches.iter() {
+            push_u64(&mut payload, round.len() as u64);
+            for ib in round.iter() {
                 encode_csr(&ib.batch.graph, &mut payload);
                 push_u64(&mut payload, ib.batch.local_to_global.len() as u64);
                 push_u32_slice(&mut payload, &ib.batch.local_to_global);
@@ -558,13 +604,14 @@ impl PsiIndex {
             }
         }
 
-        // rounds
-        let mut rounds = Vec::with_capacity(rounds_declared as usize);
-        for round in 0..rounds_declared {
-            let name = format!("round{round}");
-            let payload = section(&name)?;
-            rounds.push(Arc::new(decode_round(&name, payload, n, schema_version)?));
-        }
+        // rounds, grown as they decode: the declared count sizes nothing, so
+        // a count the sections cannot back fails on the first missing round
+        let rounds = (0..rounds_declared)
+            .map(|round| {
+                let name = format!("round{round}");
+                decode_round(&name, section(&name)?, n, schema_version).map(Arc::new)
+            })
+            .collect::<Result<_, _>>()?;
 
         Ok(PsiIndex {
             params,
@@ -582,7 +629,7 @@ fn decode_round(
     payload: &[u8],
     target_n: usize,
     schema_version: u32,
-) -> Result<Vec<IndexedBatch>, IndexLoadError> {
+) -> Result<StoredRound, IndexLoadError> {
     let fail = |detail: String| IndexLoadError::Section {
         section: name.to_string(),
         detail,
@@ -655,7 +702,7 @@ fn decode_round(
     if !r.is_empty() {
         return Err(fail("trailing bytes".into()));
     }
-    Ok(batches)
+    Ok(StoredRound::new(batches))
 }
 
 /// Decodes and validates one flat decomposition (bounds, monotone bag offsets, and
@@ -1041,7 +1088,7 @@ mod tests {
     fn fast_path_budget_exhaustion_is_reported_not_wrong() {
         // With a starved budget the search must say "unknown", never guess.
         let index = small_index();
-        let ib = &index.rounds()[0][0];
+        let ib = index.rounds()[0].iter().next().unwrap();
         let plan = MatchPlan::new(&Pattern::cycle(4));
         let mut assigned = Vec::new();
         let mut budget = 1usize;

@@ -96,7 +96,8 @@ pub use dynamic::{
 };
 pub use index::{
     FlatDecomposition, IndexLoadError, IndexParams, IndexedBatch, PsiIndex, QueryError,
-    CONNECTIVITY_CAP, FAST_PATH_NODE_BUDGET, INDEX_SCHEMA_VERSION, MIN_INDEX_SCHEMA_VERSION,
+    StoredRound, CONNECTIVITY_CAP, FAST_PATH_NODE_BUDGET, INDEX_SCHEMA_VERSION,
+    MIN_INDEX_SCHEMA_VERSION,
 };
 pub use isomorphism::{decide, find_one, DpStrategy, QueryConfig, SubgraphIsomorphism};
 pub use listing::{count_distinct_images, list_all, list_all_outcome, ListingOutcome};

@@ -5,7 +5,7 @@
 //! and all three serve it through the same `EpochState` methods:
 //!
 //! * **frozen** — [`PsiSnapshot::from`] a [`PsiIndex`] serves the artifact as
-//!   epoch 0, its stored rounds regrouped per cluster centre;
+//!   epoch 0, moving in its stored rounds as they are;
 //! * **live** — a [`crate::dynamic::DynamicPsiIndex`] keeps its readable state
 //!   as an `EpochState` value, so a live query is a flush of the dirty backlog
 //!   followed by a read of borrowed state, with nothing published;
@@ -14,17 +14,18 @@
 //!   reference-count bumps, which any number of reader threads query while
 //!   the writer keeps mutating.
 //!
-//! Every servable product — the target CSR, the facial walks, the per-round
-//! batch maps — is held behind an `Arc`. The writer never mutates published
-//! data: a flush rebuilds the dirty clusters' batches *off to the side*
-//! (copy-on-write round maps) and swaps each replacement map in with a single
-//! `Arc` store; a retired epoch's batches are freed when the last snapshot
-//! holding them drops. Taking a snapshot needs `&mut` on the engine, so it
-//! serialises with mutations, and the bundle it captures is frozen thereafter.
-//! A snapshot therefore never observes a partially published round set, and
-//! its answers are bit-identical to a from-scratch [`PsiIndex::build`] of the
-//! target as of its epoch — the invariant [`PsiSnapshot::to_frozen`] exposes
-//! and the snapshot serving suite pins under `PSI_THREADS = {1, 4}`.
+//! Every servable product — the target CSR, the facial walks, the stored
+//! rounds ([`StoredRound`], one layout from build to freeze) — is held behind
+//! an `Arc`. The writer never mutates published data: a flush edits a round
+//! copy-on-write, so a round a snapshot or frozen index still holds is cloned
+//! (`Arc` bumps of its cluster groups) before the rebuilt groups go in; a
+//! retired epoch's batches are freed when the last holder drops. Taking a
+//! snapshot needs `&mut` on the engine, so it serialises with mutations, and
+//! the bundle it captures is frozen thereafter. A snapshot therefore never
+//! observes a partially published round set, and its answers are
+//! bit-identical to a from-scratch [`PsiIndex::build`] of the target as of its
+//! epoch — the invariant [`PsiSnapshot::to_frozen`] exposes and the snapshot
+//! serving suite pins under `PSI_THREADS = {1, 4}`.
 //!
 //! The target, faces and face–vertex graph are cells filled on first need and
 //! reset by every accepted mutation: pattern queries read only the batches, so
@@ -36,21 +37,16 @@ use crate::connectivity::{
     st_connectivity_capped, vertex_connectivity_with_fv, ConnectivityMode, ConnectivityResult,
 };
 use crate::index::{
-    batch_can_host, IndexParams, IndexedBatch, MatchPlan, PsiIndex, QueryError, CONNECTIVITY_CAP,
-    FAST_PATH_NODE_BUDGET,
+    batch_can_host, IndexParams, IndexedBatch, MatchPlan, PsiIndex, QueryError, StoredRound,
+    CONNECTIVITY_CAP, FAST_PATH_NODE_BUDGET,
 };
 use crate::isomorphism::{search_batch, BatchHit};
 use crate::pattern::{verify_occurrence, Pattern};
 use psi_graph::{CsrGraph, Vertex};
-use psi_planar::{face_vertex_graph, planar_embedding, Embedding, FaceVertexGraph};
+use psi_planar::{face_vertex_graph, rotation_system, Embedding, FaceVertexGraph};
 use rayon::prelude::*;
-use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
-
-/// One stored round, keyed by cluster centre. Values are `Arc`-shared so a
-/// copy-on-write rebuild of the map re-uses every untouched cluster's batches.
-pub(crate) type RoundMap = BTreeMap<Vertex, Arc<Vec<IndexedBatch>>>;
 
 /// Fills an epoch's lazy cells on first need. The live engine derives them
 /// from its adjacency lists and face store; a published epoch (`()`) captured
@@ -79,7 +75,7 @@ pub(crate) struct EpochState {
     pub(crate) params: IndexParams,
     /// Number of target vertices (edge flips never change it).
     pub(crate) n: usize,
-    pub(crate) rounds: Vec<Arc<RoundMap>>,
+    pub(crate) rounds: Vec<Arc<StoredRound>>,
     /// The target CSR.
     pub(crate) target: OnceLock<Arc<CsrGraph>>,
     /// Facial walks of the embedding as of this epoch (valid, not necessarily
@@ -92,29 +88,10 @@ pub(crate) struct EpochState {
 
 impl EpochState {
     /// Epoch 0 of a frozen index, returned with the index's facial walks (the
-    /// faces cell is left to the caller). Each stored round is regrouped by
-    /// cluster centre: batches are cluster-pure and stored in ascending centre
-    /// order, so iterating the groups in key order replays the stored stream.
+    /// faces cell is left to the caller). The target and the stored rounds
+    /// move in as they are.
     pub(crate) fn from_index(index: PsiIndex) -> (EpochState, Vec<Vec<Vertex>>) {
         let (params, target, walks, rounds) = index.into_parts();
-        let rounds = rounds
-            .into_iter()
-            .map(|round| {
-                // A freshly built or decoded round is not shared (refcount 1),
-                // so unwrapping moves the batches without copying.
-                let round = Arc::try_unwrap(round).unwrap_or_else(|arc| (*arc).clone());
-                let mut by_center: BTreeMap<Vertex, Vec<IndexedBatch>> = BTreeMap::new();
-                for ib in round {
-                    by_center.entry(ib.batch.windows[0].0).or_default().push(ib);
-                }
-                Arc::new(
-                    by_center
-                        .into_iter()
-                        .map(|(c, batches)| (c, Arc::new(batches)))
-                        .collect::<RoundMap>(),
-                )
-            })
-            .collect();
         let state = EpochState {
             epoch: 0,
             params,
@@ -170,9 +147,9 @@ impl EpochState {
     }
 
     /// Materialises this epoch as the frozen artifact — bit-identical (struct
-    /// and byte stream) to [`PsiIndex::build`] of the target: faces are
-    /// re-canonicalised through [`planar_embedding`], a pure function of the
-    /// target, and rounds flatten in stored order.
+    /// and byte stream) to [`PsiIndex::build`] of the target. The index shares
+    /// this epoch's target and rounds; only the faces are new, re-canonicalised
+    /// through the target's LR rotation system, a pure function of the target.
     pub(crate) fn freeze(&self, src: &dyn EpochSource) -> PsiIndex {
         // Guards the invariant that every served epoch's target is planar: a
         // build starts from a planar embedding, `PsiIndex::from_bytes` admits
@@ -181,20 +158,10 @@ impl EpochState {
         // insertion that would break planarity before its epoch advances. The
         // load does not check that the corners at each vertex form one
         // rotation, so a pinched walk set could still carry a non-planar target.
-        let embedding =
-            planar_embedding(self.target(src)).expect("every served epoch has a planar target");
-        let rounds: Vec<Vec<IndexedBatch>> = self
-            .rounds
-            .iter()
-            .map(|round| {
-                round
-                    .values()
-                    .flat_map(|batches| batches.iter())
-                    .cloned()
-                    .collect()
-            })
-            .collect();
-        PsiIndex::from_parts(self.params, &embedding, rounds)
+        let target = self.target(src);
+        let rotation = rotation_system(target).expect("every served epoch has a planar target");
+        let faces = rotation.faces(target);
+        PsiIndex::from_parts(self.params, target.clone(), &faces, self.rounds.clone())
     }
 
     /// Checks that the index can serve `pattern`; `Ok(Some(answer))`
@@ -228,7 +195,7 @@ impl EpochState {
     fn batches(&self) -> impl Iterator<Item = &IndexedBatch> {
         self.rounds
             .iter()
-            .flat_map(|round| round.values())
+            .flat_map(|round| round.groups.values())
             .flat_map(|batches| batches.iter())
     }
 
@@ -381,9 +348,8 @@ impl std::fmt::Debug for PsiSnapshot {
 }
 
 impl From<PsiIndex> for PsiSnapshot {
-    /// Serves a frozen index as epoch 0: the stored rounds regrouped per
-    /// cluster centre (moved, not copied, unless the index's rounds are
-    /// shared) and the stored faces unflattened once.
+    /// Serves a frozen index as epoch 0: the target and the stored rounds move
+    /// in as they are, and the stored faces are unflattened once.
     fn from(index: PsiIndex) -> PsiSnapshot {
         let (state, walks) = EpochState::from_index(index);
         let _ = state.faces.set(Arc::new(walks));
@@ -468,8 +434,9 @@ impl PsiSnapshot {
 
     /// Materialises the pinned epoch as a frozen [`PsiIndex`] — bit-identical
     /// (struct and byte stream) to [`PsiIndex::build`] of the target at this
-    /// epoch. `O(index size)`; meant for tests and persistence of a pinned
-    /// epoch, not the serving path.
+    /// epoch. The index shares the snapshot's target and rounds (`O(rounds)`
+    /// `Arc` bumps); the cost is one LR embedding of the target, `O(n + m)`,
+    /// for its canonical faces.
     pub fn to_frozen(&self) -> PsiIndex {
         self.state.freeze(&())
     }

@@ -64,11 +64,6 @@ impl GraphBuilder {
         }
     }
 
-    /// Number of (possibly duplicated) edges recorded so far.
-    pub fn num_recorded_edges(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Builds the CSR graph, sorting and deduplicating adjacency lists.
     pub fn build(self) -> CsrGraph {
         let n = self.n;

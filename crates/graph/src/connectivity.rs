@@ -27,12 +27,6 @@ impl ComponentLabels {
         }
         comps
     }
-
-    /// Size of the component containing `v`.
-    pub fn component_size(&self, v: Vertex) -> usize {
-        let c = self.label[v as usize];
-        self.label.iter().filter(|&&x| x == c).count()
-    }
 }
 
 /// Sequential connected components via repeated BFS.

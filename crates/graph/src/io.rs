@@ -522,20 +522,6 @@ impl SectionedFile {
         }
         Ok(SectionedFile { version, sections })
     }
-
-    /// Writes the container to a file.
-    pub fn write_to(&self, path: impl AsRef<Path>) -> std::io::Result<()> {
-        std::fs::write(path, self.to_bytes())
-    }
-
-    /// Reads a container from a file (see [`SectionedFile::from_bytes`]).
-    pub fn read_from(
-        path: impl AsRef<Path>,
-        supported_version: u32,
-    ) -> Result<Self, SectionReadError> {
-        let data = std::fs::read(path)?;
-        SectionedFile::from_bytes(&data, supported_version)
-    }
 }
 
 /// Appends a `u32` little-endian.

@@ -214,11 +214,6 @@ impl MetricsRegistry {
             .insert(name.to_string(), Box::new(source));
     }
 
-    /// Drops a registered source (used when its backing object is going away).
-    pub fn unregister_source(&self, name: &str) {
-        self.sources.lock().unwrap().remove(name);
-    }
-
     /// Renders the Prometheus text exposition format: counters as `counter`,
     /// gauges and source samples as `gauge`, histograms as `summary` quantiles
     /// (p50/p95/p99) plus `_sum` / `_count` / `_max` series.

@@ -57,21 +57,28 @@ fn grid_script(w: usize) -> Vec<(Vertex, Vertex)> {
 
 #[test]
 fn incremental_equals_rebuild_bitwise_after_every_mutation() {
+    // The script runs on a built engine and again on one thawed from the built
+    // engine's saved artifact, whose first mutation clusters its rounds.
     let e = psi_planar::generators::grid_embedded(7, 7);
-    let mut dynamic = DynamicPsiIndex::build(&e, params());
-    for &(u, v) in &grid_script(7) {
-        dynamic.insert_edge(u, v).expect("planar insert rejected");
-        assert_bit_identical(&mut dynamic);
+    let mut built = DynamicPsiIndex::build(&e, params());
+    let saved = built.freeze().to_bytes();
+    let loaded = DynamicPsiIndex::thaw(PsiIndex::from_bytes(&saved).unwrap());
+    for mut dynamic in [built, loaded] {
+        for &(u, v) in &grid_script(7) {
+            dynamic.insert_edge(u, v).expect("planar insert rejected");
+            assert_bit_identical(&mut dynamic);
+        }
+        for &(u, v) in grid_script(7).iter().rev() {
+            dynamic.delete_edge(u, v).expect("inserted edge missing");
+            assert_bit_identical(&mut dynamic);
+        }
+        // The full round trip lands exactly on the canonical artifact of the
+        // original graph (freeze canonicalises faces through the LR embedding,
+        // so the reference is the LR scratch build, not the generator-native
+        // faces).
+        let round_trip = dynamic.freeze().to_bytes();
+        assert_eq!(round_trip, scratch_of(dynamic.target_csr()).to_bytes());
     }
-    for &(u, v) in grid_script(7).iter().rev() {
-        dynamic.delete_edge(u, v).expect("inserted edge missing");
-        assert_bit_identical(&mut dynamic);
-    }
-    // The full round trip lands exactly on the canonical artifact of the
-    // original graph (freeze canonicalises faces through the LR embedding, so
-    // the reference is the LR scratch build, not the generator-native faces).
-    let round_trip = dynamic.freeze().to_bytes();
-    assert_eq!(round_trip, scratch_of(dynamic.target_csr()).to_bytes());
 }
 
 #[test]

@@ -190,6 +190,18 @@ fn semantically_inconsistent_sections_are_rejected() {
         Err(IndexLoadError::Csr { .. } | IndexLoadError::Section { .. })
     ));
 
+    // A meta section declaring u32::MAX rounds: the declared count sizes no
+    // allocation, so the load fails on the first round section that is absent.
+    let mut meta = good.section("meta").unwrap().to_vec();
+    meta[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
+    let err = PsiIndex::from_bytes(&rebuild_with("meta", meta))
+        .expect_err("u32::MAX declared rounds accepted");
+    assert!(
+        matches!(&err, IndexLoadError::Section { section, detail }
+            if section == "round3" && detail == "section missing"),
+        "{err}"
+    );
+
     // A well-formed one-edge batch whose decomposition declares u64::MAX nodes:
     // the bag-offset count `nodes + 1` must not overflow.
     let mut huge = Vec::new();
