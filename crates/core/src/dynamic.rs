@@ -9,8 +9,14 @@
 //!
 //! 1. an embedding repair — a face split/merge for the four local cases
 //!    (chord inside a face, cross-component join, bridge deletion, ordinary
-//!    deletion), or, for an insert that merges biconnected blocks, one LR
-//!    embedding of the whole target that re-embeds it or refuses the edge,
+//!    deletion). An insert whose endpoints share no face first runs the local
+//!    insertion test ([`check_insertion_locally`]): LR on breadth-first balls
+//!    around the endpoints refuses a non-planar edge with a witness from the
+//!    ball, or finds the endpoints in different components, in work
+//!    proportional to the balls. Only an insert the balls leave undecided — a
+//!    planar merge of biconnected blocks, or an obstruction beyond the balls —
+//!    pays one LR embedding of the whole target, which re-embeds it or refuses
+//!    the edge,
 //! 2. a per-round clustering repair (lazy Dijkstra over the provably affected
 //!    vertices only — see [`psi_cluster::incremental`]),
 //! 3. *marking dirty* exactly the clusters whose membership or induced subgraph
@@ -49,9 +55,11 @@ use crate::index::{
 use crate::pattern::Pattern;
 use crate::snapshot::{EpochSource, EpochState, PsiSnapshot};
 use psi_cluster::DynamicClustering;
-use psi_graph::{AdjacencyList, CsrGraph, NeighborSource, Vertex};
-use psi_planar::{planar_embedding, Embedding, NonPlanarWitness};
-use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
+use psi_graph::{AdjacencyList, CsrGraph, Vertex};
+use psi_planar::{
+    check_insertion_locally, planar_embedding, Embedding, LocalVerdict, NonPlanarWitness,
+};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::fmt;
 use std::sync::Arc;
 
@@ -90,7 +98,9 @@ pub enum MutationError {
         v: Vertex,
     },
     /// Inserting the edge would make the target non-planar; the boxed witness is
-    /// a Kuratowski subdivision of the *would-be* graph (in target vertex ids)
+    /// a Kuratowski subdivision of the *would-be* graph (in target vertex ids).
+    /// It lies in the smallest ball around the endpoints that holds one (see
+    /// [`check_insertion_locally`]), or, for an obstruction beyond the balls,
     /// inside the rejected edge's biconnected block.
     NonPlanar(Box<NonPlanarWitness>),
 }
@@ -141,8 +151,10 @@ pub struct UpdateStats {
     /// pays for. Smaller than the running sum of `affected_clusters` when
     /// flips revisit the same clusters.
     pub dirty_clusters: usize,
-    /// Whether the embedding had to be rebuilt from scratch (same-component
-    /// insertion outside every face — a biconnected-block merge).
+    /// Whether the embedding had to be rebuilt from scratch: an insertion
+    /// outside every face that the local insertion test left undecided (a
+    /// biconnected-block merge, or a join of two components too large for its
+    /// balls).
     pub reembedded: bool,
 }
 
@@ -600,9 +612,11 @@ impl DynamicPsiIndex {
     }
 
     /// Builds the per-round clusterings if this engine has none yet. Called by
-    /// a mutation after its arguments pass validation and before any repair,
-    /// so it clusters the epoch's target — still the graph the stored rounds
-    /// were cut from.
+    /// a mutation once it is known to change the graph — after its arguments
+    /// pass validation and after every refusal the local insertion test
+    /// settles — and before any repair, so it clusters the epoch's target,
+    /// still the graph the stored rounds were cut from. Only a refusal by the
+    /// whole-target LR pass comes after it.
     fn cluster_rounds(&mut self) {
         if !self.clusterings.is_empty() {
             return;
@@ -621,8 +635,14 @@ impl DynamicPsiIndex {
     /// Kuratowski witness when the edge would break it), the embedding, and
     /// every round's clustering; the affected clusters' batches are marked
     /// dirty and rebuilt by the next query/freeze/[`DynamicPsiIndex::flush`].
-    /// The mutation itself is a local repair — independent of `n` for the two
-    /// local cases (chord inside a face, cross-component join).
+    ///
+    /// A face chord splits its face. Otherwise the local insertion test
+    /// ([`check_insertion_locally`], traced as a `planarity.local` span) grows
+    /// balls around `u` and `v`: a witness in a ball refuses the edge before
+    /// any state changes or clustering, and endpoints in different components
+    /// are joined by a face merge, both in time proportional to the balls.
+    /// Only an insert the balls leave undecided re-embeds the whole target
+    /// with one LR pass, or is refused by it.
     pub fn insert_edge(&mut self, u: Vertex, v: Vertex) -> Result<UpdateStats, MutationError> {
         let _span = psi_obs::span!("mutate.insert", u = u, v = v);
         let metrics = crate::obs::metrics();
@@ -638,34 +658,54 @@ impl DynamicPsiIndex {
                 v: u.max(v),
             });
         }
+        // Decide the repair before any state changes: a refusal returns here,
+        // having clustered nothing and touched nothing.
+        let repair = match self.faces.common_face(u, v) {
+            Some(f) => Repair::Chord(f),
+            None => match self.check_locally(u, v) {
+                LocalVerdict::NonPlanar(witness) => {
+                    metrics.mutations_rejected_total.add(1);
+                    metrics.mutations_refused_local_total.add(1);
+                    return Err(MutationError::NonPlanar(witness));
+                }
+                LocalVerdict::Disconnected => Repair::Bridge,
+                LocalVerdict::Inconclusive => Repair::WholeTarget,
+            },
+        };
         self.cluster_rounds();
         let mut stats = UpdateStats::default();
-        if let Some(f) = self.faces.common_face(u, v) {
-            // The new edge is a chord of face `f`: split it, planarity untouched.
-            self.graph.insert_edge(u, v);
-            self.faces.split_for_insert(f, u, v);
-        } else if !self.connected(u, v) {
-            // Bridging two components: merge a face of each around the edge.
-            let (fu, fv) = (self.faces.any_face_of(u), self.faces.any_face_of(v));
-            self.graph.insert_edge(u, v);
-            self.faces.merge_for_insert(fu, fv, u, v);
-        } else {
-            // Same component, no shared face: the insertion merges biconnected
-            // blocks, which invalidates walks far from the edge, so no local
-            // splice is possible. One LR pass re-embeds the whole target or
-            // refuses the edge; only the merged block can fail, and the witness
-            // is extracted from it.
-            self.graph.insert_edge(u, v);
-            let csr = self.graph.to_csr();
-            match planar_embedding(&csr) {
-                Ok(embedding) => {
-                    self.faces = FaceStore::from_walks(csr.num_vertices(), embedding.faces);
-                    stats.reembedded = true;
-                }
-                Err(witness) => {
-                    self.graph.delete_edge(u, v);
-                    metrics.mutations_rejected_total.add(1);
-                    return Err(MutationError::NonPlanar(witness));
+        match repair {
+            Repair::Chord(f) => {
+                // The new edge is a chord of face `f`: split it, planarity untouched.
+                self.graph.insert_edge(u, v);
+                self.faces.split_for_insert(f, u, v);
+            }
+            Repair::Bridge => {
+                // Bridging two components: merge a face of each around the edge.
+                let (fu, fv) = (self.faces.any_face_of(u), self.faces.any_face_of(v));
+                self.graph.insert_edge(u, v);
+                self.faces.merge_for_insert(fu, fv, u, v);
+            }
+            Repair::WholeTarget => {
+                // No shared face and no verdict from the balls: a planar
+                // insert here merges biconnected blocks, which invalidates
+                // walks far from the edge, so no local splice is possible.
+                // One LR pass re-embeds the whole target or refuses the edge;
+                // only the merged block can fail, and the witness is
+                // extracted from it.
+                metrics.mutations_whole_target_total.add(1);
+                self.graph.insert_edge(u, v);
+                let csr = self.graph.to_csr();
+                match planar_embedding(&csr) {
+                    Ok(embedding) => {
+                        self.faces = FaceStore::from_walks(csr.num_vertices(), embedding.faces);
+                        stats.reembedded = true;
+                    }
+                    Err(witness) => {
+                        self.graph.delete_edge(u, v);
+                        metrics.mutations_rejected_total.add(1);
+                        return Err(MutationError::NonPlanar(witness));
+                    }
                 }
             }
         }
@@ -775,23 +815,17 @@ impl DynamicPsiIndex {
         rebuilt
     }
 
-    /// Whether `u` and `v` lie in the same connected component (graph-local BFS;
-    /// only reached when the insertion is not a face chord).
-    fn connected(&self, u: Vertex, v: Vertex) -> bool {
-        let mut seen: HashSet<Vertex> = HashSet::new();
-        seen.insert(u);
-        let mut stack = vec![u];
-        while let Some(x) = stack.pop() {
-            if x == v {
-                return true;
-            }
-            for &w in self.graph.neighbors_of(x) {
-                if seen.insert(w) {
-                    stack.push(w);
-                }
-            }
-        }
-        false
+    /// The local insertion test of `{u, v}` ([`check_insertion_locally`]) on the
+    /// current adjacency lists, under a `planarity.local` span. Only reached
+    /// when the insertion is not a face chord.
+    fn check_locally(&self, u: Vertex, v: Vertex) -> LocalVerdict {
+        let mut span = psi_obs::span!("planarity.local");
+        let local = check_insertion_locally(&self.graph, u, v);
+        span.field("radius", local.radius.into());
+        span.field("vertices", local.vertices as u64);
+        let refused = matches!(local.verdict, LocalVerdict::NonPlanar(_));
+        span.field("refused", refused.into());
+        local.verdict
     }
 
     /// Re-emits the batches of every centre in `affected` (sorted, deduplicated)
@@ -982,6 +1016,16 @@ impl EpochSource for DynamicPsiIndex {
     }
 }
 
+/// How an accepted insert repairs the embedding.
+enum Repair {
+    /// Split the face whose walk holds both endpoints.
+    Chord(u32),
+    /// Merge a face of each endpoint's component around the new bridge.
+    Bridge,
+    /// Re-embed the whole target with one LR pass, or refuse the edge.
+    WholeTarget,
+}
+
 /// Inserts `c` into the sorted, deduplicated centre list.
 fn merge_center(affected: &mut Vec<Vertex>, c: Vertex) {
     if let Err(at) = affected.binary_search(&c) {
@@ -1157,6 +1201,12 @@ mod tests {
         assert!(dynamic.insert_edge(0, 1).is_err());
         assert!(dynamic.delete_edge(0, 7).is_err());
         assert!(dynamic.insert_edge(3, 3).is_err());
+        // An interior chord shares no face with the grid: the local test
+        // refuses it before the clusterings are built.
+        assert!(matches!(
+            dynamic.insert_edge(7, 21),
+            Err(MutationError::NonPlanar(_))
+        ));
         assert!(
             dynamic.clusterings.is_empty(),
             "a rejected mutation clustered"

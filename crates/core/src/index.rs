@@ -1294,7 +1294,8 @@ mod tests {
         let index = small_index();
         // Re-encode by hand in the v2 layout: the v3 `fvgraph` section, and no
         // per-batch layered-segment word (plus the container version stamp).
-        let v4 = SectionedFile::from_bytes(&index.to_bytes(), INDEX_SCHEMA_VERSION).unwrap();
+        let bytes = index.to_bytes();
+        let v4 = SectionedFile::from_bytes(&bytes, INDEX_SCHEMA_VERSION).unwrap();
         let mut v2 = SectionedFile::new(2);
         for name in ["meta", "target", "faces"] {
             v2.push_section(name, v4.section(name).unwrap().to_vec());
@@ -1316,7 +1317,8 @@ mod tests {
             assert_eq!(a.decomp.root, b.decomp.root);
         }
         // Re-saving a v2-loaded index writes the current schema.
-        let resaved = SectionedFile::from_bytes(&back.to_bytes(), INDEX_SCHEMA_VERSION).unwrap();
+        let resaved = back.to_bytes();
+        let resaved = SectionedFile::from_bytes(&resaved, INDEX_SCHEMA_VERSION).unwrap();
         assert_eq!(resaved.version, INDEX_SCHEMA_VERSION);
     }
 
@@ -1324,7 +1326,8 @@ mod tests {
     fn v3_artifacts_with_fvgraph_still_load() {
         let index = small_index();
         // The v3 layout is the v4 one plus the `fvgraph` section after `faces`.
-        let v4 = SectionedFile::from_bytes(&index.to_bytes(), INDEX_SCHEMA_VERSION).unwrap();
+        let bytes = index.to_bytes();
+        let v4 = SectionedFile::from_bytes(&bytes, INDEX_SCHEMA_VERSION).unwrap();
         let mut v3 = SectionedFile::new(3);
         for name in v4.section_names() {
             v3.push_section(name, v4.section(name).unwrap().to_vec());

@@ -39,6 +39,8 @@ pub(crate) struct CoreMetrics {
     pub mutations_insert_total: Arc<Counter>,
     pub mutations_delete_total: Arc<Counter>,
     pub mutations_rejected_total: Arc<Counter>,
+    pub mutations_refused_local_total: Arc<Counter>,
+    pub mutations_whole_target_total: Arc<Counter>,
     pub mutation_ns: Arc<Histogram>,
     pub flushes_total: Arc<Counter>,
     pub flush_ns: Arc<Histogram>,
@@ -154,6 +156,8 @@ pub(crate) fn metrics() -> &'static CoreMetrics {
             mutations_insert_total: reg.counter("psi_mutations_insert_total"),
             mutations_delete_total: reg.counter("psi_mutations_delete_total"),
             mutations_rejected_total: reg.counter("psi_mutations_rejected_total"),
+            mutations_refused_local_total: reg.counter("psi_mutations_refused_local_total"),
+            mutations_whole_target_total: reg.counter("psi_mutations_whole_target_total"),
             mutation_ns: reg.histogram("psi_mutation_ns"),
             flushes_total: reg.counter("psi_flushes_total"),
             flush_ns: reg.histogram("psi_flush_ns"),

@@ -16,6 +16,7 @@
 
 use crate::builder::GraphBuilder;
 use crate::csr::{CsrGraph, Vertex};
+use std::borrow::Cow;
 use std::fmt;
 use std::path::Path;
 
@@ -379,15 +380,17 @@ impl From<std::io::Error> for SectionReadError {
 /// absolute) | len (u64) | fnv1a64 checksum (u64)`, everything little-endian.
 /// Payloads are opaque here — semantic encoding/decoding belongs to the caller
 /// (e.g. `planar_subiso`'s index artifact); this layer owns framing, versioning and
-/// corruption detection only.
+/// corruption detection only. A writer owns the payloads it pushes; a container
+/// read by [`SectionedFile::from_bytes`] borrows them from its input, so a load
+/// decodes straight from the file's bytes without copying them.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SectionedFile {
+pub struct SectionedFile<'a> {
     /// Caller-defined schema version, checked against the reader's expectation.
     pub version: u32,
-    sections: Vec<(String, Vec<u8>)>,
+    sections: Vec<(String, Cow<'a, [u8]>)>,
 }
 
-impl SectionedFile {
+impl<'a> SectionedFile<'a> {
     /// An empty container with the given schema version.
     pub fn new(version: u32) -> Self {
         SectionedFile {
@@ -412,7 +415,7 @@ impl SectionedFile {
             self.section(name).is_none(),
             "duplicate section name {name:?}"
         );
-        self.sections.push((name.to_string(), payload));
+        self.sections.push((name.to_string(), Cow::Owned(payload)));
     }
 
     /// The payload of `name`, if present.
@@ -420,7 +423,7 @@ impl SectionedFile {
         self.sections
             .iter()
             .find(|(n, _)| n == name)
-            .map(|(_, p)| p.as_slice())
+            .map(|(_, p)| &**p)
     }
 
     /// Section names in file order.
@@ -453,8 +456,8 @@ impl SectionedFile {
     }
 
     /// Parses a container from bytes, verifying magic, version, section-table sanity
-    /// and every payload checksum.
-    pub fn from_bytes(data: &[u8], supported_version: u32) -> Result<Self, SectionReadError> {
+    /// and every payload checksum. The payloads stay borrowed from `data`.
+    pub fn from_bytes(data: &'a [u8], supported_version: u32) -> Result<Self, SectionReadError> {
         let mut r = SliceReader::new(data);
         let magic = r.take_bytes(8).ok_or(SectionReadError::TruncatedHeader {
             file_len: data.len(),
@@ -518,7 +521,7 @@ impl SectionedFile {
             if fnv1a64(payload) != checksum {
                 return Err(SectionReadError::ChecksumMismatch { section: name });
             }
-            sections.push((name, payload.to_vec()));
+            sections.push((name, Cow::Borrowed(payload)));
         }
         Ok(SectionedFile { version, sections })
     }

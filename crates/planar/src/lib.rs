@@ -27,6 +27,6 @@ pub mod planarity;
 pub use embedding::{validate_walks, Embedding, EmbeddingError};
 pub use face_vertex::{face_vertex_graph, FaceVertexGraph};
 pub use planarity::{
-    check_planarity, is_planar_graph, planar_embedding, rotation_system, KuratowskiKind,
-    NonPlanarWitness, RotationSystem,
+    check_insertion_locally, check_planarity, is_planar_graph, planar_embedding, rotation_system,
+    KuratowskiKind, LocalCheck, LocalVerdict, NonPlanarWitness, RotationSystem,
 };

@@ -27,8 +27,11 @@
 //! bound), so a verified witness is a proof of non-planarity.
 
 use crate::embedding::Embedding;
-use psi_graph::{biconnected_components, CsrGraph, GraphBuilder, Vertex, INVALID_VERTEX};
+use psi_graph::{
+    biconnected_components, CsrGraph, GraphBuilder, NeighborSource, Vertex, INVALID_VERTEX,
+};
 use rayon::prelude::*;
+use std::collections::HashSet;
 use std::fmt;
 
 /// Sentinel for "no edge" in the per-edge arrays.
@@ -865,6 +868,174 @@ pub fn check_planarity(graph: &CsrGraph) -> Result<(), Box<NonPlanarWitness>> {
     }
 }
 
+// ---------------------------------------------------------------------------
+// Local insertion test
+// ---------------------------------------------------------------------------
+
+/// [`check_insertion_locally`] gives up once the union of its balls holds more
+/// than `n / LOCAL_SHARE` vertices of the graph …
+const LOCAL_SHARE: usize = 8;
+/// … or more than `LOCAL_FLOOR`, whichever is larger, so small graphs are
+/// settled locally too.
+const LOCAL_FLOOR: usize = 64;
+
+/// What [`check_insertion_locally`] settled about the would-be graph `G + uv`.
+#[derive(Clone, Debug)]
+pub enum LocalVerdict {
+    /// `G + uv` is non-planar. The witness is a Kuratowski subdivision of the
+    /// induced subgraph on the refusing balls plus `uv`, in `G`'s vertex ids.
+    NonPlanar(Box<NonPlanarWitness>),
+    /// `u` and `v` lie in different components of `G`, so `uv` is a bridge of
+    /// `G + uv`, which is planar.
+    Disconnected,
+    /// No ball up to the cap holds a witness, or the balls cover the joined
+    /// component and `G + uv` is planar there: only a whole-graph pass decides
+    /// (and embeds) this insertion.
+    Inconclusive,
+}
+
+/// The outcome of [`check_insertion_locally`] and the last balls it grew.
+#[derive(Clone, Debug)]
+pub struct LocalCheck {
+    /// What the balls settled.
+    pub verdict: LocalVerdict,
+    /// Radius of the last balls grown around `u` and `v`: every witness vertex
+    /// lies within it of `u` or `v`.
+    pub radius: u32,
+    /// Vertices in the union of the last balls grown.
+    pub vertices: usize,
+}
+
+/// A breadth-first ball: `order` lists its vertices by distance from the
+/// centre, and `order[frontier..]` is its outermost layer.
+struct Ball {
+    seen: HashSet<Vertex>,
+    order: Vec<Vertex>,
+    frontier: usize,
+    radius: u32,
+}
+
+impl Ball {
+    fn new(centre: Vertex) -> Ball {
+        Ball {
+            seen: HashSet::from([centre]),
+            order: vec![centre],
+            frontier: 0,
+            radius: 0,
+        }
+    }
+
+    /// Whether the ball holds its centre's whole component.
+    fn complete(&self) -> bool {
+        self.frontier == self.order.len()
+    }
+
+    /// Grows the ball layer by layer to `radius`, stopping as soon as it holds
+    /// more than `cap` vertices (its last layer is then partial).
+    fn grow<G: NeighborSource + ?Sized>(&mut self, graph: &G, radius: u32, cap: usize) {
+        while self.radius < radius && !self.complete() {
+            let end = self.order.len();
+            for i in self.frontier..end {
+                for &y in graph.neighbors_of(self.order[i]) {
+                    if self.seen.insert(y) {
+                        self.order.push(y);
+                        if self.order.len() > cap {
+                            return;
+                        }
+                    }
+                }
+            }
+            self.frontier = end;
+            self.radius += 1;
+        }
+    }
+
+    /// Whether the balls share a vertex or are joined by an edge.
+    fn touches<G: NeighborSource + ?Sized>(&self, graph: &G, other: &Ball) -> bool {
+        other.order.iter().any(|&x| {
+            self.seen.contains(&x) || graph.neighbors_of(x).iter().any(|y| self.seen.contains(y))
+        })
+    }
+}
+
+/// Decides from small balls around `u` and `v` whether inserting the edge
+/// `{u, v}` into the planar graph `graph` keeps it planar, without reading the
+/// rest of the graph.
+///
+/// Breadth-first balls grow around `u` and `v` in `graph` at radii 2, 4, 8, ….
+/// While they neither share a vertex nor are joined by an edge, `uv` is a
+/// bridge of the graph they induce plus `uv`, which is therefore planar, so
+/// nothing is tested. Once they touch, the LR test phases (as in
+/// [`check_planarity`]) run on that induced subgraph plus `uv` whenever it has
+/// at least doubled since the last test, so the tests cost at most about twice
+/// the last one. A supergraph of a non-planar graph is non-planar, so the first
+/// failing ball refuses the insertion with a witness that verifies against
+/// `G + uv`. A ball that holds its whole component without reaching the other
+/// endpoint shows that `u` and `v` lie in different components. The balls stop
+/// at `max(n / 8, 64)` vertices; past that the verdict is
+/// [`LocalVerdict::Inconclusive`].
+///
+/// Work and memory are proportional to the balls grown: nothing is allocated or
+/// scanned per graph vertex. The verdict and the witness are a pure function of
+/// the graph and the endpoints. `u` and `v` must be distinct, non-adjacent
+/// vertices of a planar `graph`.
+pub fn check_insertion_locally<G: NeighborSource + ?Sized>(
+    graph: &G,
+    u: Vertex,
+    v: Vertex,
+) -> LocalCheck {
+    debug_assert!(u != v && !graph.neighbors_of(u).contains(&v));
+    let cap = (graph.num_vertices() / LOCAL_SHARE).max(LOCAL_FLOOR);
+    let (mut bu, mut bv) = (Ball::new(u), Ball::new(v));
+    let (mut radius, mut tested) = (1u32, 0usize);
+    loop {
+        radius = radius.saturating_mul(2);
+        bu.grow(graph, radius, cap);
+        bv.grow(graph, radius, cap);
+        let done = |verdict, vertices| LocalCheck {
+            verdict,
+            radius,
+            vertices,
+        };
+        if (bu.complete() && !bu.seen.contains(&v)) || (bv.complete() && !bv.seen.contains(&u)) {
+            return done(LocalVerdict::Disconnected, bu.order.len() + bv.order.len());
+        }
+        if !bu.touches(graph, &bv) {
+            if bu.order.len() + bv.order.len() > cap {
+                return done(LocalVerdict::Inconclusive, bu.order.len() + bv.order.len());
+            }
+            continue;
+        }
+        let mut verts: Vec<Vertex> = bu.order.iter().chain(&bv.order).copied().collect();
+        verts.sort_unstable();
+        verts.dedup();
+        let whole = bu.complete() && bv.complete();
+        if verts.len() > cap {
+            return done(LocalVerdict::Inconclusive, verts.len());
+        }
+        if verts.len() >= 2 * tested || (whole && verts.len() > tested) {
+            tested = verts.len();
+            let mut edges = vec![(u.min(v), u.max(v))];
+            for &x in &verts {
+                edges.extend(
+                    graph
+                        .neighbors_of(x)
+                        .iter()
+                        .filter(|&&y| x < y && (bu.seen.contains(&y) || bv.seen.contains(&y)))
+                        .map(|&y| (x, y)),
+                );
+            }
+            if !planar_test_edges(&edges) {
+                let witness = Box::new(extract_witness(edges));
+                return done(LocalVerdict::NonPlanar(witness), verts.len());
+            }
+        }
+        if whole {
+            return done(LocalVerdict::Inconclusive, verts.len());
+        }
+    }
+}
+
 /// Buckets every edge into its biconnected block (`edge_component` is in
 /// `CsrGraph::edges` order) — the shared decomposition step of [`check_planarity`]
 /// and [`rotation_system`].
@@ -1351,6 +1522,73 @@ mod tests {
             assert_eq!(is_planar_graph(&g), planar);
             assert_eq!(planar_embedding(&g).is_ok(), planar);
         }
+    }
+
+    /// `g` plus the edge `{u, v}`.
+    fn with_edge(g: &CsrGraph, u: Vertex, v: Vertex) -> CsrGraph {
+        let mut b = GraphBuilder::new(g.num_vertices());
+        b.extend_edges(g.edges());
+        b.add_edge(u, v);
+        b.build()
+    }
+
+    #[test]
+    fn local_test_refuses_from_a_small_ball() {
+        let g = gg::triangulated_grid(40, 40);
+        let (u, v) = (10 * 40 + 10, 12 * 40 + 11); // interior, two apart
+        let local = check_insertion_locally(&g, u, v);
+        let LocalVerdict::NonPlanar(w) = &local.verdict else {
+            panic!("interior chord of a triangulation not refused: {local:?}");
+        };
+        assert!(
+            w.verify(&with_edge(&g, u, v)),
+            "ball witness must verify: {w}"
+        );
+        assert!(local.vertices < 100, "ball too large: {local:?}");
+        let (du, dv) = (psi_graph::bfs(&g, u), psi_graph::bfs(&g, v));
+        for &(a, b) in &w.edges {
+            for x in [a, b] {
+                let d = du.dist[x as usize].min(dv.dist[x as usize]);
+                assert!(d <= local.radius, "witness vertex {x} outside the ball");
+            }
+        }
+        // A pure function of the graph and the endpoints.
+        let again = check_insertion_locally(&g, u, v);
+        let LocalVerdict::NonPlanar(w2) = again.verdict else {
+            panic!("second run disagreed");
+        };
+        assert_eq!(w.edges, w2.edges);
+        // Small graphs are settled locally too (the cap never drops below 64).
+        let k5_minus = {
+            let mut edges: Vec<_> = gg::complete(5).edges().collect();
+            edges.retain(|&e| e != (3, 4));
+            GraphBuilder::from_edges(5, &edges)
+        };
+        let local = check_insertion_locally(&k5_minus, 3, 4);
+        let LocalVerdict::NonPlanar(w) = local.verdict else {
+            panic!("K5 minus an edge: insert not refused");
+        };
+        assert_eq!(w.kind, KuratowskiKind::K5);
+    }
+
+    #[test]
+    fn local_test_finds_separate_components_and_defers_planar_merges() {
+        // Two triangles (and an isolated vertex): any cross edge is a bridge.
+        let g = gg::disjoint_union(&[&gg::cycle(3), &gg::cycle(3), &CsrGraph::empty(1)]);
+        for (u, v) in [(0, 4), (2, 6), (6, 3)] {
+            let local = check_insertion_locally(&g, u, v);
+            assert!(
+                matches!(local.verdict, LocalVerdict::Disconnected),
+                "({u}, {v}): {local:?}"
+            );
+        }
+        // A planar insert inside one component is left to the whole-graph pass.
+        let g = gg::grid(12, 12);
+        let local = check_insertion_locally(&g, 0, 143); // opposite corners
+        assert!(
+            matches!(local.verdict, LocalVerdict::Inconclusive),
+            "{local:?}"
+        );
     }
 
     #[test]

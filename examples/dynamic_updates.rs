@@ -9,7 +9,7 @@
 //! seeded exponential start times reach the flipped edge — so a mutation costs
 //! milliseconds where a rebuild costs the full build time.
 
-use planar_subiso::{Pattern, Psi, PsiError, PsiIndex, UpdateStats};
+use planar_subiso::{MutationError, Pattern, Psi, PsiError, PsiIndex, UpdateStats};
 use std::time::Instant;
 
 fn main() {
@@ -71,17 +71,31 @@ fn main() {
 
     // Planarity is a hard gate: an edge whose insertion would create a K5 or
     // K3,3 subdivision is rejected with a verifiable certificate and the engine
-    // is left exactly as it was.
+    // is left exactly as it was. Two interior vertices two cells apart share no
+    // face of the grid, so the chord between them is non-planar; the engine
+    // finds the witness in a small ball around the edge.
+    let (a, b) = ((10 * w + 10) as u32, (12 * w + 12) as u32);
     let edges_before = psi.num_edges();
-    match psi.insert_edge(0, ((h - 1) * w + w - 1) as u32) {
-        Err(PsiError::Mutation(e)) => println!("far-corner chord rejected: {e}"),
-        Err(e) => println!("far-corner chord rejected: {e}"),
-        Ok(_) => {
-            // A corner-to-corner chord of a plain grid routes around the outer
-            // face, so it is actually planar; undo it to keep the churn honest.
-            println!("far-corner chord accepted (outer-face route)");
-            psi.delete_edge(0, ((h - 1) * w + w - 1) as u32)
-                .expect("undo corner chord");
+    let would_be = {
+        let mut g = psi_graph::GraphBuilder::new(psi.num_vertices());
+        g.extend_edges(psi.dynamic().target_csr().edges());
+        g.add_edge(a, b);
+        g.build()
+    };
+    let t = Instant::now();
+    let refusal = psi.insert_edge(a, b);
+    let reject_ms = t.elapsed().as_secs_f64() * 1e3;
+    match refusal {
+        Err(PsiError::Mutation(MutationError::NonPlanar(witness)))
+            if witness.verify(&would_be) && !psi.has_edge(a, b) =>
+        {
+            println!("insert_edge({a}, {b}) refused in {reject_ms:.3} ms: {witness} (verified)");
+        }
+        other => {
+            eprintln!(
+                "insert_edge({a}, {b}): expected a verified non-planar refusal, got {other:?}"
+            );
+            std::process::exit(1);
         }
     }
     assert_eq!(psi.num_edges(), edges_before);

@@ -12,8 +12,12 @@ use planar_subiso::{
     DynamicPsiIndex, IndexParams, MutationError, Pattern, Psi, PsiError, PsiIndex,
 };
 use proptest::prelude::*;
-use psi_graph::{CsrGraph, Vertex};
-use psi_planar::{planar_embedding, Embedding};
+use psi_graph::{generators as gg, CsrGraph, GraphBuilder, Vertex};
+use psi_planar::{
+    check_insertion_locally, check_planarity, planar_embedding, Embedding, LocalVerdict,
+};
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 
 fn params() -> IndexParams {
     IndexParams::default()
@@ -99,6 +103,12 @@ fn dedicated_pools_produce_identical_mutated_artifacts() {
             wide.find_one_batch(&patterns)
         );
     }
+    // A refusal's witness is the same from either pool.
+    let refuse = |psi: &mut Psi| match psi.insert_edge(9, 27) {
+        Err(PsiError::Mutation(MutationError::NonPlanar(w))) => w.edges,
+        other => panic!("interior chord not refused: {other:?}"),
+    };
+    assert_eq!(refuse(&mut single), refuse(&mut wide));
     assert_eq!(single.freeze().to_bytes(), wide.freeze().to_bytes());
 }
 
@@ -200,6 +210,214 @@ fn facade_matches_frozen_engine_after_churn() {
             engine.find_one(&p).ok(),
             "witness: {p:?}"
         );
+    }
+}
+
+/// `g` plus the edge `{u, v}`: the would-be graph a refusal's witness certifies.
+fn with_edge(g: &CsrGraph, u: Vertex, v: Vertex) -> CsrGraph {
+    let mut b = GraphBuilder::new(g.num_vertices());
+    b.extend_edges(g.edges());
+    b.add_edge(u, v);
+    b.build()
+}
+
+/// A seeded random subgraph of `g`: each edge is dropped with probability `p`,
+/// but only while both its ends keep more than `min_degree` edges.
+fn thinned(g: &CsrGraph, p: f64, min_degree: usize, seed: u64) -> CsrGraph {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut degree: Vec<usize> = (0..g.num_vertices() as Vertex)
+        .map(|v| g.degree(v))
+        .collect();
+    let mut kept = GraphBuilder::new(g.num_vertices());
+    for (u, v) in g.edges() {
+        let (du, dv) = (degree[u as usize], degree[v as usize]);
+        if du > min_degree && dv > min_degree && rng.gen_bool(p) {
+            degree[u as usize] -= 1;
+            degree[v as usize] -= 1;
+        } else {
+            kept.add_edge(u, v);
+        }
+    }
+    kept.build()
+}
+
+#[test]
+fn near_chords_are_refused_from_a_ball_around_the_edge() {
+    // A 60×60 grid with seeded cell diagonals is a subdivision of a 3-connected
+    // graph whose faces are its cells, so two interior vertices at Chebyshev
+    // distance 2 to 8 share no face and the chord between them is non-planar.
+    let w = 60usize;
+    let id = |r: usize, c: usize| (r * w + c) as Vertex;
+    let mut rng = SmallRng::seed_from_u64(21);
+    let mut psi = Psi::builder().open(&gg::grid(w, w)).unwrap();
+    for _ in 0..400 {
+        let (r, c) = (rng.gen_range(0..w - 1), rng.gen_range(0..w - 1));
+        let (main, anti) = ((id(r, c), id(r + 1, c + 1)), (id(r, c + 1), id(r + 1, c)));
+        let (a, b) = if rng.gen_bool(0.5) { main } else { anti };
+        if !psi.has_edge(main.0, main.1) && !psi.has_edge(anti.0, anti.1) {
+            psi.insert_edge(a, b).expect("cell diagonal rejected");
+        }
+    }
+    let before = psi.freeze().to_bytes();
+    let target = psi.dynamic().target_csr().clone();
+    for i in 0..28usize {
+        let span = 2 + i % 7;
+        let (r, c) = (
+            rng.gen_range(1..w - 1 - span),
+            rng.gen_range(1..w - 1 - span),
+        );
+        let (dr, dc) = match i % 3 {
+            0 => (span, rng.gen_range(0..=span)),
+            1 => (rng.gen_range(0..=span), span),
+            _ => (span, span),
+        };
+        let (u, v) = (id(r, c), id(r + dr, c + dc));
+        let witness = match psi.insert_edge(u, v) {
+            Err(PsiError::Mutation(MutationError::NonPlanar(w))) => w,
+            other => panic!("chord ({u}, {v}) not refused: {other:?}"),
+        };
+        assert!(
+            witness.verify(&with_edge(&target, u, v)),
+            "({u}, {v}): {witness}"
+        );
+        assert!(!psi.has_edge(u, v));
+        // The engine's refusal is the local test's, and its witness lies
+        // within the refusing radius of an endpoint.
+        let local = check_insertion_locally(&target, u, v);
+        let LocalVerdict::NonPlanar(local_witness) = &local.verdict else {
+            panic!("chord ({u}, {v}) not refused locally: {local:?}");
+        };
+        assert_eq!(witness.edges, local_witness.edges);
+        let (du, dv) = (psi_graph::bfs(&target, u), psi_graph::bfs(&target, v));
+        for &(a, b) in &witness.edges {
+            for x in [a, b] {
+                let d = du.dist[x as usize].min(dv.dist[x as usize]);
+                assert!(d <= local.radius, "({u}, {v}): witness vertex {x} at {d}");
+            }
+        }
+    }
+    assert_eq!(
+        psi.freeze().to_bytes(),
+        before,
+        "refused chords must not perturb the artifact"
+    );
+}
+
+/// K3,3 on branch vertices 0, 1, 2 | 3, 4, 5 with every edge but {0, 3}
+/// subdivided into a path of `len` edges.
+fn subdivided_k33_minus_a_path(len: usize) -> CsrGraph {
+    let mut b = GraphBuilder::new(6 + 8 * (len - 1));
+    let mut next = 6 as Vertex;
+    for a in 0..3 as Vertex {
+        for t in 3..6 as Vertex {
+            if (a, t) == (0, 3) {
+                continue;
+            }
+            let mut prev = a;
+            for _ in 1..len {
+                b.add_edge(prev, next);
+                prev = next;
+                next += 1;
+            }
+            b.add_edge(prev, t);
+        }
+    }
+    b.build()
+}
+
+#[test]
+fn far_obstructions_are_refused_by_the_whole_target_pass() {
+    // Closing the missing path with the edge {0, 3} completes a subdivided
+    // K3,3 that spans the whole graph: no ball within the local test's cap
+    // holds a witness, so the whole-target LR pass must refuse it.
+    let g = subdivided_k33_minus_a_path(64);
+    let local = check_insertion_locally(&g, 0, 3);
+    assert!(
+        matches!(local.verdict, LocalVerdict::Inconclusive),
+        "{local:?}"
+    );
+    let mut dynamic = DynamicPsiIndex::build(&planar_embedding(&g).unwrap(), params());
+    let before = dynamic.freeze().to_bytes();
+    match dynamic.insert_edge(0, 3) {
+        Err(MutationError::NonPlanar(w)) => {
+            assert!(w.verify(&with_edge(&g, 0, 3)), "{w}");
+            assert_eq!(
+                w.num_edges(),
+                g.num_edges() + 1,
+                "the witness is the whole graph"
+            );
+        }
+        other => panic!("far obstruction not refused: {other:?}"),
+    }
+    assert!(!dynamic.has_edge(0, 3));
+    assert_eq!(dynamic.freeze().to_bytes(), before);
+}
+
+#[test]
+fn insert_verdicts_match_a_whole_graph_planarity_check() {
+    // Whichever path decides an insert (face chord, local balls, bridge
+    // merge, whole-target pass), it is accepted exactly when G + uv is planar.
+    let mut inputs = Vec::new();
+    for seed in 0..3u64 {
+        inputs.push(thinned(&gg::triangulated_grid(12, 12), 0.35, 2, seed));
+        inputs.push(thinned(
+            &gg::random_stacked_triangulation(120, seed),
+            0.3,
+            2,
+            seed,
+        ));
+    }
+    inputs.push(gg::disjoint_union(&[
+        &thinned(&gg::triangulated_grid(6, 6), 0.35, 2, 5),
+        &gg::random_stacked_triangulation(30, 5),
+        &CsrGraph::empty(3),
+    ]));
+    inputs.push(gg::random_stacked_triangulation(80, 7));
+    for (i, g) in inputs.iter().enumerate() {
+        let mut rng = SmallRng::seed_from_u64(100 + i as u64);
+        let mut dynamic = DynamicPsiIndex::build(&planar_embedding(g).unwrap(), params());
+        let n = g.num_vertices() as Vertex;
+        let (mut accepted, mut refused) = (0, 0);
+        for _ in 0..40 {
+            let u = rng.gen_range(0..n);
+            // Half the partners are a short random walk away, half anywhere.
+            let v = if rng.gen_bool(0.5) {
+                let mut x = u;
+                for _ in 0..rng.gen_range(2..5) {
+                    let row = dynamic.target_csr().neighbors(x);
+                    if !row.is_empty() {
+                        x = row[rng.gen_range(0..row.len())];
+                    }
+                }
+                x
+            } else {
+                rng.gen_range(0..n)
+            };
+            if u == v || dynamic.has_edge(u, v) {
+                continue;
+            }
+            let would_be = with_edge(dynamic.target_csr(), u, v);
+            let planar = check_planarity(&would_be).is_ok();
+            match dynamic.insert_edge(u, v) {
+                Ok(_) => {
+                    assert!(planar, "input {i}: non-planar ({u}, {v}) accepted");
+                    accepted += 1;
+                }
+                Err(MutationError::NonPlanar(w)) => {
+                    assert!(!planar, "input {i}: planar ({u}, {v}) refused");
+                    assert!(w.verify(&would_be), "input {i}: ({u}, {v}): {w}");
+                    assert!(!dynamic.has_edge(u, v));
+                    refused += 1;
+                }
+                Err(other) => panic!("input {i}: ({u}, {v}): unexpected {other}"),
+            }
+        }
+        assert!(refused > 0, "input {i}: no insert was refused");
+        assert!(
+            accepted > 0 || i == inputs.len() - 1,
+            "input {i}: no insert was accepted"
+        );
+        assert_bit_identical(&mut dynamic);
     }
 }
 

@@ -163,8 +163,8 @@ fn malformed_artifacts_are_rejected_with_structured_errors() {
 #[test]
 fn semantically_inconsistent_sections_are_rejected() {
     let e = pg::triangulated_grid_embedded(6, 6);
-    let index = build(&e, IndexParams::default());
-    let good = sections(&index);
+    let bytes = build(&e, IndexParams::default()).to_bytes();
+    let good = sections(&bytes);
 
     // Rebuild the file with one section replaced by garbage (valid checksum!).
     let rebuild_with = |victim: &str, payload: Vec<u8>| -> Vec<u8> {
@@ -236,7 +236,8 @@ fn semantically_inconsistent_sections_are_rejected() {
     // checksums: an index of `base` whose target section (and meta edge count)
     // is swapped for `target` and whose faces section holds `walks`.
     let faces_rejected = |base: &psi_planar::Embedding, target: &CsrGraph, walks: &[Vec<u32>]| {
-        let file = sections(&build(base, IndexParams::default()));
+        let bytes = build(base, IndexParams::default()).to_bytes();
+        let file = sections(&bytes);
         let mut meta = file.section("meta").unwrap().to_vec();
         let m_at = meta.len() - 8;
         meta[m_at..].copy_from_slice(&(target.num_edges() as u64).to_le_bytes());
@@ -278,9 +279,9 @@ fn semantically_inconsistent_sections_are_rejected() {
     assert!(detail.contains("genus 1"), "{detail}");
 }
 
-/// The sections of a freshly serialised index.
-fn sections(index: &PsiIndex) -> SectionedFile {
-    SectionedFile::from_bytes(&index.to_bytes(), planar_subiso::INDEX_SCHEMA_VERSION).unwrap()
+/// The sections of a serialised index, borrowed from its bytes.
+fn sections(bytes: &[u8]) -> SectionedFile<'_> {
+    SectionedFile::from_bytes(bytes, planar_subiso::INDEX_SCHEMA_VERSION).unwrap()
 }
 
 /// `file` re-serialised (with valid checksums) with the named sections' payloads

@@ -121,6 +121,9 @@ fn span_nesting_matches_call_tree() {
     psi.insert_edge(0, 6).expect("cell diagonal rejected");
     psi.flush();
     psi.insert_edge(3, 9).expect("cell diagonal rejected");
+    // An interior chord two cells across shares no face: the local insertion
+    // test refuses it from a ball around the edge.
+    assert!(psi.insert_edge(6, 18).is_err(), "interior chord accepted");
     let _frozen = psi.freeze(); // flushes the dirty cluster inside the freeze span
     let snap = psi.snapshot();
     assert!(snap.decide(&Pattern::triangle()).unwrap());
@@ -154,6 +157,7 @@ fn span_nesting_matches_call_tree() {
         "cover.shard",
         "query.decide",
         "mutate.insert",
+        "planarity.local",
         "flush",
         "freeze",
         "snapshot",
@@ -189,6 +193,22 @@ fn span_nesting_matches_call_tree() {
         nested_under(&spans, inner_flush, "flush.publish"),
         "round publication instants must nest under their flush"
     );
+    assert!(
+        spans.iter().any(|q| q.name == "mutate.insert"
+            && q.fields().contains(&("u", 6))
+            && nested_under(&spans, q, "planarity.local")),
+        "the local insertion test must nest under its insert"
+    );
+    let local = first(&spans, "planarity.local");
+    assert!(
+        local.fields().contains(&("refused", 1)),
+        "{:?}",
+        local.fields()
+    );
+    assert!(local
+        .fields()
+        .iter()
+        .any(|&(k, v)| k == "vertices" && v > 0));
     let publish = first(&spans, "flush.publish");
     assert!(publish.instant, "flush.publish is an instant event");
     let enumerate = first(&spans, "connectivity.enumerate");
@@ -270,6 +290,8 @@ fn exports_parse_and_round_trip() {
         "psi_query_decide_ns{quantile=\"0.5\"}",
         "psi_query_decide_ns{quantile=\"0.99\"}",
         "psi_mutations_insert_total",
+        "psi_mutations_refused_local_total",
+        "psi_mutations_whole_target_total",
         "psi_flushes_total",
         "# TYPE psi_decomp_cache_size gauge",
         "psi_pool_steals_total",
