@@ -9,6 +9,7 @@
 //! `EXPERIMENTS.md`. An unknown section name exits with status 2. The engine's
 //! seeded end-to-end benchmark is `perfbench/`, not this binary.
 
+use planar_subiso::connectivity::is_vertex_cut;
 use planar_subiso::{
     map_cover_batches, separating_cycle_connectivity, vertex_connectivity, ConnectivityMode,
     DpStrategy, Pattern, QueryConfig, SubgraphIsomorphism,
@@ -278,7 +279,9 @@ fn f6_disconnected() {
 }
 
 /// F7 — Lemma 5.2: vertex connectivity on the default path and through the paper's
-/// separating DP, each timed and checked against the flow baseline.
+/// separating DP, each timed and checked against the flow baseline. After the table
+/// the process exits with status 1 if any answer differs from Dinic's or a reported
+/// cut is not a vertex cut of size κ.
 fn f7_connectivity() {
     println!("\n== F7: planar vertex connectivity (Lemma 5.2) ==");
     println!(
@@ -313,31 +316,52 @@ fn f7_connectivity() {
             true,
         ),
     ];
+    let mut failures = Vec::new();
     for (name, e, run_dp) in cases {
         let (ours, t_ours) = timed(|| vertex_connectivity(&e, ConnectivityMode::WholeGraph, 1));
-        let (dp, t_dp) = if run_dp {
+        let dp = run_dp.then(|| {
             let fv = face_vertex_graph(&e);
-            let (dp, t) = timed(|| {
+            timed(|| {
                 separating_cycle_connectivity(&e.graph, &fv, ConnectivityMode::WholeGraph, 1)
                     .connectivity
-            });
-            (dp.to_string(), format!("{t:.2}"))
-        } else {
-            ("—".to_string(), "—".to_string())
-        };
+            })
+        });
         let (flow, t_flow) = timed(|| flow_vertex_connectivity(&e.graph, 6));
+        let (dp_col, t_dp_col) = match dp {
+            Some((kappa, t)) => (kappa.to_string(), format!("{t:.2}")),
+            None => ("—".to_string(), "—".to_string()),
+        };
         println!(
             "{:<28} {:>5} {:>5} {:>5} {:>5} {:>10} {:>10.3} {:>10} {:>10.2}",
             name,
             e.graph.num_vertices(),
             ours.connectivity,
-            dp,
+            dp_col,
             flow,
             ours.candidates,
             t_ours,
-            t_dp,
+            t_dp_col,
             t_flow
         );
+        if ours.connectivity != flow {
+            failures.push(format!("{name}: ours {} != flow {flow}", ours.connectivity));
+        }
+        if let Some((kappa, _)) = dp.filter(|&(kappa, _)| kappa != flow) {
+            failures.push(format!("{name}: DP {kappa} != flow {flow}"));
+        }
+        let cut = &ours.cut;
+        if !cut.is_empty() && (cut.len() != ours.connectivity || !is_vertex_cut(&e.graph, cut)) {
+            failures.push(format!(
+                "{name}: {cut:?} is not a vertex cut of size {}",
+                ours.connectivity
+            ));
+        }
+    }
+    if !failures.is_empty() {
+        for failure in &failures {
+            eprintln!("F7 check failed: {failure}");
+        }
+        std::process::exit(1);
     }
 }
 

@@ -129,33 +129,6 @@ impl CoverBatch {
         self.windows.len()
     }
 
-    /// An FNV-1a-style hash of the full batch content (union graph, id map, and
-    /// window stamps). Two batches with equal content hash equally; collisions
-    /// are possible, so callers keying on the hash must verify with `==` —
-    /// which is how the flush-side decomposition cache stays exact.
-    pub fn content_hash(&self) -> u64 {
-        const BASIS: u64 = 0xCBF2_9CE4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01B3;
-        fn mix(h: u64, x: u64) -> u64 {
-            (h ^ x).wrapping_mul(PRIME)
-        }
-        let mut h = mix(BASIS, self.graph.num_vertices() as u64);
-        for v in self.graph.vertices() {
-            h = mix(h, self.graph.degree(v) as u64);
-            for &w in self.graph.neighbors(v) {
-                h = mix(h, w as u64);
-            }
-        }
-        for &g in &self.local_to_global {
-            h = mix(h, g as u64);
-        }
-        for &(c, level, offset) in &self.windows {
-            h = mix(h, c as u64);
-            h = mix(h, ((level as u64) << 32) | offset as u64);
-        }
-        h
-    }
-
     /// Per-window vertex ranges `[start, end)` into the union's vertex ids.
     pub fn segment_ranges(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
         (0..self.windows.len()).map(move |w| {

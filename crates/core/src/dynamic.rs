@@ -22,7 +22,9 @@
 //! 3. *marking dirty* exactly the clusters whose membership or induced subgraph
 //!    changed. Their batches are rebuilt lazily — by the next query, freeze, or
 //!    explicit [`DynamicPsiIndex::flush`] — through `emit_cluster_batches`,
-//!    the same single code path the from-scratch build uses. Deferral is what
+//!    the same single code path the from-scratch build uses. A re-emitted batch
+//!    equal to one of its cluster's previous batches takes that batch's stored
+//!    decomposition; only a changed batch is decomposed again. Deferral is what
 //!    makes mutations cheap at scale: the flip itself is a local repair, and a
 //!    cluster hit by many flips between two queries is rebuilt once, not once
 //!    per flip.
@@ -47,7 +49,7 @@
 use crate::connectivity::{ConnectivityMode, ConnectivityResult};
 use crate::cover::{
     cover_beta, emit_cluster_batches, round_seed, BatchBuilder, ClusterScratch, ClusterView,
-    CoverBatch, PassCounters,
+    PassCounters,
 };
 use crate::index::{
     FlatDecomposition, IndexParams, IndexedBatch, PsiIndex, QueryError, StoredRound,
@@ -59,7 +61,7 @@ use psi_graph::{AdjacencyList, CsrGraph, Vertex};
 use psi_planar::{
     check_insertion_locally, planar_embedding, Embedding, LocalVerdict, NonPlanarWitness,
 };
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
 
@@ -365,8 +367,7 @@ fn rotate_after(walk: &[Vertex], q: usize) -> Vec<Vertex> {
 // ---------------------------------------------------------------------------
 
 /// A cluster of the live [`DynamicClustering`], viewed through the centre
-/// oracle with vertex ids as scratch slots (the scratch is sized `n` and kept
-/// resident across mutations).
+/// oracle with vertex ids as scratch slots (each flush sizes its scratch `n`).
 struct DynClusterView<'a> {
     clustering: &'a DynamicClustering,
     center: Vertex,
@@ -416,114 +417,20 @@ pub struct DynamicPsiIndex {
     /// Per round: centres whose batches are stale and must be re-emitted before
     /// the next batch scan (ordered so the flush is deterministic).
     dirty: Vec<BTreeSet<Vertex>>,
-    scratch: ClusterScratch,
-    batch: BatchBuilder,
-    /// Content-addressed decomposition reuse across flushes (see [`DecompCache`]).
-    decomp_cache: DecompCache,
+    /// What the flushes since thaw did with the decompositions of re-emitted
+    /// batches ([`DynamicPsiIndex::decomp_cache_metrics`]).
+    reuse: DecompCacheMetrics,
 }
 
-/// A bounded, content-addressed cache of per-batch tree decompositions.
-///
-/// [`FlatDecomposition::of_batch`] dominates flush cost, yet churn workloads keep
-/// re-creating batches the engine has already decomposed (an insert followed by
-/// the matching delete restores a cluster's exact batch content). When a flush
-/// replaces a cluster's batches, the old `Arc`'d vector is *harvested* into the
-/// cache keyed by [`CoverBatch::content_hash`]; a freshly emitted batch first
-/// looks itself up and, on a full-equality match (hash collisions can never
-/// corrupt answers), clones the stored [`FlatDecomposition`] instead of
-/// recomputing it. The decomposition is a pure function of batch content, so a
-/// hit is bit-identical to recomputation and `freeze()` determinism is
-/// untouched. Entries hold `Arc` references into retired round storage — no
-/// deep copies — and are evicted FIFO past [`DECOMP_CACHE_CAP`] entries.
-struct DecompCache {
-    buckets: HashMap<u64, Vec<CacheEntry>>,
-    order: VecDeque<u64>,
-    cap: usize,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-}
-
-/// A retired cluster batch vector plus the index of the cached batch within it.
-type CacheEntry = (Arc<Vec<IndexedBatch>>, u32);
-
-/// Cache capacity: roughly one flush's worth of retired cluster batches at the
-/// 1M-vertex, 256-mutation benchmark scale (a few tens of MB of pinned retired
-/// rounds).
-pub const DECOMP_CACHE_CAP: usize = 4096;
-
-/// Point-in-time counters of the flush-side decomposition cache
-/// ([`DynamicPsiIndex::decomp_cache_metrics`]).
+/// How the flushes since thaw came by the decompositions of the batches they
+/// re-emitted ([`DynamicPsiIndex::decomp_cache_metrics`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DecompCacheMetrics {
-    /// Equality-verified lookups served from the cache since thaw.
+    /// Batches equal to a batch of their cluster's previous group, which
+    /// took that batch's stored decomposition.
     pub hits: u64,
-    /// Lookups that fell through to a fresh decomposition since thaw.
+    /// Batches decomposed afresh, as the build decomposes them.
     pub misses: u64,
-    /// Entries evicted by the FIFO capacity bound since thaw.
-    pub evictions: u64,
-    /// Entries currently resident.
-    pub len: usize,
-    /// The capacity bound ([`DECOMP_CACHE_CAP`]).
-    pub cap: usize,
-}
-
-impl DecompCache {
-    fn new(cap: usize) -> DecompCache {
-        DecompCache {
-            buckets: HashMap::new(),
-            order: VecDeque::new(),
-            cap,
-            hits: 0,
-            misses: 0,
-            evictions: 0,
-        }
-    }
-
-    /// Evicts the oldest entries until the FIFO bound holds again.
-    fn enforce_cap(&mut self) {
-        while self.order.len() > self.cap {
-            let old = self.order.pop_front().expect("order non-empty");
-            self.evictions = self.evictions.saturating_add(1);
-            if let Some(bucket) = self.buckets.get_mut(&old) {
-                if !bucket.is_empty() {
-                    bucket.remove(0);
-                }
-                if bucket.is_empty() {
-                    self.buckets.remove(&old);
-                }
-            }
-        }
-    }
-
-    /// Admits every batch of a retired cluster vector (`Arc` bumps only).
-    fn admit(&mut self, batches: &Arc<Vec<IndexedBatch>>) {
-        for (i, _) in batches.iter().enumerate() {
-            let h = batches[i].batch.content_hash();
-            self.buckets
-                .entry(h)
-                .or_default()
-                .push((batches.clone(), i as u32));
-            self.order.push_back(h);
-            self.enforce_cap();
-        }
-    }
-
-    /// The stored decomposition of a batch with content equal to `b`, if any.
-    fn lookup(&mut self, b: &CoverBatch) -> Option<FlatDecomposition> {
-        let h = b.content_hash();
-        if let Some(bucket) = self.buckets.get(&h) {
-            for (arc, i) in bucket {
-                let ib = &arc[*i as usize];
-                if ib.batch == *b {
-                    self.hits += 1;
-                    return Some(ib.decomp.clone());
-                }
-            }
-        }
-        self.misses += 1;
-        None
-    }
 }
 
 impl fmt::Debug for DynamicPsiIndex {
@@ -554,9 +461,7 @@ impl DynamicPsiIndex {
             faces: FaceStore::from_walks(state.n, walks),
             clusterings: Vec::new(),
             dirty: vec![BTreeSet::new(); state.rounds.len()],
-            scratch: ClusterScratch::new(state.n),
-            batch: BatchBuilder::new(state.params.batch_budget as usize),
-            decomp_cache: DecompCache::new(DECOMP_CACHE_CAP),
+            reuse: DecompCacheMetrics::default(),
             state,
         }
     }
@@ -613,10 +518,9 @@ impl DynamicPsiIndex {
 
     /// Builds the per-round clusterings if this engine has none yet. Called by
     /// a mutation once it is known to change the graph — after its arguments
-    /// pass validation and after every refusal the local insertion test
-    /// settles — and before any repair, so it clusters the epoch's target,
-    /// still the graph the stored rounds were cut from. Only a refusal by the
-    /// whole-target LR pass comes after it.
+    /// pass validation and after every refusal, the whole-target LR pass's
+    /// included — and before any repair, so it clusters the epoch's target,
+    /// still the graph the stored rounds were cut from.
     fn cluster_rounds(&mut self) {
         if !self.clusterings.is_empty() {
             return;
@@ -638,11 +542,12 @@ impl DynamicPsiIndex {
     ///
     /// A face chord splits its face. Otherwise the local insertion test
     /// ([`check_insertion_locally`], traced as a `planarity.local` span) grows
-    /// balls around `u` and `v`: a witness in a ball refuses the edge before
-    /// any state changes or clustering, and endpoints in different components
-    /// are joined by a face merge, both in time proportional to the balls.
-    /// Only an insert the balls leave undecided re-embeds the whole target
-    /// with one LR pass, or is refused by it.
+    /// balls around `u` and `v`: a witness in a ball refuses the edge, and
+    /// endpoints in different components are joined by a face merge, both in
+    /// time proportional to the balls. Only an insert the balls leave
+    /// undecided runs one LR pass over the would-be target, which refuses the
+    /// edge or re-embeds the whole target. Every refusal comes before any state
+    /// changes or clustering.
     pub fn insert_edge(&mut self, u: Vertex, v: Vertex) -> Result<UpdateStats, MutationError> {
         let _span = psi_obs::span!("mutate.insert", u = u, v = v);
         let metrics = crate::obs::metrics();
@@ -669,7 +574,25 @@ impl DynamicPsiIndex {
                     return Err(MutationError::NonPlanar(witness));
                 }
                 LocalVerdict::Disconnected => Repair::Bridge,
-                LocalVerdict::Inconclusive => Repair::WholeTarget,
+                LocalVerdict::Inconclusive => {
+                    // No shared face and no verdict from the balls: a planar
+                    // insert here merges biconnected blocks, which
+                    // invalidates walks far from the edge, so no local splice
+                    // is possible. One LR pass over the would-be target
+                    // embeds it or refuses the edge; only the merged block
+                    // can fail, and the witness is extracted from it.
+                    metrics.mutations_whole_target_total.add(1);
+                    self.graph.insert_edge(u, v);
+                    let would_be = self.graph.to_csr();
+                    self.graph.delete_edge(u, v);
+                    match planar_embedding(&would_be) {
+                        Ok(embedding) => Repair::Reembed(embedding.faces),
+                        Err(witness) => {
+                            metrics.mutations_rejected_total.add(1);
+                            return Err(MutationError::NonPlanar(witness));
+                        }
+                    }
+                }
             },
         };
         self.cluster_rounds();
@@ -686,27 +609,10 @@ impl DynamicPsiIndex {
                 self.graph.insert_edge(u, v);
                 self.faces.merge_for_insert(fu, fv, u, v);
             }
-            Repair::WholeTarget => {
-                // No shared face and no verdict from the balls: a planar
-                // insert here merges biconnected blocks, which invalidates
-                // walks far from the edge, so no local splice is possible.
-                // One LR pass re-embeds the whole target or refuses the edge;
-                // only the merged block can fail, and the witness is
-                // extracted from it.
-                metrics.mutations_whole_target_total.add(1);
+            Repair::Reembed(walks) => {
                 self.graph.insert_edge(u, v);
-                let csr = self.graph.to_csr();
-                match planar_embedding(&csr) {
-                    Ok(embedding) => {
-                        self.faces = FaceStore::from_walks(csr.num_vertices(), embedding.faces);
-                        stats.reembedded = true;
-                    }
-                    Err(witness) => {
-                        self.graph.delete_edge(u, v);
-                        metrics.mutations_rejected_total.add(1);
-                        return Err(MutationError::NonPlanar(witness));
-                    }
-                }
+                self.faces = FaceStore::from_walks(self.graph.num_vertices(), walks);
+                stats.reembedded = true;
             }
         }
         for r in 0..self.clusterings.len() {
@@ -787,11 +693,16 @@ impl DynamicPsiIndex {
     /// rebuild at a moment of your choosing (e.g. off the serving path). A
     /// cluster dirtied by many flips is rebuilt once, from the *current*
     /// clustering state — batches are a pure function of membership, so the
-    /// result is identical to eager per-flip rebuilds.
+    /// result is identical to eager per-flip rebuilds. The flush keeps nothing
+    /// between calls: its cluster scratch and batch builder live for one flush,
+    /// and a re-emitted batch reuses a decomposition only from its own
+    /// cluster's previous group (counted by
+    /// `psi_flush_decompositions_reused_total` and
+    /// [`Self::decomp_cache_metrics`]).
     pub fn flush(&mut self) -> usize {
         // Clean engines flush implicitly before every query; skip all
-        // bookkeeping (spans, histogram samples) so those no-ops stay free and
-        // don't pollute the flush latency distribution.
+        // bookkeeping (spans, histogram samples, scratch) so those no-ops stay
+        // free and don't pollute the flush latency distribution.
         if self.dirty.iter().all(BTreeSet::is_empty) {
             return 0;
         }
@@ -799,19 +710,26 @@ impl DynamicPsiIndex {
         let mut span = psi_obs::span!("flush", dirty_clusters = dirty_total);
         let metrics = crate::obs::metrics();
         let start = std::time::Instant::now();
-        let mut rebuilt = 0usize;
+        let mut scratch = ClusterScratch::new(self.graph.num_vertices());
+        let mut batch = BatchBuilder::new(self.state.params.batch_budget as usize);
+        let (mut rebuilt, mut reused) = (0usize, 0usize);
         for r in 0..self.dirty.len() {
             if self.dirty[r].is_empty() {
                 continue;
             }
             let affected: Vec<Vertex> = std::mem::take(&mut self.dirty[r]).into_iter().collect();
-            rebuilt += self.rebuild_clusters(r, &affected);
+            let (round_rebuilt, round_reused) =
+                self.rebuild_clusters(r, &affected, &mut scratch, &mut batch);
+            rebuilt += round_rebuilt;
+            reused += round_reused;
         }
+        self.reuse.hits += reused as u64;
+        self.reuse.misses += (rebuilt - reused) as u64;
         span.field("batches_rebuilt", rebuilt as u64);
         metrics.flushes_total.add(1);
         metrics.flush_batches_rebuilt_total.add(rebuilt as u64);
+        metrics.flush_decompositions_reused_total.add(reused as u64);
         metrics.flush_ns.record_duration(start.elapsed());
-        self.refresh_cache_gauges();
         rebuilt
     }
 
@@ -830,46 +748,56 @@ impl DynamicPsiIndex {
 
     /// Re-emits the batches of every centre in `affected` (sorted, deduplicated)
     /// for round `r`, through the same `emit_cluster_batches` path as the
-    /// from-scratch build. Centres that are no longer centres are just removed.
+    /// from-scratch build, and returns the batches re-emitted and how many of
+    /// them reused a decomposition. Centres that are no longer centres are just
+    /// removed.
     ///
     /// The rebuild is copy-on-write: a round that a snapshot or frozen index
     /// still holds is cloned first (`O(clusters)` `Arc` bumps), so those
     /// holders keep scanning the retired round, which is freed when the last
-    /// one drops. Replaced cluster vectors are harvested into the decomposition
-    /// cache so re-created batch content skips its decomposition.
-    fn rebuild_clusters(&mut self, r: usize, affected: &[Vertex]) -> usize {
+    /// one drops. A cluster's previous group lives until its batches are
+    /// re-emitted: an emitted batch equal to one of them takes its stored
+    /// decomposition, and the group is then dropped.
+    fn rebuild_clusters(
+        &mut self,
+        r: usize,
+        affected: &[Vertex],
+        scratch: &mut ClusterScratch,
+        batch: &mut BatchBuilder,
+    ) -> (usize, usize) {
         let d = self.state.params.d as usize;
-        let mut rebuilt = 0usize;
+        let (mut rebuilt, mut reused) = (0usize, 0usize);
         let round: &mut StoredRound = Arc::make_mut(&mut self.state.rounds[r]);
         for &c in affected {
-            if let Some(old) = round.groups.remove(&c) {
-                self.decomp_cache.admit(&old);
-            }
+            let old = round.groups.remove(&c);
             if !self.clusterings[r].is_center(c) {
                 continue; // the cluster dissolved; nothing to re-emit
             }
+            let old: &[IndexedBatch] = old.as_deref().map_or(&[], Vec::as_slice);
             let view = DynClusterView {
                 clustering: &self.clusterings[r],
                 center: c,
             };
             let mut batches: Vec<IndexedBatch> = Vec::new();
-            let decomp_cache = &mut self.decomp_cache;
             let _: Option<()> = emit_cluster_batches(
                 &self.graph,
                 &view,
                 d,
                 1, // min_vertices: mirror the build (serve k' < k patterns too)
-                &mut self.scratch,
-                &mut self.batch,
+                scratch,
+                batch,
                 &PassCounters::default(), // nothing reads a flush's pass counts
                 &mut |b| {
                     // The build's own rule, so freeze() stays bit-identical to
-                    // a fresh build. A cache hit is equality-verified against
-                    // the emitted batch, and the decomposition is a pure
-                    // function of batch content, so reuse preserves bit-identity.
-                    let decomp = decomp_cache
-                        .lookup(&b)
-                        .unwrap_or_else(|| FlatDecomposition::of_batch(&b));
+                    // a fresh build: the decomposition is a pure function of
+                    // the batch, so an equal batch's stored one is the same.
+                    let decomp = match old.iter().find(|ib| ib.batch == b) {
+                        Some(ib) => {
+                            reused += 1;
+                            ib.decomp.clone()
+                        }
+                        None => FlatDecomposition::of_batch(&b),
+                    };
                     batches.push(IndexedBatch { batch: b, decomp });
                     None
                 },
@@ -878,7 +806,7 @@ impl DynamicPsiIndex {
             round.groups.insert(c, Arc::new(batches));
         }
         psi_obs::event!("flush.publish", round = r, rebuilt = rebuilt);
-        rebuilt
+        (rebuilt, reused)
     }
 
     fn invalidate_caches(&mut self) {
@@ -930,26 +858,11 @@ impl DynamicPsiIndex {
         PsiSnapshot::new(state)
     }
 
-    /// Full counters of the flush-side decomposition cache since thaw.
+    /// How the flushes since thaw came by the decompositions of the batches
+    /// they re-emitted: `hits` took the decomposition of an equal batch in the
+    /// cluster's previous group, `misses` were decomposed afresh.
     pub fn decomp_cache_metrics(&self) -> DecompCacheMetrics {
-        DecompCacheMetrics {
-            hits: self.decomp_cache.hits,
-            misses: self.decomp_cache.misses,
-            evictions: self.decomp_cache.evictions,
-            len: self.decomp_cache.order.len(),
-            cap: self.decomp_cache.cap,
-        }
-    }
-
-    /// Pushes the decomposition-cache counters into the global metrics
-    /// registry's gauges (done after every flush and by [`crate::psi::Psi::metrics`]).
-    pub(crate) fn refresh_cache_gauges(&self) {
-        let m = crate::obs::metrics();
-        m.decomp_cache_size
-            .set(self.decomp_cache.order.len() as u64);
-        m.decomp_cache_hits.set(self.decomp_cache.hits);
-        m.decomp_cache_misses.set(self.decomp_cache.misses);
-        m.decomp_cache_evictions.set(self.decomp_cache.evictions);
+        self.reuse
     }
 
     // --- queries ----------------------------------------------------------
@@ -1022,8 +935,8 @@ enum Repair {
     Chord(u32),
     /// Merge a face of each endpoint's component around the new bridge.
     Bridge,
-    /// Re-embed the whole target with one LR pass, or refuse the edge.
-    WholeTarget,
+    /// Replace every face by the walks of the would-be target's LR embedding.
+    Reembed(Vec<Vec<Vertex>>),
 }
 
 /// Inserts `c` into the sorted, deduplicated centre list.
@@ -1264,20 +1177,79 @@ mod tests {
     }
 
     #[test]
-    fn decomp_cache_cap_bounds_cache_and_counts_evictions() {
-        let e = pg::grid_embedded(10, 10);
+    fn rebuilt_clusters_reuse_their_own_decompositions_and_free_the_rest() {
+        // On a 48×48 grid a cluster spans several batches, so a diagonal
+        // leaves some of a dirty cluster's batches as they were.
+        let e = pg::grid_embedded(48, 48);
         let mut dynamic = DynamicPsiIndex::build(&e, params());
-        dynamic.decomp_cache = DecompCache::new(2);
-        for &(u, v) in &diagonals(10) {
+        let held: Vec<Vec<(Vertex, Arc<Vec<IndexedBatch>>)>> = dynamic
+            .state
+            .rounds
+            .iter()
+            .map(|round| round.groups.iter().map(|(&c, g)| (c, g.clone())).collect())
+            .collect();
+        for &(u, v) in diagonals(48).iter().step_by(37) {
             dynamic.insert_edge(u, v).expect("cell diagonal rejected");
-            dynamic.flush();
         }
+        assert!(dynamic.flush() > 0);
         let m = dynamic.decomp_cache_metrics();
-        assert_eq!(m.cap, 2);
-        assert!(m.len <= 2, "cache exceeded its cap: {m:?}");
-        assert!(m.misses > 0, "flushes must populate the cache: {m:?}");
-        assert!(m.evictions > 0, "a cap of 2 must evict under churn: {m:?}");
-        // The cap bounds memory only: hit or miss, the artifact is unchanged.
+        assert!(m.hits > 0, "no rebuilt batch reused a decomposition: {m:?}");
+        assert!(m.misses > 0, "no rebuilt batch was decomposed: {m:?}");
+        // The flush keeps none of the groups it replaced.
+        let mut replaced = 0;
+        for (round, groups) in dynamic.state.rounds.iter().zip(&held) {
+            for (c, old) in groups {
+                if round.groups.get(c).is_some_and(|now| Arc::ptr_eq(now, old)) {
+                    continue;
+                }
+                replaced += 1;
+                assert_eq!(
+                    Arc::strong_count(old),
+                    1,
+                    "a replaced group outlived the flush"
+                );
+            }
+        }
+        assert!(replaced > 0);
+        assert_matches_scratch(&mut dynamic);
+    }
+
+    #[test]
+    fn whole_target_refusals_cluster_nothing() {
+        // A K3,3 with every edge subdivided into a 64-edge path, less the path
+        // from 0 to 3: the edge {0, 3} completes a subdivision spanning the
+        // whole graph, beyond every ball of the local test.
+        let mut b = psi_graph::GraphBuilder::new(6 + 8 * 63);
+        let mut next = 6 as Vertex;
+        for a in 0..3 as Vertex {
+            for t in 3..6 as Vertex {
+                if (a, t) == (0, 3) {
+                    continue;
+                }
+                let mut prev = a;
+                for _ in 1..64 {
+                    b.add_edge(prev, next);
+                    prev = next;
+                    next += 1;
+                }
+                b.add_edge(prev, t);
+            }
+        }
+        let g = b.build();
+        let mut dynamic = DynamicPsiIndex::build(&planar_embedding(&g).unwrap(), params());
+        assert!(matches!(
+            check_insertion_locally(&dynamic.graph, 0, 3).verdict,
+            LocalVerdict::Inconclusive
+        ));
+        assert!(matches!(
+            dynamic.insert_edge(0, 3),
+            Err(MutationError::NonPlanar(_))
+        ));
+        assert!(
+            dynamic.clusterings.is_empty(),
+            "a whole-target refusal clustered"
+        );
+        assert!(!dynamic.has_edge(0, 3));
         assert_matches_scratch(&mut dynamic);
     }
 

@@ -49,18 +49,19 @@
 //!
 //! ## On-disk format
 //!
-//! [`PsiIndex::save`] writes a [`psi_graph::io::SectionedFile`]: magic, schema
-//! version ([`INDEX_SCHEMA_VERSION`]), and a checksummed section table over flat
-//! little-endian payloads (the same CSR/flat arrays held in memory — loading is
-//! validation + wrapping, not re-derivation, except for the decompositions an
-//! older artifact marks as layered). Malformed files fail with
-//! section-labelled [`IndexLoadError`]s, never panics.
+//! [`PsiIndex::save`] writes a [`psi_graph::io::SectionedFile`] (through a
+//! [`SectionWriter`], which encodes every payload into the one output buffer):
+//! magic, schema version ([`INDEX_SCHEMA_VERSION`]), and a checksummed section
+//! table over flat little-endian payloads (the same CSR/flat arrays held in
+//! memory — loading is validation + wrapping, not re-derivation, except for the
+//! decompositions an older artifact marks as layered). Malformed files fail
+//! with section-labelled [`IndexLoadError`]s, never panics.
 
 use crate::cover::{map_cover_batches, round_seed, CoverBatch, DEFAULT_BATCH_BUDGET, DEFAULT_SEED};
 use crate::pattern::Pattern;
 use psi_graph::io::{
-    decode_csr, encode_csr, push_u32, push_u32_slice, push_u64, SectionReadError, SectionedFile,
-    SliceReader,
+    decode_csr, encode_csr, push_u32, push_u32_slice, push_u64, SectionReadError, SectionWriter,
+    SectionedFile, SliceReader,
 };
 use psi_graph::{CsrGraph, Vertex};
 use psi_planar::{validate_walks, Embedding};
@@ -415,56 +416,51 @@ impl PsiIndex {
 
     // --- serialisation ----------------------------------------------------
 
-    /// Serialises the index to its sectioned binary form.
+    /// Serialises the index to its sectioned binary form, encoding every
+    /// section straight into the returned buffer.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut file = SectionedFile::new(INDEX_SCHEMA_VERSION);
-
-        let mut meta = Vec::new();
-        push_u32(&mut meta, self.params.k);
-        push_u32(&mut meta, self.params.d);
-        push_u32(&mut meta, self.params.rounds);
-        push_u32(&mut meta, self.params.batch_budget);
-        push_u64(&mut meta, self.params.seed);
-        push_u64(&mut meta, self.target.num_vertices() as u64);
-        push_u64(&mut meta, self.target.num_edges() as u64);
-        file.push_section("meta", meta);
-
-        let mut target = Vec::new();
-        encode_csr(&self.target, &mut target);
-        file.push_section("target", target);
-
-        let mut faces = Vec::new();
-        push_u64(&mut faces, (self.face_offsets.len() - 1) as u64);
-        push_u64(&mut faces, self.face_data.len() as u64);
-        for &o in self.face_offsets.iter() {
-            push_u64(&mut faces, o);
-        }
-        push_u32_slice(&mut faces, &self.face_data);
-        file.push_section("faces", faces);
-
-        for (r, round) in self.rounds.iter().enumerate() {
-            let mut payload = Vec::new();
-            push_u64(&mut payload, round.len() as u64);
-            for ib in round.iter() {
-                encode_csr(&ib.batch.graph, &mut payload);
-                push_u64(&mut payload, ib.batch.local_to_global.len() as u64);
-                push_u32_slice(&mut payload, &ib.batch.local_to_global);
-                push_u64(&mut payload, ib.batch.windows.len() as u64);
-                for &(cluster, level_start, offset) in &ib.batch.windows {
-                    push_u32(&mut payload, cluster);
-                    push_u32(&mut payload, level_start);
-                    push_u32(&mut payload, offset);
-                }
-                push_u64(&mut payload, ib.decomp.num_nodes() as u64);
-                push_u32(&mut payload, ib.decomp.root);
-                push_u32(&mut payload, 0); // the v3 layered-segment word
-                push_u32_slice(&mut payload, &ib.decomp.bag_offsets);
-                push_u32_slice(&mut payload, &ib.decomp.bag_data);
-                push_u32_slice(&mut payload, &ib.decomp.children);
+        let mut file = SectionWriter::new(INDEX_SCHEMA_VERSION, 3 + self.rounds.len());
+        file.section("meta", |out| {
+            push_u32(out, self.params.k);
+            push_u32(out, self.params.d);
+            push_u32(out, self.params.rounds);
+            push_u32(out, self.params.batch_budget);
+            push_u64(out, self.params.seed);
+            push_u64(out, self.target.num_vertices() as u64);
+            push_u64(out, self.target.num_edges() as u64);
+        });
+        file.section("target", |out| encode_csr(&self.target, out));
+        file.section("faces", |out| {
+            push_u64(out, (self.face_offsets.len() - 1) as u64);
+            push_u64(out, self.face_data.len() as u64);
+            for &o in self.face_offsets.iter() {
+                push_u64(out, o);
             }
-            file.push_section(&format!("round{r}"), payload);
+            push_u32_slice(out, &self.face_data);
+        });
+        for (r, round) in self.rounds.iter().enumerate() {
+            file.section(&format!("round{r}"), |out| {
+                push_u64(out, round.len() as u64);
+                for ib in round.iter() {
+                    encode_csr(&ib.batch.graph, out);
+                    push_u64(out, ib.batch.local_to_global.len() as u64);
+                    push_u32_slice(out, &ib.batch.local_to_global);
+                    push_u64(out, ib.batch.windows.len() as u64);
+                    for &(cluster, level_start, offset) in &ib.batch.windows {
+                        push_u32(out, cluster);
+                        push_u32(out, level_start);
+                        push_u32(out, offset);
+                    }
+                    push_u64(out, ib.decomp.num_nodes() as u64);
+                    push_u32(out, ib.decomp.root);
+                    push_u32(out, 0); // the v3 layered-segment word
+                    push_u32_slice(out, &ib.decomp.bag_offsets);
+                    push_u32_slice(out, &ib.decomp.bag_data);
+                    push_u32_slice(out, &ib.decomp.children);
+                }
+            });
         }
-        file.to_bytes()
+        file.finish()
     }
 
     /// Writes the index artifact to a file.
@@ -1238,16 +1234,11 @@ mod tests {
         assert_eq!(back.to_bytes(), bytes);
     }
 
-    /// The `fvgraph` section v2 and v3 artifacts carried: the original vertex
-    /// count, then the face–vertex graph of the stored embedding as CSR.
-    fn legacy_fvgraph_section(index: &PsiIndex) -> Vec<u8> {
-        let mut fv = Vec::new();
-        push_u64(&mut fv, index.target().num_vertices() as u64);
-        encode_csr(
-            &psi_planar::face_vertex_graph(&index.embedding()).graph,
-            &mut fv,
-        );
-        fv
+    /// Appends the `fvgraph` section v2 and v3 artifacts carried: the original
+    /// vertex count, then the face–vertex graph of the stored embedding as CSR.
+    fn push_legacy_fvgraph(fv: &mut Vec<u8>, index: &PsiIndex) {
+        push_u64(fv, index.target().num_vertices() as u64);
+        encode_csr(&psi_planar::face_vertex_graph(&index.embedding()).graph, fv);
     }
 
     /// Encodes `index`'s rounds by hand into `file`. With `layered_word` each
@@ -1255,38 +1246,45 @@ mod tests {
     /// after their root, a nonzero layered-segment word (the batch's window
     /// count), as artifacts written while batches tried the layered construction
     /// could; without it, the v2 layout.
-    fn push_rounds_by_hand(file: &mut SectionedFile, index: &PsiIndex, layered_word: bool) {
+    fn push_rounds_by_hand(file: &mut SectionWriter, index: &PsiIndex, layered_word: bool) {
         for (r, batches) in index.rounds.iter().enumerate() {
-            let mut payload = Vec::new();
-            push_u64(&mut payload, batches.len() as u64);
-            for ib in batches.iter() {
-                encode_csr(&ib.batch.graph, &mut payload);
-                push_u64(&mut payload, ib.batch.local_to_global.len() as u64);
-                push_u32_slice(&mut payload, &ib.batch.local_to_global);
-                push_u64(&mut payload, ib.batch.windows.len() as u64);
-                for &(cluster, level_start, offset) in &ib.batch.windows {
-                    push_u32(&mut payload, cluster);
-                    push_u32(&mut payload, level_start);
-                    push_u32(&mut payload, offset);
+            file.section(&format!("round{r}"), |payload| {
+                push_u64(payload, batches.len() as u64);
+                for ib in batches.iter() {
+                    encode_csr(&ib.batch.graph, payload);
+                    push_u64(payload, ib.batch.local_to_global.len() as u64);
+                    push_u32_slice(payload, &ib.batch.local_to_global);
+                    push_u64(payload, ib.batch.windows.len() as u64);
+                    for &(cluster, level_start, offset) in &ib.batch.windows {
+                        push_u32(payload, cluster);
+                        push_u32(payload, level_start);
+                        push_u32(payload, offset);
+                    }
+                    if layered_word {
+                        let n = ib.batch.graph.num_vertices() as u32;
+                        push_u64(payload, 1);
+                        push_u32(payload, 0);
+                        push_u32(payload, ib.batch.num_windows() as u32);
+                        push_u32_slice(payload, &[0, n]);
+                        push_u32_slice(payload, &(0..n).collect::<Vec<_>>());
+                        push_u32_slice(payload, &[u32::MAX, u32::MAX]);
+                        continue;
+                    }
+                    push_u64(payload, ib.decomp.num_nodes() as u64);
+                    push_u32(payload, ib.decomp.root);
+                    push_u32_slice(payload, &ib.decomp.bag_offsets);
+                    push_u32_slice(payload, &ib.decomp.bag_data);
+                    push_u32_slice(payload, &ib.decomp.children);
                 }
-                if layered_word {
-                    let n = ib.batch.graph.num_vertices() as u32;
-                    push_u64(&mut payload, 1);
-                    push_u32(&mut payload, 0);
-                    push_u32(&mut payload, ib.batch.num_windows() as u32);
-                    push_u32_slice(&mut payload, &[0, n]);
-                    push_u32_slice(&mut payload, &(0..n).collect::<Vec<_>>());
-                    push_u32_slice(&mut payload, &[u32::MAX, u32::MAX]);
-                    continue;
-                }
-                push_u64(&mut payload, ib.decomp.num_nodes() as u64);
-                push_u32(&mut payload, ib.decomp.root);
-                push_u32_slice(&mut payload, &ib.decomp.bag_offsets);
-                push_u32_slice(&mut payload, &ib.decomp.bag_data);
-                push_u32_slice(&mut payload, &ib.decomp.children);
-            }
-            file.push_section(&format!("round{r}"), payload);
+            });
         }
+    }
+
+    /// Copies the section `name` of `from` into `file`.
+    fn copy_section(file: &mut SectionWriter, from: &SectionedFile, name: &str) {
+        file.section(name, |out| {
+            out.extend_from_slice(from.section(name).unwrap())
+        });
     }
 
     #[test]
@@ -1296,13 +1294,13 @@ mod tests {
         // per-batch layered-segment word (plus the container version stamp).
         let bytes = index.to_bytes();
         let v4 = SectionedFile::from_bytes(&bytes, INDEX_SCHEMA_VERSION).unwrap();
-        let mut v2 = SectionedFile::new(2);
+        let mut v2 = SectionWriter::new(2, 4 + index.rounds.len());
         for name in ["meta", "target", "faces"] {
-            v2.push_section(name, v4.section(name).unwrap().to_vec());
+            copy_section(&mut v2, &v4, name);
         }
-        v2.push_section("fvgraph", legacy_fvgraph_section(&index));
+        v2.section("fvgraph", |out| push_legacy_fvgraph(out, &index));
         push_rounds_by_hand(&mut v2, &index, false);
-        let back = PsiIndex::from_bytes(&v2.to_bytes()).unwrap();
+        let back = PsiIndex::from_bytes(&v2.finish()).unwrap();
         assert_eq!(back.target, index.target);
         for (a, b) in back
             .rounds
@@ -1328,14 +1326,14 @@ mod tests {
         // The v3 layout is the v4 one plus the `fvgraph` section after `faces`.
         let bytes = index.to_bytes();
         let v4 = SectionedFile::from_bytes(&bytes, INDEX_SCHEMA_VERSION).unwrap();
-        let mut v3 = SectionedFile::new(3);
+        let mut v3 = SectionWriter::new(3, 4 + index.rounds.len());
         for name in v4.section_names() {
-            v3.push_section(name, v4.section(name).unwrap().to_vec());
+            copy_section(&mut v3, &v4, name);
             if name == "faces" {
-                v3.push_section("fvgraph", legacy_fvgraph_section(&index));
+                v3.section("fvgraph", |out| push_legacy_fvgraph(out, &index));
             }
         }
-        let v3 = v3.to_bytes();
+        let v3 = v3.finish();
         assert!(v3.len() > index.to_bytes().len());
         let back = PsiIndex::from_bytes(&v3).unwrap();
         assert_eq!(back, index);
@@ -1344,12 +1342,12 @@ mod tests {
         // v4 artifacts written while batches tried the layered construction
         // carry nonzero layered-segment words; the load re-derives those
         // batches' decompositions, and re-saving writes the words as 0.
-        let mut layered = SectionedFile::new(INDEX_SCHEMA_VERSION);
+        let mut layered = SectionWriter::new(INDEX_SCHEMA_VERSION, 3 + index.rounds.len());
         for name in ["meta", "target", "faces"] {
-            layered.push_section(name, v4.section(name).unwrap().to_vec());
+            copy_section(&mut layered, &v4, name);
         }
         push_rounds_by_hand(&mut layered, &index, true);
-        let layered = layered.to_bytes();
+        let layered = layered.finish();
         assert_ne!(layered, index.to_bytes());
         let back = PsiIndex::from_bytes(&layered).unwrap();
         assert_eq!(back, index);

@@ -91,9 +91,7 @@ pub use cover::{
 };
 pub use dp::{run_sequential, run_sequential_subtree, DpResult, NodeTable};
 pub use dp_parallel::{run_parallel, ParallelDpConfig, ParallelDpStats};
-pub use dynamic::{
-    DecompCacheMetrics, DynamicPsiIndex, MutationError, UpdateStats, DECOMP_CACHE_CAP,
-};
+pub use dynamic::{DecompCacheMetrics, DynamicPsiIndex, MutationError, UpdateStats};
 pub use index::{
     FlatDecomposition, IndexLoadError, IndexParams, IndexedBatch, PsiIndex, QueryError,
     StoredRound, CONNECTIVITY_CAP, FAST_PATH_NODE_BUDGET, INDEX_SCHEMA_VERSION,

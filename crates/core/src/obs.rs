@@ -19,12 +19,12 @@
 use crate::cover::CoverStats;
 use crate::dp_parallel::ParallelDpStats;
 use crate::separating::SepStats;
-use psi_obs::{Counter, Gauge, Histogram, Sample};
+use psi_obs::{Counter, Histogram, Sample};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Cached instrument handles (see the module docs). One instance per process,
-/// shared by every engine; per-engine state (e.g. the decomposition cache)
-/// refreshes its gauges at flush/export time instead of keeping live copies.
+/// shared by every engine: each engine adds its own events to the same
+/// counters and histograms, and no instrument mirrors per-engine state.
 pub(crate) struct CoreMetrics {
     // --- query serving ---
     pub queries_total: Arc<Counter>,
@@ -45,16 +45,12 @@ pub(crate) struct CoreMetrics {
     pub flushes_total: Arc<Counter>,
     pub flush_ns: Arc<Histogram>,
     pub flush_batches_rebuilt_total: Arc<Counter>,
+    pub flush_decompositions_reused_total: Arc<Counter>,
     pub epoch_advances_total: Arc<Counter>,
     pub snapshots_total: Arc<Counter>,
     // --- build ---
     pub index_builds_total: Arc<Counter>,
     pub index_build_ns: Arc<Histogram>,
-    // --- flush-side decomposition cache ---
-    pub decomp_cache_size: Arc<Gauge>,
-    pub decomp_cache_hits: Arc<Gauge>,
-    pub decomp_cache_misses: Arc<Gauge>,
-    pub decomp_cache_evictions: Arc<Gauge>,
 }
 
 /// Per-run layer statistics absorbed as runs complete and exported as gauges.
@@ -162,14 +158,11 @@ pub(crate) fn metrics() -> &'static CoreMetrics {
             flushes_total: reg.counter("psi_flushes_total"),
             flush_ns: reg.histogram("psi_flush_ns"),
             flush_batches_rebuilt_total: reg.counter("psi_flush_batches_rebuilt_total"),
+            flush_decompositions_reused_total: reg.counter("psi_flush_decompositions_reused_total"),
             epoch_advances_total: reg.counter("psi_epoch_advances_total"),
             snapshots_total: reg.counter("psi_snapshots_total"),
             index_builds_total: reg.counter("psi_index_builds_total"),
             index_build_ns: reg.histogram("psi_index_build_ns"),
-            decomp_cache_size: reg.gauge("psi_decomp_cache_size"),
-            decomp_cache_hits: reg.gauge("psi_decomp_cache_hits"),
-            decomp_cache_misses: reg.gauge("psi_decomp_cache_misses"),
-            decomp_cache_evictions: reg.gauge("psi_decomp_cache_evictions"),
         }
     })
 }

@@ -448,12 +448,11 @@ impl Psi {
     }
 
     /// A Prometheus-style text dump of the process-wide metrics registry:
-    /// query/mutation/flush counters, per-query latency percentiles
+    /// query/mutation/flush counters (rebuilt batches and reused
+    /// decompositions included), per-query latency percentiles
     /// (`p50`/`p95`/`p99`/max summaries), layer statistics (cover, DP, arena,
-    /// separating), work-stealing pool counters, and the decomposition-cache
-    /// gauges (refreshed from this engine just before the dump).
+    /// separating), and work-stealing pool counters.
     pub fn metrics(&self) -> String {
-        self.dynamic.refresh_cache_gauges();
         psi_obs::registry().prometheus_text()
     }
 

@@ -16,7 +16,6 @@
 
 use crate::builder::GraphBuilder;
 use crate::csr::{CsrGraph, Vertex};
-use std::borrow::Cow;
 use std::fmt;
 use std::path::Path;
 
@@ -373,86 +372,41 @@ impl From<std::io::Error> for SectionReadError {
     }
 }
 
-/// An in-memory sectioned binary file: a schema version plus named byte payloads.
+/// Bytes before the section table: magic, version and section count.
+const HEADER_LEN: usize = 8 + 4 + 4;
+
+/// Bytes of one section-table entry: name, offset, length and checksum.
+const TABLE_ENTRY_LEN: usize = SECTION_NAME_LEN + 8 + 8 + 8;
+
+/// A sectioned binary file read from bytes: a schema version plus named byte
+/// payloads, borrowed from the input, so a load decodes straight from the file's
+/// bytes without copying them. [`SectionWriter`] writes the format.
 ///
 /// On disk the layout is `magic (8) | version (u32) | section count (u32) | table |
 /// payloads`, where each table entry is `name ([u8; 8], NUL-padded) | offset (u64,
 /// absolute) | len (u64) | fnv1a64 checksum (u64)`, everything little-endian.
 /// Payloads are opaque here — semantic encoding/decoding belongs to the caller
 /// (e.g. `planar_subiso`'s index artifact); this layer owns framing, versioning and
-/// corruption detection only. A writer owns the payloads it pushes; a container
-/// read by [`SectionedFile::from_bytes`] borrows them from its input, so a load
-/// decodes straight from the file's bytes without copying them.
+/// corruption detection only.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SectionedFile<'a> {
     /// Caller-defined schema version, checked against the reader's expectation.
     pub version: u32,
-    sections: Vec<(String, Cow<'a, [u8]>)>,
+    sections: Vec<(String, &'a [u8])>,
 }
 
 impl<'a> SectionedFile<'a> {
-    /// An empty container with the given schema version.
-    pub fn new(version: u32) -> Self {
-        SectionedFile {
-            version,
-            sections: Vec::new(),
-        }
-    }
-
-    /// Appends a section. Panics on names longer than [`SECTION_NAME_LEN`] bytes,
-    /// non-ASCII names, embedded NULs, or duplicates — section names are compile-time
-    /// constants of the writer, not data.
-    pub fn push_section(&mut self, name: &str, payload: Vec<u8>) {
-        assert!(
-            name.len() <= SECTION_NAME_LEN && !name.is_empty(),
-            "section name {name:?} must be 1..={SECTION_NAME_LEN} bytes"
-        );
-        assert!(
-            name.bytes().all(|b| b.is_ascii() && b != 0),
-            "section name {name:?} must be ASCII without NULs"
-        );
-        assert!(
-            self.section(name).is_none(),
-            "duplicate section name {name:?}"
-        );
-        self.sections.push((name.to_string(), Cow::Owned(payload)));
-    }
-
     /// The payload of `name`, if present.
-    pub fn section(&self, name: &str) -> Option<&[u8]> {
+    pub fn section(&self, name: &str) -> Option<&'a [u8]> {
         self.sections
             .iter()
             .find(|(n, _)| n == name)
-            .map(|(_, p)| &**p)
+            .map(|&(_, p)| p)
     }
 
     /// Section names in file order.
     pub fn section_names(&self) -> impl Iterator<Item = &str> {
         self.sections.iter().map(|(n, _)| n.as_str())
-    }
-
-    /// Serialises the container to bytes.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let table_end = 8 + 4 + 4 + self.sections.len() * (SECTION_NAME_LEN + 24);
-        let total: usize = table_end + self.sections.iter().map(|(_, p)| p.len()).sum::<usize>();
-        let mut out = Vec::with_capacity(total);
-        out.extend_from_slice(&SECTION_MAGIC);
-        push_u32(&mut out, self.version);
-        push_u32(&mut out, self.sections.len() as u32);
-        let mut offset = table_end as u64;
-        for (name, payload) in &self.sections {
-            let mut name_bytes = [0u8; SECTION_NAME_LEN];
-            name_bytes[..name.len()].copy_from_slice(name.as_bytes());
-            out.extend_from_slice(&name_bytes);
-            push_u64(&mut out, offset);
-            push_u64(&mut out, payload.len() as u64);
-            push_u64(&mut out, fnv1a64(payload));
-            offset += payload.len() as u64;
-        }
-        for (_, payload) in &self.sections {
-            out.extend_from_slice(payload);
-        }
-        out
     }
 
     /// Parses a container from bytes, verifying magic, version, section-table sanity
@@ -521,9 +475,85 @@ impl<'a> SectionedFile<'a> {
             if fnv1a64(payload) != checksum {
                 return Err(SectionReadError::ChecksumMismatch { section: name });
             }
-            sections.push((name, Cow::Borrowed(payload)));
+            sections.push((name, payload));
         }
         Ok(SectionedFile { version, sections })
+    }
+}
+
+/// Writes a [`SectionedFile`] straight into one buffer: the header and a table
+/// sized for a declared number of sections come first, each payload is encoded
+/// in place after them, and its table entry (offset, length, checksum) is
+/// patched in once the payload is complete. No payload is held apart from the
+/// output, so writing keeps no second copy of the file.
+pub struct SectionWriter {
+    out: Vec<u8>,
+    declared: usize,
+    written: usize,
+}
+
+impl SectionWriter {
+    /// A file of schema `version` whose table has room for exactly `sections`
+    /// sections.
+    pub fn new(version: u32, sections: usize) -> Self {
+        let table_end = HEADER_LEN + sections * TABLE_ENTRY_LEN;
+        let mut out = Vec::with_capacity(table_end);
+        out.extend_from_slice(&SECTION_MAGIC);
+        push_u32(&mut out, version);
+        push_u32(&mut out, sections as u32);
+        out.resize(table_end, 0);
+        SectionWriter {
+            out,
+            declared: sections,
+            written: 0,
+        }
+    }
+
+    /// Appends the next section, whose payload `encode` appends to the buffer it
+    /// is handed (the file so far, whose bytes it must leave as they are).
+    /// Panics past the declared section count, and on names longer than
+    /// [`SECTION_NAME_LEN`] bytes, non-ASCII names, embedded NULs, or duplicates
+    /// — section names are compile-time constants of the writer, not data.
+    pub fn section(&mut self, name: &str, encode: impl FnOnce(&mut Vec<u8>)) {
+        assert!(
+            self.written < self.declared,
+            "more sections than the {} declared",
+            self.declared
+        );
+        assert!(
+            name.len() <= SECTION_NAME_LEN && !name.is_empty(),
+            "section name {name:?} must be 1..={SECTION_NAME_LEN} bytes"
+        );
+        assert!(
+            name.bytes().all(|b| b.is_ascii() && b != 0),
+            "section name {name:?} must be ASCII without NULs"
+        );
+        let mut name_bytes = [0u8; SECTION_NAME_LEN];
+        name_bytes[..name.len()].copy_from_slice(name.as_bytes());
+        let entry_at = |i: usize| HEADER_LEN + i * TABLE_ENTRY_LEN;
+        assert!(
+            (0..self.written).all(|i| self.out[entry_at(i)..][..SECTION_NAME_LEN] != name_bytes),
+            "duplicate section name {name:?}"
+        );
+        let start = self.out.len();
+        encode(&mut self.out);
+        let len = self.out.len() - start;
+        let checksum = fnv1a64(&self.out[start..]);
+        let entry = &mut self.out[entry_at(self.written)..][..TABLE_ENTRY_LEN];
+        entry[..SECTION_NAME_LEN].copy_from_slice(&name_bytes);
+        entry[SECTION_NAME_LEN..][..8].copy_from_slice(&(start as u64).to_le_bytes());
+        entry[SECTION_NAME_LEN + 8..][..8].copy_from_slice(&(len as u64).to_le_bytes());
+        entry[SECTION_NAME_LEN + 16..].copy_from_slice(&checksum.to_le_bytes());
+        self.written += 1;
+    }
+
+    /// The finished file. Panics unless every declared section was written.
+    pub fn finish(self) -> Vec<u8> {
+        assert_eq!(
+            self.written, self.declared,
+            "sections written and declared differ"
+        );
+        self.out
     }
 }
 
@@ -848,29 +878,37 @@ mod tests {
 
     #[test]
     fn sectioned_file_round_trip() {
-        let mut f = SectionedFile::new(7);
-        f.push_section("meta", vec![1, 2, 3]);
-        f.push_section("empty", Vec::new());
-        f.push_section("big", (0..1000u32).flat_map(|v| v.to_le_bytes()).collect());
-        let bytes = f.to_bytes();
+        let big: Vec<u8> = (0..1000u32).flat_map(|v| v.to_le_bytes()).collect();
+        let mut f = SectionWriter::new(7, 3);
+        f.section("meta", |out| out.extend_from_slice(&[1, 2, 3]));
+        f.section("empty", |_| {});
+        f.section("big", |out| out.extend_from_slice(&big));
+        let bytes = f.finish();
         let back = SectionedFile::from_bytes(&bytes, 7).unwrap();
-        assert_eq!(back, f);
+        assert_eq!(back.version, 7);
         assert_eq!(back.section("meta"), Some(&[1u8, 2, 3][..]));
         assert_eq!(back.section("empty"), Some(&[][..]));
+        assert_eq!(back.section("big"), Some(&big[..]));
         assert_eq!(back.section("absent"), None);
         assert_eq!(
             back.section_names().collect::<Vec<_>>(),
             vec!["meta", "empty", "big"]
         );
         // byte-idempotent re-serialisation
-        assert_eq!(back.to_bytes(), bytes);
+        let mut again = SectionWriter::new(back.version, 3);
+        for name in back.section_names() {
+            again.section(name, |out| {
+                out.extend_from_slice(back.section(name).unwrap())
+            });
+        }
+        assert_eq!(again.finish(), bytes);
     }
 
     #[test]
     fn sectioned_file_rejects_malformed_inputs() {
-        let mut f = SectionedFile::new(3);
-        f.push_section("data", vec![42; 64]);
-        let bytes = f.to_bytes();
+        let mut f = SectionWriter::new(3, 1);
+        f.section("data", |out| out.extend_from_slice(&[42; 64]));
+        let bytes = f.finish();
 
         // wrong magic
         let mut bad = bytes.clone();

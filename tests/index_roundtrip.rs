@@ -10,7 +10,9 @@
 use planar_subiso::{IndexLoadError, IndexParams, Pattern, Psi, PsiIndex, PsiSnapshot, QueryError};
 use proptest::prelude::*;
 use psi_graph::generators as gg;
-use psi_graph::io::{encode_csr, push_u32_slice, push_u64, SectionReadError, SectionedFile};
+use psi_graph::io::{
+    encode_csr, push_u32_slice, push_u64, SectionReadError, SectionWriter, SectionedFile,
+};
 use psi_graph::CsrGraph;
 use psi_planar::generators as pg;
 use psi_planar::planar_embedding;
@@ -222,14 +224,14 @@ fn semantically_inconsistent_sections_are_rejected() {
     );
 
     // Dropping a required section entirely.
-    let mut f = SectionedFile::new(good.version);
-    for name in good.section_names() {
-        if name == "faces" {
-            continue;
-        }
-        f.push_section(name, good.section(name).unwrap().to_vec());
+    let kept: Vec<&str> = good.section_names().filter(|&n| n != "faces").collect();
+    let mut f = SectionWriter::new(good.version, kept.len());
+    for name in kept {
+        f.section(name, |out| {
+            out.extend_from_slice(good.section(name).unwrap())
+        });
     }
-    let err = PsiIndex::from_bytes(&f.to_bytes()).expect_err("missing section accepted");
+    let err = PsiIndex::from_bytes(&f.finish()).expect_err("missing section accepted");
     assert!(err.to_string().contains("faces"));
 
     // Faces that are not a plane embedding of the target, under valid
@@ -287,15 +289,15 @@ fn sections(bytes: &[u8]) -> SectionedFile<'_> {
 /// `file` re-serialised (with valid checksums) with the named sections' payloads
 /// replaced.
 fn replace_sections(file: &SectionedFile, replace: &[(&str, Vec<u8>)]) -> Vec<u8> {
-    let mut f = SectionedFile::new(file.version);
+    let mut f = SectionWriter::new(file.version, file.section_names().count());
     for name in file.section_names() {
         let data = match replace.iter().find(|(victim, _)| *victim == name) {
-            Some((_, payload)) => payload.clone(),
-            None => file.section(name).unwrap().to_vec(),
+            Some((_, payload)) => payload.as_slice(),
+            None => file.section(name).unwrap(),
         };
-        f.push_section(name, data);
+        f.section(name, |out| out.extend_from_slice(data));
     }
-    f.to_bytes()
+    f.finish()
 }
 
 /// Query admission: structured [`QueryError`]s for unservable patterns, identical
