@@ -44,7 +44,7 @@ use crate::separating::{
 };
 use psi_graph::{CsrGraph, Vertex, INVALID_VERTEX};
 use psi_planar::{face_vertex_graph, Embedding, FaceVertexGraph};
-use psi_treedecomp::BinaryTreeDecomposition;
+use psi_treedecomp::{min_degree_decomposition, BinaryTreeDecomposition};
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -639,30 +639,6 @@ impl<'a> CycleSearch<'a> {
     }
 }
 
-/// Min-degree width above which [`best_whole_graph_decomposition`] also tries the
-/// guaranteed-width layered construction. The DP cost is exponential in the width,
-/// so below this threshold the heuristic is already fine and the embedding work
-/// would be pure overhead.
-const LAYERED_ATTEMPT_WIDTH: usize = 6;
-
-/// The decomposition the whole-graph cycle searches share: min-degree, upgraded to
-/// the guaranteed-width layered construction when the heuristic comes out wide and
-/// the Baker/Eppstein bound beats it (the face–vertex graph is planar, so the
-/// embedding step only fails on inputs the heuristic must serve anyway).
-fn best_whole_graph_decomposition(g: &CsrGraph) -> BinaryTreeDecomposition {
-    let mut td = psi_treedecomp::min_degree_decomposition(g);
-    if td.width() > LAYERED_ATTEMPT_WIDTH {
-        if let Ok(embedding) = psi_planar::planar_embedding(g) {
-            if let Some(layered) = psi_treedecomp::layered_decomposition_auto(g, &embedding.faces) {
-                if layered.width() < td.width() {
-                    td = layered;
-                }
-            }
-        }
-    }
-    BinaryTreeDecomposition::from_decomposition(&td)
-}
-
 /// The paper's separating-cycle loop of Lemma 5.1 on a 2-connected `g` with its
 /// face–vertex graph: the separating DP for `C4`, `C6` and `C8` in turn (cut sizes
 /// 2, 3 and 4, those below `n`), run as `mode` selects, answering with the first
@@ -721,8 +697,8 @@ fn separating_dp(
 
     let mut states_explored = 0usize;
     let mut agg = SepStats::default();
-    // The whole-graph searches all run on one decomposition of G' (the instance graph
-    // is the same for every cycle length), computed lazily on first use.
+    // The whole-graph searches all run on one min-degree decomposition of G' (the
+    // instance graph is the same for every cycle length), computed lazily on first use.
     let mut shared_btd: Option<BinaryTreeDecomposition> = None;
     for c in sizes {
         let cycle = Pattern::cycle(2 * c);
@@ -733,8 +709,10 @@ fn separating_dp(
                     in_s: &in_s,
                     allowed: &allowed,
                 };
-                let btd =
-                    shared_btd.get_or_insert_with(|| best_whole_graph_decomposition(&fv.graph));
+                let btd = shared_btd.get_or_insert_with(|| {
+                    let td = min_degree_decomposition(&fv.graph);
+                    BinaryTreeDecomposition::from_decomposition(&td)
+                });
                 let (occ, stats) =
                     find_separating_occurrence_in(&inst, &cycle, SepConfig::default(), btd);
                 states_explored += stats.sep_states;

@@ -147,11 +147,15 @@ impl Default for SepConfig {
 /// returns a witness mapping if one does.
 ///
 /// # Panics
-/// Panics if the instance graph's tree decomposition produces a bag wider than 64
+/// Panics if the instance graph's min-degree decomposition has a bag wider than 64
 /// vertices: the per-bag label state is tracked in 64-bit position masks, and a
-/// `3^65`-labeling search could never finish anyway. Planar cover pieces (width
-/// ≤ `3(d+1)`) and the face–vertex graphs of the connectivity pipeline are far below
-/// the limit.
+/// `3^65`-labeling search could never finish anyway. The width is checked before the
+/// DP starts. Planar cover pieces (width ≤ `3(d+1)`) are far below the limit; a
+/// whole face–vertex graph need not be. `geodesic_sphere(3)`'s (n′ = 1,922) has
+/// min-degree bags of 77 vertices, so a whole-graph
+/// [`crate::connectivity::separating_cycle_connectivity`] there panics at once.
+/// [`crate::connectivity::vertex_connectivity`] settles that sphere by enumeration
+/// and never reaches the DP.
 pub fn find_separating_occurrence(
     instance: &SeparatingInstance<'_>,
     pattern: &Pattern,
@@ -191,8 +195,8 @@ pub fn find_separating_occurrence_with_config(
 }
 
 /// Runs the separating search on a caller-supplied binary tree decomposition of the
-/// instance graph. The connectivity pipeline uses this to compute one (possibly
-/// guaranteed-width) decomposition and share it across its per-cycle-length searches.
+/// instance graph. The connectivity pipeline uses this to compute one min-degree
+/// decomposition and share it across its per-cycle-length searches.
 /// The decomposition's bags must be sorted and at most 64 vertices wide.
 pub fn find_separating_occurrence_in(
     instance: &SeparatingInstance<'_>,
@@ -281,6 +285,11 @@ fn run_separating(
         1
     };
     let num_nodes = btd.num_nodes();
+    // Checked before any work: the postorder below meets the widest bags last.
+    assert!(
+        btd.width() < 64,
+        "bags wider than 64 are far beyond the label enumeration's reach"
+    );
 
     // The shared per-run arena of match-state words: every separating state points into
     // it by id, so a base state reused across nodes/labelings is stored once.
@@ -945,11 +954,8 @@ fn join_rows(
 /// Bag-local adjacency as bit masks: bit `j` of entry `i` is set iff the target graph
 /// has the edge `{bag[i], bag[j]}`. Computed once per node, it turns every edge probe
 /// of the `3^bag` label enumeration into one AND instead of a CSR binary search.
+/// Bags hold at most 64 vertices (checked by `run_separating`).
 fn bag_adjacency(bag: &[Vertex], graph: &CsrGraph) -> Vec<u64> {
-    assert!(
-        bag.len() <= 64,
-        "bags wider than 64 are far beyond the label enumeration's reach"
-    );
     let mut adj = vec![0u64; bag.len()];
     for i in 0..bag.len() {
         for j in (i + 1)..bag.len() {

@@ -153,11 +153,11 @@ impl EpochState {
     pub(crate) fn freeze(&self, src: &dyn EpochSource) -> PsiIndex {
         // Guards the invariant that every served epoch's target is planar: a
         // build starts from a planar embedding, `PsiIndex::from_bytes` admits
-        // only faces that pass `Embedding::validate`'s rules with Euler
-        // characteristic 2·components, and the live engine refuses every
-        // insertion that would break planarity before its epoch advances. The
-        // load does not check that the corners at each vertex form one
-        // rotation, so a pinched walk set could still carry a non-planar target.
+        // only faces that pass `Embedding::validate`'s rules (every edge on two
+        // sides, one rotation of corners at each vertex) with Euler
+        // characteristic 2·components, which makes every component a sphere,
+        // and the live engine refuses every insertion that would break
+        // planarity before its epoch advances.
         let target = self.target(src);
         let rotation = rotation_system(target).expect("every served epoch has a planar target");
         let faces = rotation.faces(target);

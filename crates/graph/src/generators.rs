@@ -4,7 +4,7 @@
 //! structure (grids, triangulated grids, random triangulations), non-planar
 //! bounded-genus graphs (torus grids), pattern graphs (paths, cycles, stars, small
 //! cliques) and adversarial shapes for the tree/path-decomposition experiments
-//! (caterpillars, balanced trees). Generators that need a planar *embedding* (rotation
+//! (caterpillars). Generators that need a planar *embedding* (rotation
 //! system) live in `psi-planar`; the ones here return plain [`CsrGraph`]s.
 
 use crate::builder::GraphBuilder;
@@ -157,17 +157,6 @@ pub fn ladder(n: usize) -> CsrGraph {
             b.add_edge(i as Vertex, (i + 1) as Vertex);
             b.add_edge((i + n) as Vertex, (i + n + 1) as Vertex);
         }
-    }
-    b.build()
-}
-
-/// Complete binary tree with `levels` levels (`2^levels - 1` vertices).
-pub fn balanced_binary_tree(levels: usize) -> CsrGraph {
-    assert!(levels >= 1);
-    let n = (1usize << levels) - 1;
-    let mut b = GraphBuilder::with_capacity(n, n - 1);
-    for i in 1..n {
-        b.add_edge(i as Vertex, ((i - 1) / 2) as Vertex);
     }
     b.build()
 }
@@ -361,13 +350,6 @@ mod tests {
         assert_eq!(g.num_vertices(), 20);
         assert_eq!(g.num_edges(), 19);
         assert!(is_connected(&g));
-    }
-
-    #[test]
-    fn balanced_tree_shape() {
-        let g = balanced_binary_tree(4);
-        assert_eq!(g.num_vertices(), 15);
-        assert_eq!(g.num_edges(), 14);
     }
 
     #[test]

@@ -31,7 +31,6 @@ pub mod csr;
 pub mod epoch;
 pub mod generators;
 pub mod io;
-pub mod spanning;
 pub mod union_find;
 pub mod view;
 
@@ -51,6 +50,5 @@ pub use io::{
     parse_dimacs, parse_edge_list, parse_graph, read_graph_file, write_edge_list, GraphParseError,
     GraphReadError,
 };
-pub use spanning::{spanning_forest, SpanningForest};
 pub use union_find::UnionFind;
 pub use view::{induced_subgraph, InducedSubgraph};

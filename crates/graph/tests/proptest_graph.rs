@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use psi_graph::{
     bfs, biconnected_components, connected_components, contract_groups, induced_subgraph,
-    parallel_bfs, parallel_connected_components, spanning_forest, GraphBuilder, Vertex,
+    parallel_bfs, parallel_connected_components, GraphBuilder, Vertex,
 };
 
 /// Strategy producing a random simple graph as (n, edge list).
@@ -68,15 +68,6 @@ proptest! {
                 prop_assert_eq!(s.label[u] == s.label[v], p.label[u] == p.label[v]);
             }
         }
-    }
-
-    #[test]
-    fn spanning_forest_edge_count_matches_components((n, edges) in arb_graph(35, 100)) {
-        let g = GraphBuilder::from_edges(n, &edges);
-        let c = connected_components(&g);
-        let f = spanning_forest(&g);
-        prop_assert_eq!(f.num_trees, c.num_components);
-        prop_assert_eq!(f.edges.len(), n - c.num_components);
     }
 
     #[test]

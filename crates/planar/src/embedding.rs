@@ -1,6 +1,6 @@
 //! Combinatorial embeddings given by their facial walks.
 
-use psi_graph::{CsrGraph, Vertex};
+use psi_graph::{CsrGraph, UnionFind, Vertex};
 use std::fmt;
 
 /// Problems detected while validating an embedding.
@@ -19,6 +19,9 @@ pub enum EmbeddingError {
     /// A vertex appears on no face at all (isolated vertices must be embedded as
     /// singleton faces).
     VertexNotOnAnyFace { v: Vertex },
+    /// The corners the walks turn at a vertex do not close into one rotation
+    /// around it: the walks pinch the surface together at `v`.
+    PinchedVertex { v: Vertex },
 }
 
 impl fmt::Display for EmbeddingError {
@@ -38,6 +41,9 @@ impl fmt::Display for EmbeddingError {
             }
             EmbeddingError::VertexNotOnAnyFace { v } => {
                 write!(f, "vertex {v} appears on no face")
+            }
+            EmbeddingError::PinchedVertex { v } => {
+                write!(f, "the corners at vertex {v} do not form one rotation")
             }
         }
     }
@@ -94,9 +100,10 @@ impl Embedding {
     }
 
     /// Validates the facial structure: every consecutive face pair is an edge, every
-    /// edge lies on exactly two facial sides, every vertex appears on at least one
-    /// face (isolated vertices as singleton faces), and Euler's formula yields a
-    /// nonnegative integral genus per connected component.
+    /// edge lies on exactly two facial sides, the corners at every vertex form one
+    /// rotation, every vertex appears on at least one face (isolated vertices as
+    /// singleton faces), and Euler's formula yields a nonnegative integral genus per
+    /// connected component.
     pub fn validate(&self) -> Result<(), EmbeddingError> {
         validate_walks(&self.graph, self.faces.iter().map(Vec::as_slice)).map(|_genus| ())
     }
@@ -114,14 +121,26 @@ impl Embedding {
 /// (0 for a planar embedding). The walks are borrowed, so flat stored faces are
 /// checked without assembling an [`Embedding`]. Every walk vertex must be a
 /// vertex of `graph`.
+///
+/// Glued along their edges, walks that pass these checks form a closed surface
+/// per component: every edge borders two sides and the corners at every vertex
+/// close into one rotation. So a genus of 0 (Euler characteristic 2 per
+/// component) makes every component a sphere, and `graph` planar. The check
+/// reads no orientation, so unoriented walks pass.
 pub fn validate_walks<'a>(
     graph: &CsrGraph,
     faces: impl IntoIterator<Item = &'a [Vertex]>,
 ) -> Result<i64, EmbeddingError> {
-    // Facial sides per edge `{a < b}`, counted at `b`'s slot in `a`'s sorted
-    // CSR neighbour list.
+    // A dart `u→v` is `v`'s slot in `u`'s sorted CSR neighbour list. Facial
+    // sides per edge `{a < b}` are counted at the dart `a→b`; each corner a walk
+    // turns at `v`, from `v→pred` to `v→succ`, joins those two darts.
     let offsets = graph.csr_offsets();
+    let dart = |u: Vertex, v: Vertex| {
+        let slot = graph.neighbors(u).binary_search(&v).ok()?;
+        Some(offsets[u as usize] + slot)
+    };
     let mut sides = vec![0u32; graph.degree_sum()];
+    let mut corners = UnionFind::new(graph.degree_sum());
     let mut on_face = vec![false; graph.num_vertices()];
     let mut num_faces = 0usize;
     for (fi, face) in faces.into_iter().enumerate() {
@@ -140,18 +159,26 @@ pub fn validate_walks<'a>(
             // isolated-edge component. Longer walks are the usual facial cycles.
             _ => {}
         }
+        // `first` is the dart `face[0]→face[1]`, which the walk's last corner joins
+        // to `face[0]→face[len − 1]`; `back` is the previous step's dart `u→pred`.
+        let (mut first, mut back) = (0, 0);
         for i in 0..face.len() {
             let u = face[i];
             let v = face[(i + 1) % face.len()];
-            let (a, b) = (u.min(v), u.max(v));
-            let slot = graph
-                .neighbors(a)
-                .binary_search(&b)
-                .map_err(|_| EmbeddingError::NonEdgeOnFace { face: fi, u, v })?;
+            let (forth, rev) = dart(u, v)
+                .zip(dart(v, u))
+                .ok_or(EmbeddingError::NonEdgeOnFace { face: fi, u, v })?;
             on_face[u as usize] = true;
-            let count = &mut sides[offsets[a as usize] + slot];
+            let count = &mut sides[if u < v { forth } else { rev }];
             *count = count.saturating_add(1);
+            if i == 0 {
+                first = forth;
+            } else {
+                corners.union(back, forth);
+            }
+            back = rev;
         }
+        corners.union(back, first);
     }
     for u in graph.vertices() {
         let first = offsets[u as usize];
@@ -160,6 +187,17 @@ pub fn validate_walks<'a>(
             if u < v && count != 2 {
                 let count = count as usize;
                 return Err(EmbeddingError::WrongEdgeMultiplicity { u, v, count });
+            }
+        }
+    }
+    // With every edge on two sides, each dart ends two corners, so the corners at
+    // a vertex link its darts into cycles; a rotation is one cycle through all.
+    for u in graph.vertices() {
+        let mut darts = offsets[u as usize]..offsets[u as usize + 1];
+        if let Some(d) = darts.next() {
+            let rotation = corners.find(d);
+            if darts.any(|d| corners.find(d) != rotation) {
+                return Err(EmbeddingError::PinchedVertex { v: u });
             }
         }
     }
@@ -258,6 +296,23 @@ mod tests {
             bad2.validate(),
             Err(EmbeddingError::WrongEdgeMultiplicity { .. })
         ));
+        // K5 behind pinched walks: every edge lies on two sides and χ = 5 − 10 + 7
+        // = 2, but the corners at 3 (and at 4) split into two rotations.
+        let walks = [
+            &[0, 1, 3][..],
+            &[0, 1, 4],
+            &[0, 2, 3],
+            &[0, 2, 4],
+            &[1, 2, 3],
+            &[1, 2, 4],
+            &[3, 4],
+        ];
+        let faces = walks.iter().map(|w| w.to_vec()).collect();
+        let pinched = Embedding::new(psi_graph::generators::complete(5), faces);
+        assert_eq!(
+            pinched.validate(),
+            Err(EmbeddingError::PinchedVertex { v: 3 })
+        );
     }
 
     #[test]

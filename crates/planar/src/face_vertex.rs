@@ -49,11 +49,6 @@ impl FaceVertexGraph {
         &self.walks[self.walk_offsets[f]..self.walk_offsets[f + 1]]
     }
 
-    /// The original-vertex set `S` used by the separating-cycle search.
-    pub fn original_vertices(&self) -> Vec<Vertex> {
-        (0..self.num_original as Vertex).collect()
-    }
-
     /// Maps a cycle of `G'` to the original vertices it passes through (the candidate
     /// vertex cut of `G`).
     pub fn original_vertices_of(&self, vertices: &[Vertex]) -> Vec<Vertex> {
@@ -147,7 +142,6 @@ mod tests {
     fn original_vertex_extraction() {
         let e = generators::cycle_embedded(5);
         let fv = face_vertex_graph(&e);
-        assert_eq!(fv.original_vertices(), vec![0, 1, 2, 3, 4]);
         let cut = fv.original_vertices_of(&[0, 7, 2, 6, 0]);
         assert_eq!(cut, vec![0, 2]);
     }

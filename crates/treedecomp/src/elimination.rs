@@ -1,4 +1,4 @@
-//! Elimination-ordering heuristics for building tree decompositions.
+//! Min-degree elimination: the tree decomposition every DP in the workspace runs on.
 //!
 //! A perfect elimination game yields a valid tree decomposition of any graph: eliminate
 //! vertices one by one, each time turning the current neighbourhood of the eliminated
@@ -8,29 +8,20 @@
 //!
 //! The paper obtains width-`3d` decompositions of `d`-level planar slabs from the
 //! Baker/Eppstein construction and width-`8τ+7` decompositions from Lagergren's parallel
-//! algorithm; as documented in `DESIGN.md` we substitute the classical min-degree and
-//! min-fill heuristics, which always produce *valid* decompositions (checked by
-//! [`TreeDecomposition::validate`]) and empirically stay within the `3d` bound on the
-//! cover subgraphs (experiment F1). Only constants in the running time depend on this
-//! substitution; correctness of the subgraph-isomorphism DP does not.
+//! algorithm. This reproduction substitutes the classical min-degree heuristic
+//! (always eliminate a vertex of least current degree), which always produces a
+//! *valid* decomposition (checked by [`TreeDecomposition::validate`]) and empirically
+//! stays within the `3(d+1)` bound on the cover pieces (experiment F1). Only the width,
+//! and so the constants in the DPs' running time, depends on this substitution; their
+//! correctness does not.
 
 use crate::decomposition::TreeDecomposition;
 use psi_graph::{CsrGraph, Vertex};
-use std::collections::{BTreeSet, HashSet};
-
-/// Which greedy criterion selects the next vertex to eliminate.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum EliminationStrategy {
-    /// Eliminate a vertex of minimum current degree (fast, good on planar slabs).
-    MinDegree,
-    /// Eliminate a vertex adding the fewest fill edges (slower, usually smaller width).
-    MinFill,
-}
+use std::collections::BTreeSet;
 
 struct EliminationGame {
     /// Current neighbourhoods (as sets) of the not-yet-eliminated vertices.
     adj: Vec<BTreeSet<Vertex>>,
-    eliminated: Vec<bool>,
 }
 
 impl EliminationGame {
@@ -38,23 +29,7 @@ impl EliminationGame {
         let adj = (0..graph.num_vertices())
             .map(|v| graph.neighbors(v as Vertex).iter().copied().collect())
             .collect();
-        EliminationGame {
-            adj,
-            eliminated: vec![false; graph.num_vertices()],
-        }
-    }
-
-    fn fill_cost(&self, v: usize) -> usize {
-        let neigh: Vec<Vertex> = self.adj[v].iter().copied().collect();
-        let mut missing = 0;
-        for i in 0..neigh.len() {
-            for j in (i + 1)..neigh.len() {
-                if !self.adj[neigh[i] as usize].contains(&neigh[j]) {
-                    missing += 1;
-                }
-            }
-        }
-        missing
+        EliminationGame { adj }
     }
 
     fn eliminate(&mut self, v: usize) -> Vec<Vertex> {
@@ -71,15 +46,13 @@ impl EliminationGame {
             self.adj[w as usize].remove(&(v as Vertex));
         }
         self.adj[v].clear();
-        self.eliminated[v] = true;
         neigh
     }
 }
 
 /// Bucket priority queue over current degrees: the next min-degree vertex is popped
-/// from the lowest non-empty bucket (smallest vertex id first, matching the scan-based
-/// selection's `(degree, v)` tie-break exactly), and degree changes move vertices
-/// between buckets. Selection over the whole elimination costs `O((n + fill) log n)`
+/// from the lowest non-empty bucket (smallest vertex id first: a `(degree, v)`
+/// tie-break), and degree changes move vertices between buckets. Selection over the whole elimination costs `O((n + fill) log n)`
 /// instead of the naive `O(n²)` per-step scans — the cover pipeline decomposes many
 /// thousands of batched pieces per query, so selection must stay near-linear.
 struct DegreeBuckets {
@@ -134,44 +107,29 @@ impl DegreeBuckets {
     }
 }
 
-/// Builds a tree decomposition from a greedy elimination ordering.
-pub fn elimination_decomposition(
-    graph: &CsrGraph,
-    strategy: EliminationStrategy,
-) -> TreeDecomposition {
+/// The min-degree decomposition of `graph`: vertices are eliminated in order of least
+/// current degree (ties by smallest id), each contributing the bag of itself and its
+/// neighbourhood at elimination time. The empty graph gets one empty bag.
+pub fn min_degree_decomposition(graph: &CsrGraph) -> TreeDecomposition {
     let n = graph.num_vertices();
     if n == 0 {
         return TreeDecomposition::new(vec![Vec::new()], Vec::new(), 0);
     }
     let mut game = EliminationGame::new(graph);
-    // order[i] = i-th eliminated vertex; bag_of_vertex[v] = index of the bag created for v
-    let mut order = Vec::with_capacity(n);
+    let mut queue = DegreeBuckets::new(&game);
+    // position[v] = the step at which v is eliminated, which is also its bag's index.
     let mut position = vec![usize::MAX; n];
     let mut bags: Vec<Vec<Vertex>> = Vec::with_capacity(n);
     let mut neighbours_at_elim: Vec<Vec<Vertex>> = Vec::with_capacity(n);
-    let mut degree_queue = match strategy {
-        EliminationStrategy::MinDegree => Some(DegreeBuckets::new(&game)),
-        EliminationStrategy::MinFill => None,
-    };
 
     for step in 0..n {
-        // pick next vertex
-        let candidate = match &mut degree_queue {
-            Some(queue) => queue.pop_min(),
-            None => (0..n)
-                .filter(|&v| !game.eliminated[v])
-                .min_by_key(|&v| (game.fill_cost(v), game.adj[v].len(), v))
-                .expect("some vertex remains"),
-        };
+        let candidate = queue.pop_min();
         position[candidate] = step;
-        order.push(candidate as Vertex);
         let neigh = game.eliminate(candidate);
-        if let Some(queue) = &mut degree_queue {
-            // Only the eliminated vertex's neighbourhood changes degree (it loses the
-            // edge to the eliminated vertex and gains the clique fill edges).
-            for &w in &neigh {
-                queue.update(w as usize, game.adj[w as usize].len());
-            }
+        // Only the eliminated vertex's neighbourhood changes degree (it loses the
+        // edge to the eliminated vertex and gains the clique fill edges).
+        for &w in &neigh {
+            queue.update(w as usize, game.adj[w as usize].len());
         }
         let mut bag = neigh.clone();
         bag.push(candidate as Vertex);
@@ -199,39 +157,6 @@ pub fn elimination_decomposition(
     TreeDecomposition::new(bags, tree_edges, n)
 }
 
-/// Min-degree heuristic decomposition.
-pub fn min_degree_decomposition(graph: &CsrGraph) -> TreeDecomposition {
-    elimination_decomposition(graph, EliminationStrategy::MinDegree)
-}
-
-/// Min-fill heuristic decomposition.
-pub fn min_fill_decomposition(graph: &CsrGraph) -> TreeDecomposition {
-    elimination_decomposition(graph, EliminationStrategy::MinFill)
-}
-
-/// Upper bound on the treewidth: the width of the min-degree decomposition.
-pub fn treewidth_upper_bound(graph: &CsrGraph) -> usize {
-    min_degree_decomposition(graph).width()
-}
-
-/// Sanity helper used by tests: a set of vertices forming a clique forces width ≥ |clique| − 1.
-pub fn clique_lower_bound(graph: &CsrGraph) -> usize {
-    // greedy: find a maximal clique by repeatedly adding the highest-degree compatible vertex
-    let mut best = 0;
-    for start in 0..graph.num_vertices() as Vertex {
-        let mut clique: Vec<Vertex> = vec![start];
-        let mut candidates: HashSet<Vertex> = graph.neighbors(start).iter().copied().collect();
-        while let Some(&next) = candidates.iter().max_by_key(|&&v| graph.degree(v)) {
-            clique.push(next);
-            let neigh: HashSet<Vertex> = graph.neighbors(next).iter().copied().collect();
-            candidates = candidates.intersection(&neigh).copied().collect();
-            candidates.remove(&next);
-        }
-        best = best.max(clique.len().saturating_sub(1));
-    }
-    best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -256,7 +181,7 @@ mod tests {
     #[test]
     fn complete_graph_width() {
         let g = generators::complete(6);
-        let td = min_fill_decomposition(&g);
+        let td = min_degree_decomposition(&g);
         td.validate(&g).unwrap();
         assert_eq!(td.width(), 5);
     }
@@ -264,20 +189,10 @@ mod tests {
     #[test]
     fn grid_width_is_small() {
         let g = generators::grid(6, 6);
-        let td = min_fill_decomposition(&g);
+        let td = min_degree_decomposition(&g);
         td.validate(&g).unwrap();
-        // treewidth of the 6x6 grid is 6; heuristics may overshoot slightly
+        // treewidth of the 6x6 grid is 6; min-degree may overshoot slightly
         assert!(td.width() >= 6 && td.width() <= 9, "width {}", td.width());
-    }
-
-    #[test]
-    fn min_fill_not_worse_than_min_degree_on_small_planar() {
-        let g = generators::random_stacked_triangulation(40, 11);
-        let a = min_degree_decomposition(&g);
-        let b = min_fill_decomposition(&g);
-        a.validate(&g).unwrap();
-        b.validate(&g).unwrap();
-        assert!(b.width() <= a.width() + 2);
     }
 
     #[test]
@@ -287,15 +202,6 @@ mod tests {
         let g = generators::disjoint_union(&[&a, &b]);
         let td = min_degree_decomposition(&g);
         td.validate(&g).unwrap();
-    }
-
-    #[test]
-    fn width_bounds_are_consistent() {
-        let g = generators::triangulated_grid(5, 5);
-        let ub = treewidth_upper_bound(&g);
-        let lb = clique_lower_bound(&g);
-        assert!(lb <= ub, "lower bound {lb} exceeds upper bound {ub}");
-        assert!(lb >= 2); // contains triangles
     }
 
     #[test]

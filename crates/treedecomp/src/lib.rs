@@ -4,15 +4,13 @@
 //!
 //! * [`TreeDecomposition`] — bags + decomposition tree, with a full validity checker
 //!   (the three conditions of Section 1.1) and width computation,
-//! * [`elimination`] — min-degree / min-fill elimination-ordering heuristics that build
-//!   valid decompositions of arbitrary graphs (the documented substitution for the
-//!   Baker/Eppstein width-`3d` construction and Lagergren's parallel algorithm; only
-//!   the width, never the correctness, depends on the heuristic),
+//! * [`elimination`] — [`min_degree_decomposition`], the one construction every
+//!   decomposition in the workspace comes from: a valid decomposition of any graph by
+//!   min-degree elimination (the documented substitution for the Baker/Eppstein
+//!   width-`3d` construction and Lagergren's parallel algorithm; only the width, never
+//!   the correctness, depends on it),
 //! * [`binary`] — rooted binarisation so that every interior node has exactly two
 //!   children (the form assumed by the partial-match dynamic program),
-//! * [`layered`] — the Baker/Eppstein guaranteed-width construction for embedded
-//!   planar graphs (width ≤ `3d + 2` from a depth-`d` BFS tree), used when it beats
-//!   the elimination heuristics,
 //! * [`path_layers`] — Lemma 3.2 / Appendix A: decomposing a rooted tree into paths
 //!   grouped into `O(log n)` layers, including the `f≠ / g=` unary-function family and
 //!   its closure properties used by the expression-tree-evaluation argument.
@@ -20,15 +18,11 @@
 pub mod binary;
 pub mod decomposition;
 pub mod elimination;
-pub mod layered;
 pub mod path_layers;
 
 pub use binary::BinaryTreeDecomposition;
 pub use decomposition::TreeDecomposition;
-pub use elimination::{
-    min_degree_decomposition, min_fill_decomposition, treewidth_upper_bound, EliminationStrategy,
-};
-pub use layered::{layered_decomposition, layered_decomposition_auto};
+pub use elimination::min_degree_decomposition;
 pub use path_layers::{
     layer_numbers, layer_numbers_parallel, tree_into_paths, LayerFn, PathDecomposition,
 };

@@ -242,10 +242,10 @@ impl LayerFn {
     /// Composition `self ∘ other` (first apply `other`, then `self`) **as stated in
     /// Appendix A of the paper**.
     ///
-    /// Reproduction note (recorded in `DESIGN.md`): the paper's composition table is
-    /// not correct for the boundary case where the outer index exceeds the inner index
-    /// by exactly one — e.g. `f≠1 ∘ f≠0` evaluated at `x = 0` is `2`, but the table
-    /// claims the composition equals `f≠max(1,0) = f≠1`, which gives `1`. The family
+    /// Reproduction note: the paper's composition table is not correct for the
+    /// boundary case where the outer index exceeds the inner index by exactly one —
+    /// e.g. `f≠1 ∘ f≠0` evaluated at `x = 0` is `2`, but the table claims the
+    /// composition equals `f≠max(1,0) = f≠1`, which gives `1`. The family
     /// `{f≠_i, g=_i}` is therefore *not* closed under composition. The test
     /// `paper_composition_table_counterexample` pins this down, and [`ChainFn`] provides
     /// a corrected (and genuinely closed) family that the tree-contraction argument can

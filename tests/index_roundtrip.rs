@@ -271,6 +271,19 @@ fn semantically_inconsistent_sections_are_rejected() {
     ))
     .unwrap();
     faces_rejected(&k5_minus_e, &k5, &k5_minus_e.faces);
+    // The K5 target under pinched walks: every edge lies on two sides and
+    // χ = 5 − 10 + 7 = 2, but the corners at 3 split into two rotations.
+    let pinched = [
+        vec![0, 1, 3],
+        vec![0, 1, 4],
+        vec![0, 2, 3],
+        vec![0, 2, 4],
+        vec![1, 2, 3],
+        vec![1, 2, 4],
+        vec![3, 4],
+    ];
+    let detail = faces_rejected(&k5_minus_e, &k5, &pinched);
+    assert!(detail.contains("vertex 3"), "{detail}");
     // A 5×5 triangulated grid whose only face is the walk [0, 1, 2].
     let grid = pg::triangulated_grid_embedded(5, 5);
     faces_rejected(&grid, &grid.graph, &[vec![0, 1, 2]]);
