@@ -142,6 +142,16 @@ impl CoverBatch {
         })
     }
 
+    /// Per packed window: its cluster centre, its start level and its vertices
+    /// in target ids.
+    pub(crate) fn windows_with_members(&self) -> impl Iterator<Item = (u32, u32, &[Vertex])> {
+        self.segment_ranges()
+            .zip(&self.windows)
+            .map(|((start, end), &(centre, level, _))| {
+                (centre, level, &self.local_to_global[start..end])
+            })
+    }
+
     /// A binarised tree decomposition of the union: the min-degree decomposition
     /// of each segment, chained. Every batch takes this one rule: the index build
     /// and the dynamic flush store it, and the classic path, the paper's DP and

@@ -40,11 +40,12 @@
 //! The engine's readable state is an `EpochState` value — the one read path
 //! frozen, live and pinned queries share (see [`crate::snapshot`]). Queries
 //! ([`DynamicPsiIndex::decide`], [`DynamicPsiIndex::find_one`], the batch
-//! variants, and the connectivity front ends) flush the dirty backlog and then
-//! read that state in place: rounds in order, clusters in ascending centre
-//! order — the stored order of the frozen artifact — so verdicts *and
-//! witnesses* match a frozen [`PsiSnapshot`] of the same graph for every
-//! thread count.
+//! variants, and the connectivity front ends) flush the dirty backlog, which
+//! also patches the rebuilt clusters' window labels, and then read that state
+//! in place: a pattern scan runs from every root in vertex order on the
+//! adjacency lists, whose rows hold what the frozen artifact's CSR rows hold,
+//! so verdicts *and witnesses* match a frozen [`PsiSnapshot`] of the same graph
+//! for every thread count.
 
 use crate::connectivity::{ConnectivityMode, ConnectivityResult};
 use crate::cover::{
@@ -750,14 +751,16 @@ impl DynamicPsiIndex {
     /// for round `r`, through the same `emit_cluster_batches` path as the
     /// from-scratch build, and returns the batches re-emitted and how many of
     /// them reused a decomposition. Centres that are no longer centres are just
-    /// removed.
+    /// removed. Taking a group out clears the window labels it set and putting
+    /// the rebuilt one in sets its members' labels, so the round's labels stay
+    /// those a fresh build derives from its windows.
     ///
     /// The rebuild is copy-on-write: a round that a snapshot or frozen index
-    /// still holds is cloned first (`O(clusters)` `Arc` bumps), so those
-    /// holders keep scanning the retired round, which is freed when the last
-    /// one drops. A cluster's previous group lives until its batches are
-    /// re-emitted: an emitted batch equal to one of them takes its stored
-    /// decomposition, and the group is then dropped.
+    /// still holds is cloned first (`O(clusters)` `Arc` bumps and one copy of
+    /// its labels), so those holders keep scanning the retired round, which is
+    /// freed when the last one drops. A cluster's previous group lives until
+    /// its batches are re-emitted: an emitted batch equal to one of them takes
+    /// its stored decomposition, and the group is then dropped.
     fn rebuild_clusters(
         &mut self,
         r: usize,
@@ -769,7 +772,7 @@ impl DynamicPsiIndex {
         let (mut rebuilt, mut reused) = (0usize, 0usize);
         let round: &mut StoredRound = Arc::make_mut(&mut self.state.rounds[r]);
         for &c in affected {
-            let old = round.groups.remove(&c);
+            let old = round.take_group(c);
             if !self.clusterings[r].is_center(c) {
                 continue; // the cluster dissolved; nothing to re-emit
             }
@@ -803,7 +806,7 @@ impl DynamicPsiIndex {
                 },
             );
             rebuilt += batches.len();
-            round.groups.insert(c, Arc::new(batches));
+            round.put_group(c, batches);
         }
         psi_obs::event!("flush.publish", round = r, rebuilt = rebuilt);
         (rebuilt, reused)
@@ -867,20 +870,21 @@ impl DynamicPsiIndex {
 
     // --- queries ----------------------------------------------------------
     //
-    // Each query flushes the dirty backlog (pattern scans read the batches),
-    // then reads the engine's `EpochState` in place — the same implementation
-    // frozen and pinned snapshots run (see `crate::snapshot`).
+    // Each query flushes the dirty backlog (pattern scans read the rounds'
+    // window labels and, past the node budget, their batches), then reads the
+    // engine's `EpochState` in place — the same implementation frozen and
+    // pinned snapshots run (see `crate::snapshot`).
 
     /// Decides whether `pattern` occurs in the live target (flushing dirty
     /// clusters first); same contract as [`PsiSnapshot::decide`].
     pub fn decide(&mut self, pattern: &Pattern) -> Result<bool, QueryError> {
         self.flush();
-        self.state.decide(pattern)
+        self.state.decide(pattern, self)
     }
 
     /// Finds one occurrence (flushing dirty clusters first); the witness is the
-    /// first hit in (round, centre, emission) order — identical to the frozen
-    /// artifact's stored-order witness.
+    /// scan's first hit in root order, searched on the adjacency lists —
+    /// identical to the witness of a frozen artifact of the same graph.
     pub fn find_one(&mut self, pattern: &Pattern) -> Result<Option<Vec<Vertex>>, QueryError> {
         self.flush();
         self.state.find_one(pattern, self)
@@ -890,7 +894,7 @@ impl DynamicPsiIndex {
     /// answers in input order (one flush up front, then read-only scans).
     pub fn decide_batch(&mut self, patterns: &[Pattern]) -> Vec<Result<bool, QueryError>> {
         self.flush();
-        self.state.decide_batch(patterns)
+        self.state.decide_batch(patterns, self)
     }
 
     /// [`DynamicPsiIndex::find_one`] over many patterns (input order,
@@ -926,6 +930,10 @@ impl EpochSource for DynamicPsiIndex {
 
     fn walks(&self) -> Vec<Vec<Vertex>> {
         self.faces.compact()
+    }
+
+    fn adjacency(&self) -> Option<&AdjacencyList> {
+        Some(&self.graph)
     }
 }
 
@@ -1140,8 +1148,8 @@ mod tests {
 
     #[test]
     fn live_decide_after_a_mutation_derives_no_target_or_faces() {
-        // Pattern scans read only the batches: the flush rebuilds them from the
-        // adjacency lists, and the read derives neither the CSR nor the faces.
+        // Pattern scans read the adjacency lists and the window labels the
+        // flush patches, so the read derives neither the CSR nor the faces.
         let e = pg::grid_embedded(5, 5);
         let mut dynamic = DynamicPsiIndex::build(&e, params());
         dynamic.insert_edge(0, 6).unwrap();

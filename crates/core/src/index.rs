@@ -11,17 +11,22 @@
 //! * the target graph and the facial walks of its planar embedding,
 //! * `rounds` independent k-d covers (Section 2.1), each a [`StoredRound`]: the
 //!   streamed [`CoverBatch`]es, each with a flat tree decomposition, grouped by
-//!   cluster centre — the layout every served, thawed and frozen epoch shares.
+//!   cluster centre — the layout every served, thawed and frozen epoch shares —
+//!   plus per-vertex *window labels*, derived from those windows on build and
+//!   load and never serialised: the vertex's cluster centre and the first and
+//!   last start of the windows that hold it.
 //!
 //! A frozen index is served as an epoch-0 [`crate::snapshot::PsiSnapshot`]
 //! (`PsiSnapshot::from(index)`), which answers pattern and connectivity queries
 //! with per-query scratch only — no rebuild — so thousands of queries run
-//! concurrently on the work-stealing pool. Per scanned batch the reader first
-//! runs an exhaustive backtracking search (exact whenever it completes under
-//! [`FAST_PATH_NODE_BUDGET`] — batches are ~256-vertex disjoint window unions,
-//! so it almost always does, in microseconds) and falls back to the stored
-//! decomposition's DP only past the budget. Connectivity queries derive the
-//! face–vertex graph of Section 5.1 from the stored faces once per served epoch.
+//! concurrently on the work-stealing pool. A pattern query scans the target
+//! once: an exhaustive backtracking search from each target vertex in turn,
+//! under [`FAST_PATH_NODE_BUDGET`] nodes per root, that accepts an occurrence
+//! only when the labels put it inside one stored window. A root whose search
+//! runs out of budget (a hub) sends the stored batches holding its windows
+//! through the batch kernel: the same search on the batch, then the stored
+//! decomposition's DP. Connectivity queries derive the face–vertex graph of
+//! Section 5.1 from the stored faces once per served epoch.
 //!
 //! ## Which queries an index can serve
 //!
@@ -37,6 +42,12 @@
 //!   `l ≤ max_level − d` the window starting at `l` contains it, otherwise the last
 //!   window `[max_level − d, max_level]` does. Either way some stored window
 //!   contains the occurrence whenever the clustering retained it.
+//!
+//! A window `[s, s + d]` of a cluster holds a member exactly when `s` lies
+//! between the member's first and last window start, so a round keeps an
+//! occurrence exactly when its labels give every vertex the same centre and
+//! the largest first start is at most the smallest last start — the test the
+//! scan applies to each occurrence it completes.
 //!
 //! Hence each stored round catches a fixed occurrence with probability ≥ 1/2,
 //! exactly as in Theorem 2.4, and a "no" answer after scanning all `rounds` stored
@@ -54,16 +65,18 @@
 //! magic, schema version ([`INDEX_SCHEMA_VERSION`]), and a checksummed section
 //! table over flat little-endian payloads (the same CSR/flat arrays held in
 //! memory — loading is validation + wrapping, not re-derivation, except for the
-//! decompositions an older artifact marks as layered). Malformed files fail
-//! with section-labelled [`IndexLoadError`]s, never panics.
+//! window labels, one pass over the stored windows, and the decompositions an
+//! older artifact marks as layered). Serialising sizes the output once, from
+//! the array lengths. Malformed files fail with section-labelled
+//! [`IndexLoadError`]s, never panics.
 
 use crate::cover::{map_cover_batches, round_seed, CoverBatch, DEFAULT_BATCH_BUDGET, DEFAULT_SEED};
 use crate::pattern::Pattern;
 use psi_graph::io::{
-    decode_csr, encode_csr, push_u32, push_u32_slice, push_u64, SectionReadError, SectionWriter,
-    SectionedFile, SliceReader,
+    decode_csr, encode_csr, encoded_csr_len, push_u32, push_u32_slice, push_u64, SectionReadError,
+    SectionWriter, SectionedFile, SliceReader,
 };
-use psi_graph::{CsrGraph, Vertex};
+use psi_graph::{CsrGraph, NeighborSource, Vertex, INVALID_VERTEX};
 use psi_planar::{validate_walks, Embedding};
 use psi_treedecomp::BinaryTreeDecomposition;
 use std::collections::BTreeMap;
@@ -238,29 +251,144 @@ pub struct IndexedBatch {
     pub decomp: FlatDecomposition,
 }
 
+/// Where one vertex sits in a round's stored windows: its cluster `centre` and
+/// the `first` and `last` start level of the windows that hold it. A vertex no
+/// window holds reads [`WindowLabel::NONE`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct WindowLabel {
+    centre: Vertex,
+    first: u32,
+    last: u32,
+}
+
+impl WindowLabel {
+    /// No window: `first > last`, so no occurrence through the vertex passes
+    /// [`StoredRound::holds`].
+    const NONE: WindowLabel = WindowLabel {
+        centre: INVALID_VERTEX,
+        first: u32::MAX,
+        last: 0,
+    };
+}
+
 /// One stored cover round: its batches grouped by cluster centre, in ascending
-/// centre order. Batches are cluster-pure and the build emits clusters in
-/// ascending centre order, so [`StoredRound::iter`] replays the canonical batch
-/// stream the artifact stores. Every group is `Arc`-shared: served, thawed and
-/// frozen epochs hold the same groups, and the dynamic index's flush swaps in
-/// rebuilt groups copy-on-write, reusing every untouched cluster's batches.
+/// centre order, and the window label of every target vertex. Batches are
+/// cluster-pure and the build emits clusters in ascending centre order, so
+/// [`StoredRound::iter`] replays the canonical batch stream the artifact
+/// stores. Every group is `Arc`-shared: served, thawed and frozen epochs hold
+/// the same groups, and the dynamic index's flush swaps in rebuilt groups
+/// copy-on-write, reusing every untouched cluster's batches. The labels are a
+/// pure function of the windows, which the flush keeps as it swaps groups.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct StoredRound {
     pub(crate) groups: BTreeMap<Vertex, Arc<Vec<IndexedBatch>>>,
+    labels: Vec<WindowLabel>,
 }
 
 impl StoredRound {
     /// Groups a batch stream by the centre its first window carries — the one
-    /// place the grouping rule is written. A stream that is not in canonical
-    /// order comes out in it.
-    pub(crate) fn new(batches: Vec<IndexedBatch>) -> StoredRound {
+    /// place the grouping rule is written — and labels the `n` target vertices
+    /// from the windows. A stream that is not in canonical order comes out in
+    /// it. Clusters partition the target, so no vertex lies in windows of two
+    /// centres; a stream where one does is refused with that vertex.
+    pub(crate) fn new(batches: Vec<IndexedBatch>, n: usize) -> Result<StoredRound, Vertex> {
         let mut groups: BTreeMap<Vertex, Vec<IndexedBatch>> = BTreeMap::new();
         for ib in batches {
             groups.entry(ib.batch.windows[0].0).or_default().push(ib);
         }
-        StoredRound {
-            groups: groups.into_iter().map(|(c, g)| (c, Arc::new(g))).collect(),
+        let mut round = StoredRound {
+            groups: BTreeMap::new(),
+            labels: vec![WindowLabel::NONE; n],
+        };
+        for (c, group) in groups {
+            if let Some(v) = round.label(&group) {
+                return Err(v);
+            }
+            round.groups.insert(c, Arc::new(group));
         }
+        Ok(round)
+    }
+
+    /// Removes the group of centre `c` and clears the labels it set; a vertex
+    /// another group has labelled since keeps that label.
+    pub(crate) fn take_group(&mut self, c: Vertex) -> Option<Arc<Vec<IndexedBatch>>> {
+        let group = self.groups.remove(&c)?;
+        for (_, _, members) in group.iter().flat_map(|ib| ib.batch.windows_with_members()) {
+            for &v in members {
+                let label = &mut self.labels[v as usize];
+                if label.centre == c {
+                    *label = WindowLabel::NONE;
+                }
+            }
+        }
+        Some(group)
+    }
+
+    /// Inserts `batches` as the group of centre `c` and labels their members.
+    /// A member may still carry the label of a cluster it left that the
+    /// caller has yet to take out; the label is replaced.
+    pub(crate) fn put_group(&mut self, c: Vertex, batches: Vec<IndexedBatch>) {
+        self.label(&batches);
+        self.groups.insert(c, Arc::new(batches));
+    }
+
+    /// Labels the members of `batches`' windows: a member first met here takes
+    /// the window's centre, and each window start widens its first and last.
+    /// Returns a member that carried another centre's label, if any.
+    fn label(&mut self, batches: &[IndexedBatch]) -> Option<Vertex> {
+        let mut relabelled = None;
+        for (centre, start, members) in batches
+            .iter()
+            .flat_map(|ib| ib.batch.windows_with_members())
+        {
+            for &v in members {
+                let label = &mut self.labels[v as usize];
+                if label.centre == centre {
+                    label.first = label.first.min(start);
+                    label.last = label.last.max(start);
+                    continue;
+                }
+                if label.centre != INVALID_VERTEX {
+                    relabelled.get_or_insert(v);
+                }
+                *label = WindowLabel {
+                    centre,
+                    first: start,
+                    last: start,
+                };
+            }
+        }
+        relabelled
+    }
+
+    /// Whether one stored window of this round holds every vertex of `occ`.
+    #[inline]
+    pub(crate) fn holds(&self, occ: &[Vertex]) -> bool {
+        let WindowLabel {
+            centre,
+            mut first,
+            mut last,
+        } = self.labels[occ[0] as usize];
+        for &v in &occ[1..] {
+            let label = self.labels[v as usize];
+            if label.centre != centre {
+                return false;
+            }
+            first = first.max(label.first);
+            last = last.min(label.last);
+        }
+        first <= last
+    }
+
+    /// The stored batches with a window that holds `v`, in stream order.
+    pub(crate) fn batches_holding(&self, v: Vertex) -> impl Iterator<Item = &IndexedBatch> {
+        let label = self.labels[v as usize];
+        let starts = label.first..=label.last;
+        self.groups
+            .get(&label.centre)
+            .into_iter()
+            .flat_map(|g| g.iter())
+            .filter(move |ib| ib.batch.windows.iter().any(|w| starts.contains(&w.1)))
     }
 
     /// Number of stored batches.
@@ -335,7 +463,8 @@ impl PsiIndex {
                         batch,
                     },
                 );
-                Arc::new(StoredRound::new(batches))
+                let round = StoredRound::new(batches, embedding.graph.num_vertices());
+                Arc::new(round.expect("clusters partition the target"))
             })
             .collect();
         let target = Arc::new(embedding.graph.clone());
@@ -416,10 +545,33 @@ impl PsiIndex {
 
     // --- serialisation ----------------------------------------------------
 
+    /// The payload bytes [`PsiIndex::to_bytes`] writes, from the array lengths.
+    fn payload_len(&self) -> usize {
+        let meta = 4 * 4 + 3 * 8;
+        let faces = 2 * 8 + 8 * self.face_offsets.len() + 4 * self.face_data.len();
+        let batch = |ib: &IndexedBatch| {
+            let (b, t) = (&ib.batch, &ib.decomp);
+            let map = 8 + 4 * b.local_to_global.len();
+            let windows = 8 + 12 * b.windows.len();
+            // node count, root and the layered-segment word, then the arrays
+            let decomp =
+                8 + 2 * 4 + 4 * (t.bag_offsets.len() + t.bag_data.len() + t.children.len());
+            encoded_csr_len(&b.graph) + map + windows + decomp
+        };
+        let rounds: usize = self
+            .rounds
+            .iter()
+            .map(|round| 8 + round.iter().map(batch).sum::<usize>())
+            .sum();
+        meta + encoded_csr_len(&self.target) + faces + rounds
+    }
+
     /// Serialises the index to its sectioned binary form, encoding every
-    /// section straight into the returned buffer.
+    /// section straight into the returned buffer, which is sized once, exactly.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut file = SectionWriter::new(INDEX_SCHEMA_VERSION, 3 + self.rounds.len());
+        let sections = 3 + self.rounds.len();
+        let mut file =
+            SectionWriter::with_capacity(INDEX_SCHEMA_VERSION, sections, self.payload_len());
         file.section("meta", |out| {
             push_u32(out, self.params.k);
             push_u32(out, self.params.d);
@@ -478,10 +630,12 @@ impl PsiIndex {
     /// first ([`SectionedFile::from_bytes`]), then every structural invariant the
     /// query engines rely on — CSR well-formedness, id ranges, faces that form a
     /// plane embedding of the target ([`psi_planar::validate_walks`] with genus
-    /// 0), window offsets, decomposition tree shape. Load never re-derives
-    /// covers; it re-derives a batch's decomposition only where a nonzero
-    /// layered-segment word marks bags of the retired layered construction, so
-    /// the loaded index equals a fresh build of its content.
+    /// 0), window offsets, decomposition tree shape, and no vertex in windows
+    /// of two clusters of one round. Load never re-derives covers; it derives
+    /// each round's window labels from the stored windows, and re-derives a
+    /// batch's decomposition only where a nonzero layered-segment word marks
+    /// bags of the retired layered construction, so the loaded index equals a
+    /// fresh build of its content.
     pub fn from_bytes(data: &[u8]) -> Result<PsiIndex, IndexLoadError> {
         // Current version first; on a version mismatch retry with any older
         // still-supported schema (v2 lacks the per-batch layered-segment word;
@@ -698,7 +852,10 @@ fn decode_round(
     if !r.is_empty() {
         return Err(fail("trailing bytes".into()));
     }
-    Ok(StoredRound::new(batches))
+    // The labels, and with them the scan, rely on clusters partitioning the
+    // target.
+    StoredRound::new(batches, target_n)
+        .map_err(|v| fail(format!("vertex {v} in windows of two clusters")))
 }
 
 /// Decodes and validates one flat decomposition (bounds, monotone bag offsets, and
@@ -890,20 +1047,23 @@ impl fmt::Display for QueryError {
 
 impl std::error::Error for QueryError {}
 
-/// Node budget for the exhaustive backtracking fast path on one batch, stored
-/// or streamed (the default [`crate::isomorphism::DpStrategy::FastPath`]).
-/// Every candidate vertex considered costs one node. The search is *exact*
-/// whenever it completes under the budget — both "occurs" and "absent" verdicts
-/// are certain, because batches are disjoint unions of windows and a connected
-/// pattern cannot span components, so plain subgraph search on the batch graph
-/// decides exactly the predicate the treewidth DP decides. Past the budget the
-/// batch falls back to the DP, whose cost is guaranteed polynomial in the batch
-/// size — the budget only caps the *time* of the fast path, never its soundness.
+/// Node budget of one exhaustive backtracking search: per root on the index's
+/// scan of the target, per batch on a stored or streamed batch (the default
+/// [`crate::isomorphism::DpStrategy::FastPath`]). Every candidate vertex
+/// considered costs one node. The search is *exact* whenever it completes under
+/// the budget — both "occurs" and "absent" verdicts are certain, for the root's
+/// occurrences on the index scan, and on a batch because batches are disjoint
+/// unions of windows and a connected pattern cannot span components, so plain
+/// subgraph search on the batch graph decides exactly the predicate the
+/// treewidth DP decides. Past the budget the stored batches holding the root's
+/// windows, or the batch itself, fall back to the DP, whose cost is guaranteed
+/// polynomial in the batch size — the budget only caps the *time* of the search,
+/// never its soundness.
 ///
-/// At ~256 vertices per batch and degree ≤ 6 targets, complete searches for
-/// k ≤ 4 patterns run in tens of thousands of nodes (microseconds), versus
-/// milliseconds for one DP table build — a >100× cut on both first-hit positive
-/// queries and exhaustive negative scans.
+/// On degree ≤ 6 targets a k ≤ 4 pattern's search from one root completes in a
+/// few hundred nodes, and one over a ~256-vertex batch in tens of thousands
+/// (microseconds), versus milliseconds for one DP table build. A hub root, as in
+/// a wheel, runs the budget out.
 pub const FAST_PATH_NODE_BUDGET: usize = 1 << 16;
 
 /// A connected visit order over a pattern, computed once per query and replayed by
@@ -965,19 +1125,22 @@ impl MatchPlan {
     }
 }
 
-/// Depth-first exhaustive search for the planned pattern in one batch graph.
-/// `Ok(true)` leaves the full assignment in `assigned` (by plan position);
-/// `Ok(false)` means the pattern is exhaustively absent from this batch;
+/// Depth-first exhaustive search for the planned pattern in `graph`, from
+/// plan position `depth` on (`assigned` holds the positions before it). A
+/// complete assignment ends the search only if `accept` takes it; otherwise
+/// the search goes on. `Ok(true)` leaves the accepted assignment in `assigned`
+/// (by plan position); `Ok(false)` means no accepted completion exists;
 /// `Err(())` means the node budget ran out and the verdict is unknown.
-pub(crate) fn backtrack_step(
+pub(crate) fn backtrack_step<G: NeighborSource + ?Sized>(
     plan: &MatchPlan,
-    graph: &CsrGraph,
+    graph: &G,
     depth: usize,
     assigned: &mut Vec<Vertex>,
     budget: &mut usize,
+    accept: &mut impl FnMut(&[Vertex]) -> bool,
 ) -> Result<bool, ()> {
     if depth == plan.order.len() {
-        return Ok(true);
+        return Ok(accept(assigned));
     }
     let backs = &plan.back_edges[depth];
     if backs.is_empty() {
@@ -989,7 +1152,7 @@ pub(crate) fn backtrack_step(
             }
             *budget -= 1;
             assigned.push(v);
-            if backtrack_step(plan, graph, depth + 1, assigned, budget)? {
+            if backtrack_step(plan, graph, depth + 1, assigned, budget, accept)? {
                 return Ok(true);
             }
             assigned.pop();
@@ -997,7 +1160,7 @@ pub(crate) fn backtrack_step(
         return Ok(false);
     }
     let anchor = assigned[backs[0] as usize];
-    'candidates: for &v in graph.neighbors(anchor) {
+    'candidates: for &v in graph.neighbors_of(anchor) {
         if *budget == 0 {
             return Err(());
         }
@@ -1006,12 +1169,12 @@ pub(crate) fn backtrack_step(
             continue;
         }
         for &b in &backs[1..] {
-            if !graph.neighbors(assigned[b as usize]).contains(&v) {
+            if !graph.neighbors_of(assigned[b as usize]).contains(&v) {
                 continue 'candidates;
             }
         }
         assigned.push(v);
-        if backtrack_step(plan, graph, depth + 1, assigned, budget)? {
+        if backtrack_step(plan, graph, depth + 1, assigned, budget, accept)? {
             return Ok(true);
         }
         assigned.pop();
@@ -1069,9 +1232,9 @@ mod tests {
                 for ib in round.iter() {
                     let mut assigned = Vec::new();
                     let mut budget = FAST_PATH_NODE_BUDGET;
-                    let fast =
-                        backtrack_step(&plan, &ib.batch.graph, 0, &mut assigned, &mut budget)
-                            .expect("~256-vertex batches complete under the budget");
+                    let (graph, all) = (&ib.batch.graph, &mut |_: &[Vertex]| true);
+                    let fast = backtrack_step(&plan, graph, 0, &mut assigned, &mut budget, all)
+                        .expect("~256-vertex batches complete under the budget");
                     let btd = ib.decomp.to_binary(ib.batch.graph.num_vertices());
                     let dp = batch_dp(&pattern, &ib.batch.graph, &btd);
                     assert_eq!(fast, dp.is_some(), "fast path and DP disagree on a batch");
@@ -1089,7 +1252,14 @@ mod tests {
         let mut assigned = Vec::new();
         let mut budget = 1usize;
         assert_eq!(
-            backtrack_step(&plan, &ib.batch.graph, 0, &mut assigned, &mut budget),
+            backtrack_step(
+                &plan,
+                &ib.batch.graph,
+                0,
+                &mut assigned,
+                &mut budget,
+                &mut |_| true
+            ),
             Err(())
         );
     }
@@ -1191,12 +1361,9 @@ mod tests {
     /// start, vertices)` in stored order.
     fn windows_of(batch: &CoverBatch, k: usize) -> Vec<(u32, u32, Vec<Vertex>)> {
         batch
-            .segment_ranges()
-            .zip(&batch.windows)
-            .filter(|&((start, end), _)| end - start >= k)
-            .map(|((start, end), &(c, level, _))| {
-                (c, level, batch.local_to_global[start..end].to_vec())
-            })
+            .windows_with_members()
+            .filter(|(_, _, members)| members.len() >= k)
+            .map(|(c, level, members)| (c, level, members.to_vec()))
             .collect()
     }
 

@@ -220,7 +220,7 @@ pub(crate) fn search_batch(
     decomposition: impl FnOnce() -> BinaryTreeDecomposition,
 ) -> Option<BatchHit> {
     assigned.clear();
-    match backtrack_step(plan, graph, 0, assigned, &mut budget) {
+    match backtrack_step(plan, graph, 0, assigned, &mut budget, &mut |_| true) {
         Ok(true) => Some(BatchHit::Fast(std::mem::take(assigned))),
         Ok(false) => None,
         Err(()) => {

@@ -32,6 +32,7 @@ pub(crate) struct CoreMetrics {
     pub query_find_one_ns: Arc<Histogram>,
     pub query_connectivity_ns: Arc<Histogram>,
     pub query_connectivity_batch_ns: Arc<Histogram>,
+    pub query_fallback_batches_total: Arc<Counter>,
     // --- vertex connectivity ---
     pub connectivity_candidates_total: Arc<Counter>,
     pub connectivity_dp_fallbacks_total: Arc<Counter>,
@@ -147,6 +148,7 @@ pub(crate) fn metrics() -> &'static CoreMetrics {
             query_find_one_ns: reg.histogram("psi_query_find_one_ns"),
             query_connectivity_ns: reg.histogram("psi_query_connectivity_ns"),
             query_connectivity_batch_ns: reg.histogram("psi_query_connectivity_batch_ns"),
+            query_fallback_batches_total: reg.counter("psi_query_fallback_batches_total"),
             connectivity_candidates_total: reg.counter("psi_connectivity_candidates_total"),
             connectivity_dp_fallbacks_total: reg.counter("psi_connectivity_dp_fallbacks_total"),
             mutations_insert_total: reg.counter("psi_mutations_insert_total"),

@@ -365,7 +365,8 @@ impl Psi {
         install(&self.pool, || self.dynamic.decide(pattern)).map_err(PsiError::from)
     }
 
-    /// Finds one occurrence (deterministic stored-order witness).
+    /// Finds one occurrence: the first hit of the scan in root order, the
+    /// same witness for every thread count.
     pub fn find_one(&mut self, pattern: &Pattern) -> Result<Option<Vec<Vertex>>, PsiError> {
         install(&self.pool, || self.dynamic.find_one(pattern)).map_err(PsiError::from)
     }

@@ -27,22 +27,33 @@
 //! epoch — the invariant [`PsiSnapshot::to_frozen`] exposes and the snapshot
 //! serving suite pins under `PSI_THREADS = {1, 4}`.
 //!
+//! `decide` and `find_one` scan the target once, one root at a time in vertex
+//! order: an exhaustive backtracking search from the root under
+//! [`FAST_PATH_NODE_BUDGET`] nodes, which takes a complete occurrence only when
+//! some round's window labels put it inside one stored window — exactly the
+//! occurrences the stored batches hold. A root whose search runs out of budget
+//! sends the stored batches holding its windows through the batch kernel (the
+//! same search on the batch, then the stored decomposition's DP), each batch
+//! at most once per query. The first hit ends
+//! the scan, so verdicts and witnesses are independent of thread count.
+//!
 //! The target, faces and face–vertex graph are cells filled on first need and
-//! reset by every accepted mutation: pattern queries read only the batches, so
-//! a live `decide` or `find_one` after a mutation derives no CSR and compacts
-//! no faces (release builds; debug builds re-verify witnesses against the
-//! target). Connectivity queries derive what they read once per epoch.
+//! reset by every accepted mutation. Frozen and pinned epochs scan the target
+//! CSR; the live engine scans its adjacency lists, so a live `decide` or
+//! `find_one` after a mutation derives no CSR and compacts no faces (release
+//! builds; debug builds re-verify witnesses against the target). Connectivity
+//! queries derive what they read once per epoch.
 
 use crate::connectivity::{
     st_connectivity_capped, vertex_connectivity_with_fv, ConnectivityMode, ConnectivityResult,
 };
 use crate::index::{
-    batch_can_host, IndexParams, IndexedBatch, MatchPlan, PsiIndex, QueryError, StoredRound,
-    CONNECTIVITY_CAP, FAST_PATH_NODE_BUDGET,
+    backtrack_step, batch_can_host, IndexParams, IndexedBatch, MatchPlan, PsiIndex, QueryError,
+    StoredRound, CONNECTIVITY_CAP, FAST_PATH_NODE_BUDGET,
 };
 use crate::isomorphism::{search_batch, BatchHit};
 use crate::pattern::{verify_occurrence, Pattern};
-use psi_graph::{CsrGraph, Vertex};
+use psi_graph::{AdjacencyList, CsrGraph, NeighborSource, Vertex};
 use psi_planar::{face_vertex_graph, rotation_system, Embedding, FaceVertexGraph};
 use rayon::prelude::*;
 use std::sync::{Arc, OnceLock};
@@ -56,6 +67,11 @@ pub(crate) trait EpochSource: Sync {
     fn csr(&self) -> CsrGraph;
     /// The facial walks of a valid embedding of the target.
     fn walks(&self) -> Vec<Vec<Vertex>>;
+    /// The target as adjacency lists, where the source keeps them: pattern
+    /// scans read these instead of the CSR.
+    fn adjacency(&self) -> Option<&AdjacencyList> {
+        None
+    }
 }
 
 impl EpochSource for () {
@@ -189,46 +205,116 @@ impl EpochState {
         Ok(None)
     }
 
-    /// The stored batch stream: rounds in order, each round's clusters in
-    /// ascending centre order — the scan order of every front end, so the
-    /// first hit (and with it every witness) is independent of thread count.
-    fn batches(&self) -> impl Iterator<Item = &IndexedBatch> {
-        self.rounds
-            .iter()
-            .flat_map(|round| round.groups.values())
-            .flat_map(|batches| batches.iter())
+    /// The one scan behind `decide` and `find_one` (see the module docs), on
+    /// the live engine's adjacency lists where `src` keeps them and on the
+    /// target CSR otherwise. Both list each row in ascending order, so the
+    /// search, and with it the first hit, is the same on either.
+    fn scan(
+        &self,
+        plan: &MatchPlan,
+        pattern: &Pattern,
+        src: &dyn EpochSource,
+        stats: &mut ScanStats,
+    ) -> Option<ScanHit<'_>> {
+        match src.adjacency() {
+            Some(graph) => self.scan_roots(graph, plan, pattern, stats),
+            None => self.scan_roots(&**self.target(src), plan, pattern, stats),
+        }
     }
 
-    /// The one scan behind `decide` and `find_one`: per batch that can host
-    /// the pattern, the shared kernel ([`search_batch`]) under
-    /// [`FAST_PATH_NODE_BUDGET`], with the stored decomposition for its DP.
-    /// Returns the first hit in stored order.
-    fn scan(&self, plan: &MatchPlan, pattern: &Pattern) -> Option<(&IndexedBatch, BatchHit)> {
-        let k = pattern.k();
-        let mut assigned = Vec::with_capacity(k);
-        for ib in self.batches() {
-            if !batch_can_host(ib, k) {
-                continue;
-            }
-            let graph = &ib.batch.graph;
-            let td = || ib.decomp.to_binary(graph.num_vertices());
-            let budget = FAST_PATH_NODE_BUDGET;
-            if let Some(hit) = search_batch(plan, pattern, graph, budget, &mut assigned, td) {
-                return Some((ib, hit));
+    /// Searches from every root in vertex order, each under
+    /// [`FAST_PATH_NODE_BUDGET`] nodes, accepting an occurrence that one
+    /// stored window of some round holds; a root that runs out of budget falls
+    /// back to the stored batches holding its windows.
+    fn scan_roots<G: NeighborSource + ?Sized>(
+        &self,
+        graph: &G,
+        plan: &MatchPlan,
+        pattern: &Pattern,
+        stats: &mut ScanStats,
+    ) -> Option<ScanHit<'_>> {
+        let mut assigned = Vec::with_capacity(pattern.k());
+        let mut in_one_window = |occ: &[Vertex]| self.rounds.iter().any(|r| r.holds(occ));
+        let mut searched = Vec::new();
+        for root in 0..self.n as Vertex {
+            stats.roots += 1;
+            assigned.clear();
+            assigned.push(root);
+            let mut budget = FAST_PATH_NODE_BUDGET;
+            let found = backtrack_step(
+                plan,
+                graph,
+                1,
+                &mut assigned,
+                &mut budget,
+                &mut in_one_window,
+            );
+            stats.nodes += (FAST_PATH_NODE_BUDGET - budget) as u64;
+            match found {
+                Ok(true) => return Some(ScanHit::Root(assigned)),
+                Ok(false) => {}
+                Err(()) => {
+                    let hit = self.fall_back(root, plan, pattern, &mut searched, stats);
+                    if hit.is_some() {
+                        return hit;
+                    }
+                }
             }
         }
         None
     }
 
-    pub(crate) fn decide(&self, pattern: &Pattern) -> Result<bool, QueryError> {
-        let _span = psi_obs::span!("query.decide", epoch = self.epoch, k = pattern.k());
+    /// Runs the batch kernel ([`search_batch`]) on every stored batch that
+    /// holds a window of `root` and can host the pattern — rounds in order,
+    /// each round's batches in stream order — skipping batches an earlier
+    /// root already sent. Returns the first hit.
+    fn fall_back<'a>(
+        &'a self,
+        root: Vertex,
+        plan: &MatchPlan,
+        pattern: &Pattern,
+        searched: &mut Vec<&'a IndexedBatch>,
+        stats: &mut ScanStats,
+    ) -> Option<ScanHit<'a>> {
+        let mut assigned = Vec::with_capacity(pattern.k());
+        for round in &self.rounds {
+            for ib in round.batches_holding(root) {
+                let sent = searched.iter().any(|&b| std::ptr::eq(b, ib));
+                if sent || !batch_can_host(ib, pattern.k()) {
+                    continue;
+                }
+                searched.push(ib);
+                stats.fallback_batches += 1;
+                crate::obs::metrics().query_fallback_batches_total.add(1);
+                let graph = &ib.batch.graph;
+                let td = || ib.decomp.to_binary(graph.num_vertices());
+                let budget = FAST_PATH_NODE_BUDGET;
+                if let Some(hit) = search_batch(plan, pattern, graph, budget, &mut assigned, td) {
+                    return Some(ScanHit::Batch(ib, hit));
+                }
+            }
+        }
+        None
+    }
+
+    pub(crate) fn decide(
+        &self,
+        pattern: &Pattern,
+        src: &dyn EpochSource,
+    ) -> Result<bool, QueryError> {
+        let mut span = psi_obs::span!("query.decide", epoch = self.epoch, k = pattern.k());
         let metrics = crate::obs::metrics();
         metrics.queries_total.add(1);
         let start = Instant::now();
+        let mut stats = ScanStats::default();
         let verdict = match self.admit(pattern)? {
             Some(short) => short.is_some(),
-            None => self.scan(&MatchPlan::new(pattern), pattern).is_some(),
+            None => {
+                let plan = MatchPlan::new(pattern);
+                self.scan(&plan, pattern, src, &mut stats).is_some()
+            }
         };
+        stats.record(&mut span);
         metrics.query_decide_ns.record_duration(start.elapsed());
         Ok(verdict)
     }
@@ -238,29 +324,39 @@ impl EpochState {
         pattern: &Pattern,
         src: &dyn EpochSource,
     ) -> Result<Option<Vec<Vertex>>, QueryError> {
-        let _span = psi_obs::span!("query.find_one", epoch = self.epoch, k = pattern.k());
+        let mut span = psi_obs::span!("query.find_one", epoch = self.epoch, k = pattern.k());
         let metrics = crate::obs::metrics();
         metrics.queries_total.add(1);
         let start = Instant::now();
+        let mut stats = ScanStats::default();
         let witness = match self.admit(pattern)? {
             Some(short) => short,
             None => {
                 let plan = MatchPlan::new(pattern);
-                self.scan(&plan, pattern).map(|(ib, hit)| {
-                    let occ = hit.occurrence(&plan, pattern, &ib.batch.graph).into_iter();
-                    occ.map(|v| ib.batch.local_to_global[v as usize]).collect()
-                })
+                self.scan(&plan, pattern, src, &mut stats)
+                    .map(|hit| match hit {
+                        ScanHit::Root(assigned) => plan.to_occurrence(&assigned),
+                        ScanHit::Batch(ib, hit) => {
+                            let occ = hit.occurrence(&plan, pattern, &ib.batch.graph).into_iter();
+                            occ.map(|v| ib.batch.local_to_global[v as usize]).collect()
+                        }
+                    })
             }
         };
         if let Some(occ) = &witness {
             debug_assert!(verify_occurrence(pattern, self.target(src), occ));
         }
+        stats.record(&mut span);
         metrics.query_find_one_ns.record_duration(start.elapsed());
         Ok(witness)
     }
 
-    pub(crate) fn decide_batch(&self, patterns: &[Pattern]) -> Vec<Result<bool, QueryError>> {
-        patterns.par_iter().map(|p| self.decide(p)).collect()
+    pub(crate) fn decide_batch(
+        &self,
+        patterns: &[Pattern],
+        src: &dyn EpochSource,
+    ) -> Vec<Result<bool, QueryError>> {
+        patterns.par_iter().map(|p| self.decide(p, src)).collect()
     }
 
     pub(crate) fn find_one_batch(
@@ -311,6 +407,35 @@ impl EpochState {
             .query_connectivity_ns
             .record_duration(start.elapsed());
         result
+    }
+}
+
+/// What a scan found first.
+enum ScanHit<'a> {
+    /// A root search's accepted assignment, by plan position, in target ids.
+    Root(Vec<Vertex>),
+    /// A fallback batch's hit, in the batch's vertex ids.
+    Batch(&'a IndexedBatch, BatchHit),
+}
+
+/// What one scan did, recorded on its query span.
+#[derive(Default)]
+struct ScanStats {
+    /// Roots searched.
+    roots: u64,
+    /// Backtracking nodes the root searches spent.
+    nodes: u64,
+    /// Stored batches sent to the batch kernel.
+    fallback_batches: u64,
+}
+
+impl ScanStats {
+    fn record(&self, span: &mut psi_obs::trace::SpanGuard) {
+        if span.is_recording() {
+            span.field("roots", self.roots);
+            span.field("nodes", self.nodes);
+            span.field("fallback_batches", self.fallback_batches);
+        }
     }
 }
 
@@ -394,11 +519,12 @@ impl PsiSnapshot {
     /// fixed occurrence (see [`crate::index`] on frozen randomness). Patterns
     /// the index cannot serve fail with a [`QueryError`].
     pub fn decide(&self, pattern: &Pattern) -> Result<bool, QueryError> {
-        self.state.decide(pattern)
+        self.state.decide(pattern, &())
     }
 
     /// Finds one occurrence (pattern vertex `i` ↦ `mapping[i]`): the first hit
-    /// in stored (round, centre, batch) order, independent of thread count.
+    /// of the scan in root order (see [`crate::snapshot`]), independent of
+    /// thread count.
     pub fn find_one(&self, pattern: &Pattern) -> Result<Option<Vec<Vertex>>, QueryError> {
         self.state.find_one(pattern, &())
     }
@@ -406,7 +532,7 @@ impl PsiSnapshot {
     /// [`PsiSnapshot::decide`] over many patterns on the work-stealing pool,
     /// answers in input order.
     pub fn decide_batch(&self, patterns: &[Pattern]) -> Vec<Result<bool, QueryError>> {
-        self.state.decide_batch(patterns)
+        self.state.decide_batch(patterns, &())
     }
 
     /// [`PsiSnapshot::find_one`] over many patterns (input order, deterministic

@@ -490,6 +490,8 @@ pub struct SectionWriter {
     out: Vec<u8>,
     declared: usize,
     written: usize,
+    /// The file length [`SectionWriter::with_capacity`] reserved.
+    reserved: Option<usize>,
 }
 
 impl SectionWriter {
@@ -506,7 +508,19 @@ impl SectionWriter {
             out,
             declared: sections,
             written: 0,
+            reserved: None,
         }
+    }
+
+    /// [`SectionWriter::new`] with the buffer sized up front for payloads of
+    /// `payload_len` bytes in all, so the file is written without regrowing
+    /// the buffer. Debug builds check in [`SectionWriter::finish`] that the
+    /// payloads add up to exactly `payload_len`.
+    pub fn with_capacity(version: u32, sections: usize, payload_len: usize) -> Self {
+        let mut file = SectionWriter::new(version, sections);
+        file.out.reserve_exact(payload_len);
+        file.reserved = Some(file.out.len() + payload_len);
+        file
     }
 
     /// Appends the next section, whose payload `encode` appends to the buffer it
@@ -552,6 +566,12 @@ impl SectionWriter {
         assert_eq!(
             self.written, self.declared,
             "sections written and declared differ"
+        );
+        debug_assert!(
+            self.reserved.is_none_or(|len| len == self.out.len()),
+            "wrote {} bytes into a file reserved for {:?}",
+            self.out.len(),
+            self.reserved
         );
         self.out
     }
@@ -699,6 +719,11 @@ pub fn encode_csr(graph: &CsrGraph, out: &mut Vec<u8>) {
         push_u64(out, o as u64);
     }
     push_u32_slice(out, neighbors);
+}
+
+/// The number of bytes [`encode_csr`] appends for `graph`.
+pub fn encoded_csr_len(graph: &CsrGraph) -> usize {
+    16 + 8 * graph.csr_offsets().len() + 4 * graph.csr_neighbors().len()
 }
 
 /// Decodes a CSR graph written by [`encode_csr`], re-validating every structural
@@ -961,6 +986,7 @@ mod tests {
         ] {
             let mut out = Vec::new();
             encode_csr(&g, &mut out);
+            assert_eq!(out.len(), encoded_csr_len(&g));
             let mut r = SliceReader::new(&out);
             let back = decode_csr(&mut r).unwrap();
             assert!(r.is_empty());

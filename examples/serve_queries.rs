@@ -74,9 +74,10 @@ fn main() {
     let n = psi.num_vertices() as u32;
 
     // A mixed workload: pattern queries (positive, negative, and unservable) plus
-    // s–t connectivity pairs spread across the target. Negative queries scan every
-    // stored batch (no early exit), so the mix carries exactly one of them — they
-    // dominate the tail latency, which is the point of reporting percentiles.
+    // s–t connectivity pairs spread across the target. Negative queries search
+    // from every target vertex (no early exit), so the mix carries exactly one of
+    // them — they dominate the tail latency, which is the point of reporting
+    // percentiles.
     let patterns: Vec<Pattern> = (0..120)
         .map(|i| match i {
             3 => Pattern::clique(4), // absent from triangulated grids: full scan

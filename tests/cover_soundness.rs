@@ -11,10 +11,19 @@
 //! upper tail of Binomial(256, 1/2), computed from exact binomial coefficients.
 //! A coverage bug that stays deterministic — one no other suite would notice,
 //! since the front ends only agree with each other — misses on every seed.
+//!
+//! The same input also pins what a query answers: the index scans the target
+//! from every root and accepts an occurrence only when the rounds' window
+//! labels put it inside one stored window, so for 64 seeds of a `rounds = 3`
+//! index the frozen, live and pinned `decide` must say yes exactly when
+//! Ullmann's exact search finds the pattern in some stored batch, before and
+//! after a few inserts and deletes, and every witness must verify and lie
+//! inside one stored window.
 
-use planar_subiso::{verify_occurrence, IndexParams, Pattern, PsiIndex, PsiSnapshot};
-use psi_graph::{generators as gg, GraphBuilder, Vertex};
-use psi_planar::planar_embedding;
+use planar_subiso::{verify_occurrence, IndexParams, Pattern, Psi, PsiIndex, PsiSnapshot};
+use psi_baselines::ullmann_decide;
+use psi_graph::{generators as gg, CsrGraph, GraphBuilder, Vertex};
+use psi_planar::{planar_embedding, Embedding};
 
 const SEEDS: u64 = 256;
 const SIDE: usize = 30;
@@ -87,25 +96,37 @@ fn binomial_tail_threshold_is_exact() {
     assert_eq!(upper_tail_threshold(SEEDS as usize), 176);
 }
 
-#[test]
-fn single_rounds_miss_planted_occurrences_at_most_half_the_time() {
-    let at = |row: usize, col: usize| (row * SIDE + col) as Vertex;
+/// Vertex `(row, col)` of the `SIDE × SIDE` grid.
+fn at(row: usize, col: usize) -> Vertex {
+    (row * SIDE + col) as Vertex
+}
+
+/// The grid plus the cell diagonal (14,14)–(15,15), with its embedding.
+fn planted_grid() -> (CsrGraph, Embedding) {
     let grid = gg::grid(SIDE, SIDE);
     let mut b = GraphBuilder::new(grid.num_vertices());
     b.extend_edges(grid.edges());
     b.add_edge(at(14, 14), at(15, 15));
     let target = b.build();
     let embedding = planar_embedding(&target).expect("a grid plus a cell diagonal is planar");
+    (target, embedding)
+}
+
+fn diamond() -> Pattern {
+    Pattern::from_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
+}
+
+fn paw() -> Pattern {
+    Pattern::from_edges(4, &[(0, 1), (1, 2), (2, 0), (2, 3)])
+}
+
+#[test]
+fn single_rounds_miss_planted_occurrences_at_most_half_the_time() {
+    let (target, embedding) = planted_grid();
     let patterns = [
-        (
-            "diamond",
-            Pattern::from_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]),
-        ),
+        ("diamond", diamond()),
         ("triangle", Pattern::triangle()),
-        (
-            "paw",
-            Pattern::from_edges(4, &[(0, 1), (1, 2), (2, 0), (2, 3)]),
-        ),
+        ("paw", paw()),
     ];
     let mut misses = [0u64; 3];
     for seed in 0..SEEDS {
@@ -136,4 +157,121 @@ fn single_rounds_miss_planted_occurrences_at_most_half_the_time() {
              a per-round miss rate of 1/2"
         );
     }
+}
+
+/// Whether some stored batch of `index` holds an occurrence of `p`, by
+/// Ullmann's exact search on the batch graph.
+fn stored_batches_hold(index: &PsiIndex, p: &Pattern) -> bool {
+    let mut batches = index.rounds().iter().flat_map(|round| round.iter());
+    batches.any(|ib| ullmann_decide(p, &ib.batch.graph))
+}
+
+/// Whether one stored window of `index` holds every vertex of `occ`.
+fn in_one_stored_window(index: &PsiIndex, occ: &[Vertex]) -> bool {
+    let mut batches = index.rounds().iter().flat_map(|round| round.iter());
+    batches.any(|ib| {
+        ib.batch.segment_ranges().any(|(start, end)| {
+            let window = &ib.batch.local_to_global[start..end];
+            occ.iter().all(|v| window.contains(v))
+        })
+    })
+}
+
+/// Checks one front end's answers on `index`'s stored rounds: `decide` says
+/// yes exactly when a stored batch holds the pattern (`held`), and so does
+/// `find_one`, whose witness verifies against `target` and lies inside one
+/// stored window.
+fn assert_front_end(
+    front_end: &str,
+    (index, target): (&PsiIndex, &CsrGraph),
+    (name, p): &(&str, Pattern),
+    held: bool,
+    (decide, witness): (bool, Option<Vec<Vertex>>),
+) {
+    assert_eq!(decide, held, "{front_end} decide({name})");
+    assert_eq!(witness.is_some(), held, "{front_end} find_one({name})");
+    if let Some(w) = witness {
+        assert!(
+            verify_occurrence(p, target, &w),
+            "{front_end} {name}: {w:?}"
+        );
+        assert!(
+            in_one_stored_window(index, &w),
+            "{front_end} {name}: {w:?} lies in no stored window"
+        );
+    }
+}
+
+#[test]
+fn frozen_live_and_pinned_answers_equal_the_stored_window_predicate() {
+    let (target, embedding) = planted_grid();
+    let patterns = [
+        ("diamond", diamond()),
+        ("triangle", Pattern::triangle()),
+        ("paw", paw()),
+        ("C4", Pattern::cycle(4)),
+        ("P3", Pattern::path(3)),
+        ("K4", Pattern::clique(4)),
+        ("star(3)", Pattern::star(3)),
+    ];
+    // Two more cell diagonals, and deletes of the planted cell's top side and
+    // a corner edge.
+    let inserts = [(at(3, 3), at(4, 4)), (at(20, 7), at(21, 8))];
+    let deletes = [(at(14, 14), at(14, 15)), (at(0, 0), at(0, 1))];
+    let mut misses = [0u64; 3];
+    for seed in 0..64 {
+        let params = IndexParams {
+            rounds: 3,
+            seed,
+            ..IndexParams::default()
+        };
+        let index = PsiIndex::build(&embedding, params);
+        let frozen = PsiSnapshot::from(index.clone());
+        let mut live = Psi::builder()
+            .rounds(3)
+            .seed(seed)
+            .thaw(index.clone())
+            .unwrap();
+        let pinned = live.snapshot();
+        for (i, pattern) in patterns.iter().enumerate() {
+            let p = &pattern.1;
+            let held = stored_batches_hold(&index, p);
+            let stored = (&index, &target);
+            let answers = (frozen.decide(p).unwrap(), frozen.find_one(p).unwrap());
+            assert_front_end("frozen", stored, pattern, held, answers);
+            let answers = (live.decide(p).unwrap(), live.find_one(p).unwrap());
+            assert_front_end("live", stored, pattern, held, answers);
+            let answers = (pinned.decide(p).unwrap(), pinned.find_one(p).unwrap());
+            assert_front_end("pinned", stored, pattern, held, answers);
+            if i < misses.len() && !held {
+                misses[i] += 1;
+            }
+        }
+
+        for (u, v) in inserts {
+            live.insert_edge(u, v).unwrap();
+        }
+        for (u, v) in deletes {
+            live.delete_edge(u, v).unwrap();
+        }
+        let pinned = live.snapshot();
+        let mutated = live.freeze();
+        let target = mutated.target().clone();
+        for pattern in &patterns {
+            let p = &pattern.1;
+            let held = stored_batches_hold(&mutated, p);
+            let stored = (&mutated, &target);
+            let answers = (live.decide(p).unwrap(), live.find_one(p).unwrap());
+            assert_front_end("mutated live", stored, pattern, held, answers);
+            let answers = (pinned.decide(p).unwrap(), pinned.find_one(p).unwrap());
+            assert_front_end("mutated pinned", stored, pattern, held, answers);
+        }
+    }
+    // The planted patterns occur only around one cell, so some seeds' rounds
+    // all miss them: the comparison covers "no" answers of the index on
+    // patterns that occur, not only on absent ones.
+    assert!(
+        misses.iter().sum::<u64>() > 0,
+        "no seed missed a planted pattern"
+    );
 }

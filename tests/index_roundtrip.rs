@@ -223,6 +223,28 @@ fn semantically_inconsistent_sections_are_rejected() {
         "{err}"
     );
 
+    // Two well-formed one-window batches of centres 0 and 6 that both hold
+    // vertex 0: clusters partition the target, and the window labels rely on
+    // it, so the round is refused.
+    let mut overlapping = Vec::new();
+    push_u64(&mut overlapping, 2); // two batches
+    for centre in [0u32, 6] {
+        encode_csr(&gg::path(2), &mut overlapping);
+        push_u64(&mut overlapping, 2); // local-to-global map
+        push_u32_slice(&mut overlapping, &[0, centre.max(1)]);
+        push_u64(&mut overlapping, 1); // one window: centre, level start, offset
+        push_u32_slice(&mut overlapping, &[centre, 0, 0]);
+        push_u64(&mut overlapping, 1); // one decomposition node, holding both
+        push_u32_slice(&mut overlapping, &[0, 0, 0, 2, 0, 1, u32::MAX, u32::MAX]);
+    }
+    let err = PsiIndex::from_bytes(&rebuild_with("round0", overlapping))
+        .expect_err("a vertex in windows of two clusters accepted");
+    assert!(
+        matches!(&err, IndexLoadError::Section { section, detail }
+            if section == "round0" && detail == "vertex 0 in windows of two clusters"),
+        "{err}"
+    );
+
     // Dropping a required section entirely.
     let kept: Vec<&str> = good.section_names().filter(|&n| n != "faces").collect();
     let mut f = SectionWriter::new(good.version, kept.len());

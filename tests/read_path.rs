@@ -5,27 +5,37 @@
 //!   front ends return identical results for all six query operations,
 //!   witnesses and connectivity cuts included;
 //! * the DP fallback — on a 300-vertex wheel, with and without a planted K4,
-//!   the hub's window exhausts the fast path's node budget, so K4 queries are
-//!   answered by the batch DP on every front end: the stored decomposition's
+//!   a search from the hub and one over the hub's window both exhaust the node
+//!   budget, so K4 queries are answered by the batch DP on every front end:
+//!   the stored decomposition's
 //!   on the three index front ends, a streamed batch's on the one-shot
 //!   classics (`Psi::decide_in`, `Psi::find_one_in`), which run the same kernel;
 //! * equal instrumentation — every operation on every front end records its
 //!   `query.*` span carrying that front end's epoch, plus one latency sample
-//!   in the operation's histogram.
+//!   in the operation's histogram; `decide` and `find_one` spans also carry
+//!   the scan's roots, nodes and fallback batches, and only the wheel's
+//!   queries move the fallback batch counter.
 
 use planar_subiso::{
     verify_occurrence, ConnectivityMode, Pattern, Psi, PsiError, PsiIndex, PsiSnapshot, QueryError,
+    FAST_PATH_NODE_BUDGET,
 };
 use psi_baselines::ullmann_decide;
-use psi_graph::Vertex;
+use psi_graph::{CsrGraph, GraphBuilder, Vertex};
 use psi_obs::trace::{self, SpanRecord};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use psi_obs::Counter;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Tracing and the metrics registry are process-wide: the tests of this file
 /// take turns.
 fn obs_lock() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The counter of stored batches the index scan sends to the batch kernel.
+fn fallbacks() -> Arc<Counter> {
+    psi_obs::registry().counter("psi_query_fallback_batches_total")
 }
 
 /// Cell diagonals of the 5×5 grid; each is a chord of its cell face.
@@ -80,6 +90,7 @@ fn frozen_live_and_pinned_answer_identically() {
     let _guard = obs_lock();
     let (mut psi, frozen) = live_and_frozen();
     let pinned = psi.snapshot();
+    let sent_before = fallbacks().get();
     let patterns = [
         Pattern::triangle(),
         Pattern::cycle(4),
@@ -100,6 +111,9 @@ fn frozen_live_and_pinned_answer_identically() {
     let want = frozen.find_one_batch(&patterns);
     assert_eq!(psi.find_one_batch(&patterns), want);
     assert_eq!(pinned.find_one_batch(&patterns), want);
+    // Every root's search on the grid completes under the budget, so no
+    // query falls back to a stored batch.
+    assert_eq!(fallbacks().get(), sent_before);
 
     let pairs = [(0, 24), (3, 21), (12, 12), (0, 25), (1, 2)];
     let want = frozen.connectivity_batch(&pairs);
@@ -133,19 +147,31 @@ fn nests_under(spans: &[SpanRecord], parent: &str, child: &str) -> bool {
     })
 }
 
-/// The wheel's hub (vertex 299) sits in one 297-vertex window per round, where
-/// a K4 search rooted at the hub runs out of the fast path's node budget: the
-/// scan falls back to that batch's stored decomposition. Without a rim chord
-/// the DP answers no in every round; with the chord {249, 251} it finds the K4
-/// {299, 249, 250, 251} in round 0. Every index front end must give the same
-/// answer as Ullmann's exact search, record the DP's `dp.batch` span inside
-/// its query span, and return the same witness. The one-shot classics must
-/// give Ullmann's answers too, with the DP's span inside a `cover.shard` span
-/// and a witness that verifies.
+/// `wheel(300)` relabelled so the hub is vertex 0 and rim vertex `i` is
+/// `i + 1`: the index scan then searches from the hub first.
+fn hub_first_wheel() -> CsrGraph {
+    let wheel = psi_graph::generators::wheel(300);
+    let relabel = |v: Vertex| (v + 1) % 300;
+    let mut b = GraphBuilder::new(wheel.num_vertices());
+    for (u, v) in wheel.edges() {
+        b.add_edge(relabel(u), relabel(v));
+    }
+    b.build()
+}
+
+/// The wheel's hub (vertex 0) is the scan's first root, and a K4 search from it
+/// runs out of the node budget; so does the search on the stored batch that
+/// holds the hub's window in each round, and the scan falls back to that
+/// batch's stored decomposition. Without a rim chord the DP answers no in every round;
+/// with the chord {250, 252} it finds the K4 {0, 250, 251, 252} in round 0.
+/// Every index front end must give the same answer as Ullmann's exact search,
+/// record the DP's `dp.batch` span inside its query span, and return the same
+/// witness. The one-shot classics must give Ullmann's answers too, with the
+/// DP's span inside a `cover.shard` span and a witness that verifies.
 #[test]
 fn hub_windows_fall_back_to_the_dp_on_every_front_end() {
     let _guard = obs_lock();
-    let wheel = psi_graph::generators::wheel(300);
+    let wheel = hub_first_wheel();
     let mut psi = Psi::open(&wheel).unwrap();
     let k4 = Pattern::clique(4);
     let patterns = [
@@ -155,7 +181,7 @@ fn hub_windows_fall_back_to_the_dp_on_every_front_end() {
         Pattern::star(3),
         k4.clone(),
     ];
-    for chord in [None, Some((249, 251))] {
+    for chord in [None, Some((250, 252))] {
         if let Some((u, v)) = chord {
             psi.insert_edge(u, v).unwrap();
         }
@@ -166,6 +192,7 @@ fn hub_windows_fall_back_to_the_dp_on_every_front_end() {
         }
         let present = chord.is_some();
 
+        let sent_before = fallbacks().get();
         Psi::set_tracing(true);
         trace::clear();
         assert_eq!(frozen.decide(&k4), Ok(present));
@@ -173,16 +200,30 @@ fn hub_windows_fall_back_to_the_dp_on_every_front_end() {
         let spans = trace::snapshot_spans();
         Psi::set_tracing(false);
         trace::clear();
+        let mut sent = 0;
         for query in ["query.decide", "query.find_one"] {
             assert!(
                 nests_under(&spans, query, "dp.batch"),
                 "no `dp.batch` span inside `{query}`"
             );
+            // The hub's search spends the whole budget and sends the batches
+            // holding its windows to the batch kernel. Absent, the scan goes
+            // on through every root; present, the hub's batch in round 0
+            // holds the K4.
+            let span = spans.iter().find(|s| s.name == query).unwrap();
+            let field = |name| span.fields().iter().find(|f| f.0 == name).map(|f| f.1);
+            let roots = if present { 1 } else { 300 };
+            assert_eq!(field("roots"), Some(roots), "{query}");
+            assert!(field("nodes").unwrap() >= FAST_PATH_NODE_BUDGET as u64);
+            let batches = field("fallback_batches").unwrap();
+            assert!(batches >= 1, "{query} sent no batch to the batch kernel");
+            sent += batches;
         }
+        assert_eq!(fallbacks().get() - sent_before, sent);
         if present {
             let witness = witness.expect("the planted K4 is found");
             assert!(verify_occurrence(&k4, &target, &witness));
-            assert_eq!(witness, vec![299, 249, 250, 251]);
+            assert_eq!(witness, vec![0, 250, 251, 252]);
         } else {
             assert_eq!(witness, None);
         }
