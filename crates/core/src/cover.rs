@@ -153,9 +153,9 @@ impl CoverBatch {
     }
 
     /// A binarised tree decomposition of the union: the min-degree decomposition
-    /// of each segment, chained. Every batch takes this one rule: the index build
-    /// and the dynamic flush store it, and the classic path, the paper's DP and
-    /// listing run on it.
+    /// of each segment, chained. Every batch takes this one rule, derived only
+    /// when a DP runs on the batch: the classic path, the index scan's fallback,
+    /// the paper's DP and listing run on it, and nothing stores it.
     ///
     /// Decomposing the union in one pass would let the elimination heuristic
     /// interleave segments, producing a tree in which partial matches of *different
@@ -197,9 +197,10 @@ impl CoverBatch {
         psi_treedecomp::BinaryTreeDecomposition::from_decomposition(&td)
     }
 
-    /// [`CoverBatch::decomposition`] and the number of its segments that took the
-    /// layered Baker/Eppstein construction, which is always 0: batches no longer
-    /// try it. Only perfbench's serve replay still reads this pair.
+    /// Placeholder: [`CoverBatch::decomposition`] and the number of its segments
+    /// that took the layered Baker/Eppstein construction, which is always 0:
+    /// batches no longer try it. Only perfbench's serve replay reads this pair,
+    /// until its next change (ROADMAP benchmark follow-up 5).
     pub fn decomposition_described(&self) -> (psi_treedecomp::BinaryTreeDecomposition, usize) {
         (self.decomposition(), 0)
     }

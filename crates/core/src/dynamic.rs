@@ -22,10 +22,9 @@
 //! 3. *marking dirty* exactly the clusters whose membership or induced subgraph
 //!    changed. Their batches are rebuilt lazily — by the next query, freeze, or
 //!    explicit [`DynamicPsiIndex::flush`] — through `emit_cluster_batches`,
-//!    the same single code path the from-scratch build uses. A re-emitted batch
-//!    equal to one of its cluster's previous batches takes that batch's stored
-//!    decomposition; only a changed batch is decomposed again. Deferral is what
-//!    makes mutations cheap at scale: the flip itself is a local repair, and a
+//!    the same single code path the from-scratch build uses; as in the build,
+//!    no batch is decomposed until a DP runs on it. Deferral is what makes
+//!    mutations cheap at scale: the flip itself is a local repair, and a
 //!    cluster hit by many flips between two queries is rebuilt once, not once
 //!    per flip.
 //!
@@ -52,9 +51,7 @@ use crate::cover::{
     cover_beta, emit_cluster_batches, round_seed, BatchBuilder, ClusterScratch, ClusterView,
     PassCounters,
 };
-use crate::index::{
-    FlatDecomposition, IndexParams, IndexedBatch, PsiIndex, QueryError, StoredRound,
-};
+use crate::index::{IndexParams, PsiIndex, QueryError, StoredRound};
 use crate::pattern::Pattern;
 use crate::snapshot::{EpochSource, EpochState, PsiSnapshot};
 use psi_cluster::DynamicClustering;
@@ -418,19 +415,17 @@ pub struct DynamicPsiIndex {
     /// Per round: centres whose batches are stale and must be re-emitted before
     /// the next batch scan (ordered so the flush is deterministic).
     dirty: Vec<BTreeSet<Vertex>>,
-    /// What the flushes since thaw did with the decompositions of re-emitted
-    /// batches ([`DynamicPsiIndex::decomp_cache_metrics`]).
-    reuse: DecompCacheMetrics,
 }
 
-/// How the flushes since thaw came by the decompositions of the batches they
-/// re-emitted ([`DynamicPsiIndex::decomp_cache_metrics`]).
+/// Placeholder, always zero: the flush stores no decompositions, so it reuses
+/// and derives none. perfbench's churn run reads it
+/// ([`DynamicPsiIndex::decomp_cache_metrics`]) until its next change (ROADMAP
+/// benchmark follow-up 5), which deletes it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DecompCacheMetrics {
-    /// Batches equal to a batch of their cluster's previous group, which
-    /// took that batch's stored decomposition.
+    /// Always 0.
     pub hits: u64,
-    /// Batches decomposed afresh, as the build decomposes them.
+    /// Always 0.
     pub misses: u64,
 }
 
@@ -462,7 +457,6 @@ impl DynamicPsiIndex {
             faces: FaceStore::from_walks(state.n, walks),
             clusterings: Vec::new(),
             dirty: vec![BTreeSet::new(); state.rounds.len()],
-            reuse: DecompCacheMetrics::default(),
             state,
         }
     }
@@ -696,10 +690,7 @@ impl DynamicPsiIndex {
     /// clustering state — batches are a pure function of membership, so the
     /// result is identical to eager per-flip rebuilds. The flush keeps nothing
     /// between calls: its cluster scratch and batch builder live for one flush,
-    /// and a re-emitted batch reuses a decomposition only from its own
-    /// cluster's previous group (counted by
-    /// `psi_flush_decompositions_reused_total` and
-    /// [`Self::decomp_cache_metrics`]).
+    /// and it drops each group it replaces. It decomposes no batch.
     pub fn flush(&mut self) -> usize {
         // Clean engines flush implicitly before every query; skip all
         // bookkeeping (spans, histogram samples, scratch) so those no-ops stay
@@ -713,23 +704,17 @@ impl DynamicPsiIndex {
         let start = std::time::Instant::now();
         let mut scratch = ClusterScratch::new(self.graph.num_vertices());
         let mut batch = BatchBuilder::new(self.state.params.batch_budget as usize);
-        let (mut rebuilt, mut reused) = (0usize, 0usize);
+        let mut rebuilt = 0usize;
         for r in 0..self.dirty.len() {
             if self.dirty[r].is_empty() {
                 continue;
             }
             let affected: Vec<Vertex> = std::mem::take(&mut self.dirty[r]).into_iter().collect();
-            let (round_rebuilt, round_reused) =
-                self.rebuild_clusters(r, &affected, &mut scratch, &mut batch);
-            rebuilt += round_rebuilt;
-            reused += round_reused;
+            rebuilt += self.rebuild_clusters(r, &affected, &mut scratch, &mut batch);
         }
-        self.reuse.hits += reused as u64;
-        self.reuse.misses += (rebuilt - reused) as u64;
         span.field("batches_rebuilt", rebuilt as u64);
         metrics.flushes_total.add(1);
         metrics.flush_batches_rebuilt_total.add(rebuilt as u64);
-        metrics.flush_decompositions_reused_total.add(reused as u64);
         metrics.flush_ns.record_duration(start.elapsed());
         rebuilt
     }
@@ -749,39 +734,35 @@ impl DynamicPsiIndex {
 
     /// Re-emits the batches of every centre in `affected` (sorted, deduplicated)
     /// for round `r`, through the same `emit_cluster_batches` path as the
-    /// from-scratch build, and returns the batches re-emitted and how many of
-    /// them reused a decomposition. Centres that are no longer centres are just
-    /// removed. Taking a group out clears the window labels it set and putting
-    /// the rebuilt one in sets its members' labels, so the round's labels stay
-    /// those a fresh build derives from its windows.
+    /// from-scratch build, and returns the batches re-emitted. Centres that are
+    /// no longer centres are just removed. Removing a group clears the window
+    /// labels it set and putting the rebuilt one in sets its members' labels,
+    /// so the round's labels stay those a fresh build derives from its windows.
     ///
     /// The rebuild is copy-on-write: a round that a snapshot or frozen index
     /// still holds is cloned first (`O(clusters)` `Arc` bumps and one copy of
     /// its labels), so those holders keep scanning the retired round, which is
-    /// freed when the last one drops. A cluster's previous group lives until
-    /// its batches are re-emitted: an emitted batch equal to one of them takes
-    /// its stored decomposition, and the group is then dropped.
+    /// freed when the last one drops.
     fn rebuild_clusters(
         &mut self,
         r: usize,
         affected: &[Vertex],
         scratch: &mut ClusterScratch,
         batch: &mut BatchBuilder,
-    ) -> (usize, usize) {
+    ) -> usize {
         let d = self.state.params.d as usize;
-        let (mut rebuilt, mut reused) = (0usize, 0usize);
+        let mut rebuilt = 0usize;
         let round: &mut StoredRound = Arc::make_mut(&mut self.state.rounds[r]);
         for &c in affected {
-            let old = round.take_group(c);
+            round.remove_group(c);
             if !self.clusterings[r].is_center(c) {
                 continue; // the cluster dissolved; nothing to re-emit
             }
-            let old: &[IndexedBatch] = old.as_deref().map_or(&[], Vec::as_slice);
             let view = DynClusterView {
                 clustering: &self.clusterings[r],
                 center: c,
             };
-            let mut batches: Vec<IndexedBatch> = Vec::new();
+            let mut batches = Vec::new();
             let _: Option<()> = emit_cluster_batches(
                 &self.graph,
                 &view,
@@ -791,17 +772,7 @@ impl DynamicPsiIndex {
                 batch,
                 &PassCounters::default(), // nothing reads a flush's pass counts
                 &mut |b| {
-                    // The build's own rule, so freeze() stays bit-identical to
-                    // a fresh build: the decomposition is a pure function of
-                    // the batch, so an equal batch's stored one is the same.
-                    let decomp = match old.iter().find(|ib| ib.batch == b) {
-                        Some(ib) => {
-                            reused += 1;
-                            ib.decomp.clone()
-                        }
-                        None => FlatDecomposition::of_batch(&b),
-                    };
-                    batches.push(IndexedBatch { batch: b, decomp });
+                    batches.push(b);
                     None
                 },
             );
@@ -809,7 +780,7 @@ impl DynamicPsiIndex {
             round.put_group(c, batches);
         }
         psi_obs::event!("flush.publish", round = r, rebuilt = rebuilt);
-        (rebuilt, reused)
+        rebuilt
     }
 
     fn invalidate_caches(&mut self) {
@@ -861,11 +832,10 @@ impl DynamicPsiIndex {
         PsiSnapshot::new(state)
     }
 
-    /// How the flushes since thaw came by the decompositions of the batches
-    /// they re-emitted: `hits` took the decomposition of an equal batch in the
-    /// cluster's previous group, `misses` were decomposed afresh.
+    /// Placeholder, always zero ([`DecompCacheMetrics`]): perfbench's churn run
+    /// reads it until its next change (ROADMAP benchmark follow-up 5).
     pub fn decomp_cache_metrics(&self) -> DecompCacheMetrics {
-        self.reuse
+        DecompCacheMetrics::default()
     }
 
     // --- queries ----------------------------------------------------------
@@ -957,6 +927,7 @@ fn merge_center(affected: &mut Vec<Vertex>, c: Vertex) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cover::CoverBatch;
     use psi_planar::generators as pg;
 
     fn params() -> IndexParams {
@@ -1187,10 +1158,12 @@ mod tests {
     #[test]
     fn rebuilt_clusters_reuse_their_own_decompositions_and_free_the_rest() {
         // On a 48×48 grid a cluster spans several batches, so a diagonal
-        // leaves some of a dirty cluster's batches as they were.
+        // leaves some of a dirty cluster's batches as they were. No batch
+        // stores a decomposition, so the flush reuses none; it keeps none of
+        // the groups it replaces either.
         let e = pg::grid_embedded(48, 48);
         let mut dynamic = DynamicPsiIndex::build(&e, params());
-        let held: Vec<Vec<(Vertex, Arc<Vec<IndexedBatch>>)>> = dynamic
+        let held: Vec<Vec<(Vertex, Arc<Vec<CoverBatch>>)>> = dynamic
             .state
             .rounds
             .iter()
@@ -1200,10 +1173,6 @@ mod tests {
             dynamic.insert_edge(u, v).expect("cell diagonal rejected");
         }
         assert!(dynamic.flush() > 0);
-        let m = dynamic.decomp_cache_metrics();
-        assert!(m.hits > 0, "no rebuilt batch reused a decomposition: {m:?}");
-        assert!(m.misses > 0, "no rebuilt batch was decomposed: {m:?}");
-        // The flush keeps none of the groups it replaced.
         let mut replaced = 0;
         for (round, groups) in dynamic.state.rounds.iter().zip(&held) {
             for (c, old) in groups {

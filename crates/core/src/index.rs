@@ -3,18 +3,21 @@
 //! Every classic query ([`crate::isomorphism::SubgraphIsomorphism::find_one`],
 //! [`crate::connectivity::vertex_connectivity`]) rebuilds from scratch the
 //! clustering, the cover windows, a tree decomposition for each batch whose fast
-//! path runs out of budget, and (for connectivity) the face–vertex graph. All of
-//! those products are **read-only after construction** (Eppstein's
-//! preprocess-then-query framing of planar subgraph isomorphism, JGAA 1999), so
-//! [`PsiIndex`] freezes these once:
+//! path runs out of budget, and (for connectivity) the face–vertex graph. The
+//! cover is **read-only after construction** (Eppstein's preprocess-then-query
+//! framing of planar subgraph isomorphism, JGAA 1999), so [`PsiIndex`] freezes
+//! once what queries consume:
 //!
 //! * the target graph and the facial walks of its planar embedding,
 //! * `rounds` independent k-d covers (Section 2.1), each a [`StoredRound`]: the
-//!   streamed [`CoverBatch`]es, each with a flat tree decomposition, grouped by
-//!   cluster centre — the layout every served, thawed and frozen epoch shares —
-//!   plus per-vertex *window labels*, derived from those windows on build and
-//!   load and never serialised: the vertex's cluster centre and the first and
-//!   last start of the windows that hold it.
+//!   streamed [`CoverBatch`]es grouped by cluster centre — the layout every
+//!   served, thawed and frozen epoch shares — plus per-vertex *window labels*,
+//!   derived from those windows on build and load and never serialised: the
+//!   vertex's cluster centre and the first and last start of the windows that
+//!   hold it.
+//!
+//! No decomposition is stored: as on the classic path, a batch is decomposed
+//! ([`CoverBatch::decomposition`]) only when its DP runs.
 //!
 //! A frozen index is served as an epoch-0 [`crate::snapshot::PsiSnapshot`]
 //! (`PsiSnapshot::from(index)`), which answers pattern and connectivity queries
@@ -24,9 +27,9 @@
 //! under [`FAST_PATH_NODE_BUDGET`] nodes per root, that accepts an occurrence
 //! only when the labels put it inside one stored window. A root whose search
 //! runs out of budget (a hub) sends the stored batches holding its windows
-//! through the batch kernel: the same search on the batch, then the stored
-//! decomposition's DP. Connectivity queries derive the face–vertex graph of
-//! Section 5.1 from the stored faces once per served epoch.
+//! straight to the batch DP, on a decomposition derived then. Connectivity
+//! queries derive the face–vertex graph of Section 5.1 from the stored faces
+//! once per served epoch.
 //!
 //! ## Which queries an index can serve
 //!
@@ -65,9 +68,8 @@
 //! magic, schema version ([`INDEX_SCHEMA_VERSION`]), and a checksummed section
 //! table over flat little-endian payloads (the same CSR/flat arrays held in
 //! memory — loading is validation + wrapping, not re-derivation, except for the
-//! window labels, one pass over the stored windows, and the decompositions an
-//! older artifact marks as layered). Serialising sizes the output once, from
-//! the array lengths. Malformed files fail with section-labelled
+//! window labels, one pass over the stored windows). Serialising sizes the
+//! output once, from the array lengths. Malformed files fail with section-labelled
 //! [`IndexLoadError`]s, never panics.
 
 use crate::cover::{map_cover_batches, round_seed, CoverBatch, DEFAULT_BATCH_BUDGET, DEFAULT_SEED};
@@ -78,7 +80,6 @@ use psi_graph::io::{
 };
 use psi_graph::{CsrGraph, NeighborSource, Vertex, INVALID_VERTEX};
 use psi_planar::{validate_walks, Embedding};
-use psi_treedecomp::BinaryTreeDecomposition;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::Path;
@@ -96,14 +97,18 @@ use std::sync::Arc;
 ///   set — the invariant the incremental [`crate::dynamic`] updates splice against.
 /// * **3** — each stored decomposition carries one more word, the number of
 ///   cover segments whose bags came from the guaranteed-width layered construction
-///   instead of the min-degree heuristic. Batches no longer try that
-///   construction, so the word is now always written as 0; where the load finds
-///   it nonzero, it re-derives the batch's decomposition.
+///   instead of the min-degree heuristic. Batches later stopped trying that
+///   construction and wrote the word as 0.
 /// * **4** — the stored face–vertex graph (section `fvgraph`) is dropped: no
 ///   reader used it, since connectivity queries derive the graph from the
 ///   stored faces once per served epoch. v2 and v3 artifacts still load; their
 ///   `fvgraph` section is skipped.
-pub const INDEX_SCHEMA_VERSION: u32 = 4;
+/// * **5** — the per-batch decompositions are dropped: a round section holds,
+///   per batch, only the CSR, the local-to-global map and the windows, since a
+///   batch is decomposed only when its DP runs. v2–v4 artifacts still load;
+///   each batch's decomposition is skipped after bounds checks, its tree
+///   unread.
+pub const INDEX_SCHEMA_VERSION: u32 = 5;
 
 /// Oldest artifact version [`PsiIndex::from_bytes`] still accepts.
 pub const MIN_INDEX_SCHEMA_VERSION: u32 = 2;
@@ -122,6 +127,9 @@ pub struct IndexParams {
     /// probability at most `2^−rounds` per fixed occurrence.
     pub rounds: u32,
     /// Batch budget for packing small windows (see [`crate::cover::batch_budget_for`]).
+    /// Kept while the index stores batches: perfbench's serve replay reads it
+    /// until its next change (ROADMAP benchmark follow-up 5), and an index that
+    /// stores labels in place of batches drops it.
     pub batch_budget: u32,
     /// Base seed; round `r` derives its clustering seed exactly like round `r` of
     /// the classic query path, so with equal base seeds the index's round `r`
@@ -142,112 +150,30 @@ impl Default for IndexParams {
     }
 }
 
-/// A tree decomposition in flat arrays — the serialised (and resident) form of a
-/// [`BinaryTreeDecomposition`]. `children` stores two entries per node
-/// (`u32::MAX` for "no child"); `parent` is reconstructed on materialisation.
-/// On disk each one also carries schema v3's layered-segment word, written as 0;
-/// a batch loaded with a nonzero word gets the decomposition a fresh build stores.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// Placeholder, always empty: no stored batch carries a decomposition. A batch
+/// is decomposed only when its DP runs ([`CoverBatch::decomposition`]), so
+/// nothing stores, encodes or reuses one. perfbench's serve replay reads these
+/// three arrays until its next change (ROADMAP benchmark follow-up 5), which
+/// deletes the type.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FlatDecomposition {
-    /// Bag boundaries: node `i`'s bag is `bag_data[bag_offsets[i]..bag_offsets[i+1]]`.
+    /// Always empty.
     pub bag_offsets: Vec<u32>,
-    /// Concatenated sorted bags.
+    /// Always empty.
     pub bag_data: Vec<Vertex>,
-    /// `2 * num_nodes` child ids (`[left, right]` per node, `u32::MAX` for leaves).
+    /// Always empty.
     pub children: Vec<u32>,
-    /// Root node id.
-    pub root: u32,
 }
 
-impl FlatDecomposition {
-    /// Flattens a binarised decomposition. Child **order** is preserved — the DP's
-    /// join order follows it, so witnesses stay bit-identical through a round trip.
-    pub fn from_binary(btd: &BinaryTreeDecomposition) -> Self {
-        let nodes = btd.num_nodes();
-        let mut bag_offsets = Vec::with_capacity(nodes + 1);
-        bag_offsets.push(0u32);
-        let total: usize = btd.bags.iter().map(|b| b.len()).sum();
-        let mut bag_data = Vec::with_capacity(total);
-        for bag in &btd.bags {
-            bag_data.extend_from_slice(bag);
-            bag_offsets.push(bag_data.len() as u32);
-        }
-        let mut children = Vec::with_capacity(2 * nodes);
-        for c in &btd.children {
-            match c {
-                Some([l, r]) => {
-                    children.push(*l as u32);
-                    children.push(*r as u32);
-                }
-                None => {
-                    children.push(u32::MAX);
-                    children.push(u32::MAX);
-                }
-            }
-        }
-        FlatDecomposition {
-            bag_offsets,
-            bag_data,
-            children,
-            root: btd.root as u32,
-        }
-    }
-
-    /// The decomposition the index stores for `batch`: the flattened
-    /// [`CoverBatch::decomposition`]. The build and the dynamic index's flush both
-    /// store exactly this, so a flushed batch carries the bytes a fresh build of
-    /// its content would.
-    pub(crate) fn of_batch(batch: &CoverBatch) -> Self {
-        FlatDecomposition::from_binary(&batch.decomposition())
-    }
-
-    /// Number of tree nodes.
-    pub fn num_nodes(&self) -> usize {
-        self.bag_offsets.len() - 1
-    }
-
-    /// Materialises the DP-ready [`BinaryTreeDecomposition`] (per-query scratch;
-    /// `O(nodes + bag entries)`). The flat form must be structurally valid —
-    /// [`PsiIndex::from_bytes`] validates on load, [`FlatDecomposition::from_binary`]
-    /// is valid by construction.
-    pub fn to_binary(&self, num_graph_vertices: usize) -> BinaryTreeDecomposition {
-        let nodes = self.num_nodes();
-        let bags: Vec<Vec<Vertex>> = (0..nodes)
-            .map(|i| {
-                self.bag_data[self.bag_offsets[i] as usize..self.bag_offsets[i + 1] as usize]
-                    .to_vec()
-            })
-            .collect();
-        let mut children: Vec<Option<[usize; 2]>> = Vec::with_capacity(nodes);
-        let mut parent = vec![usize::MAX; nodes];
-        for i in 0..nodes {
-            let l = self.children[2 * i];
-            let r = self.children[2 * i + 1];
-            if l == u32::MAX {
-                children.push(None);
-            } else {
-                children.push(Some([l as usize, r as usize]));
-                parent[l as usize] = i;
-                parent[r as usize] = i;
-            }
-        }
-        BinaryTreeDecomposition {
-            bags,
-            children,
-            parent,
-            root: self.root as usize,
-            num_graph_vertices,
-        }
-    }
-}
-
-/// One stored cover batch: the streamed [`CoverBatch`] plus its precomputed
-/// segment-chained decomposition in flat form.
+/// One stored batch as [`StoredRound::iter`] yields it. Placeholder: the
+/// batch and an empty [`FlatDecomposition`], the shape perfbench reads until
+/// its next change (ROADMAP benchmark follow-up 5); the engine and the tests
+/// read [`StoredRound::batches`].
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct IndexedBatch {
+pub struct IndexedBatch<'a> {
     /// The disjoint-union window batch exactly as the streaming pipeline emitted it.
-    pub batch: CoverBatch,
-    /// Flattened [`CoverBatch::decomposition`] of `batch`.
+    pub batch: &'a CoverBatch,
+    /// Always empty.
     pub decomp: FlatDecomposition,
 }
 
@@ -274,14 +200,14 @@ impl WindowLabel {
 /// One stored cover round: its batches grouped by cluster centre, in ascending
 /// centre order, and the window label of every target vertex. Batches are
 /// cluster-pure and the build emits clusters in ascending centre order, so
-/// [`StoredRound::iter`] replays the canonical batch stream the artifact
+/// [`StoredRound::batches`] replays the canonical batch stream the artifact
 /// stores. Every group is `Arc`-shared: served, thawed and frozen epochs hold
 /// the same groups, and the dynamic index's flush swaps in rebuilt groups
 /// copy-on-write, reusing every untouched cluster's batches. The labels are a
 /// pure function of the windows, which the flush keeps as it swaps groups.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct StoredRound {
-    pub(crate) groups: BTreeMap<Vertex, Arc<Vec<IndexedBatch>>>,
+    pub(crate) groups: BTreeMap<Vertex, Arc<Vec<CoverBatch>>>,
     labels: Vec<WindowLabel>,
 }
 
@@ -291,10 +217,10 @@ impl StoredRound {
     /// from the windows. A stream that is not in canonical order comes out in
     /// it. Clusters partition the target, so no vertex lies in windows of two
     /// centres; a stream where one does is refused with that vertex.
-    pub(crate) fn new(batches: Vec<IndexedBatch>, n: usize) -> Result<StoredRound, Vertex> {
-        let mut groups: BTreeMap<Vertex, Vec<IndexedBatch>> = BTreeMap::new();
-        for ib in batches {
-            groups.entry(ib.batch.windows[0].0).or_default().push(ib);
+    pub(crate) fn new(batches: Vec<CoverBatch>, n: usize) -> Result<StoredRound, Vertex> {
+        let mut groups: BTreeMap<Vertex, Vec<CoverBatch>> = BTreeMap::new();
+        for batch in batches {
+            groups.entry(batch.windows[0].0).or_default().push(batch);
         }
         let mut round = StoredRound {
             groups: BTreeMap::new(),
@@ -309,11 +235,13 @@ impl StoredRound {
         Ok(round)
     }
 
-    /// Removes the group of centre `c` and clears the labels it set; a vertex
+    /// Drops the group of centre `c` and clears the labels it set; a vertex
     /// another group has labelled since keeps that label.
-    pub(crate) fn take_group(&mut self, c: Vertex) -> Option<Arc<Vec<IndexedBatch>>> {
-        let group = self.groups.remove(&c)?;
-        for (_, _, members) in group.iter().flat_map(|ib| ib.batch.windows_with_members()) {
+    pub(crate) fn remove_group(&mut self, c: Vertex) {
+        let Some(group) = self.groups.remove(&c) else {
+            return;
+        };
+        for (_, _, members) in group.iter().flat_map(CoverBatch::windows_with_members) {
             for &v in members {
                 let label = &mut self.labels[v as usize];
                 if label.centre == c {
@@ -321,13 +249,12 @@ impl StoredRound {
                 }
             }
         }
-        Some(group)
     }
 
     /// Inserts `batches` as the group of centre `c` and labels their members.
     /// A member may still carry the label of a cluster it left that the
-    /// caller has yet to take out; the label is replaced.
-    pub(crate) fn put_group(&mut self, c: Vertex, batches: Vec<IndexedBatch>) {
+    /// caller has yet to remove; the label is replaced.
+    pub(crate) fn put_group(&mut self, c: Vertex, batches: Vec<CoverBatch>) {
         self.label(&batches);
         self.groups.insert(c, Arc::new(batches));
     }
@@ -335,12 +262,9 @@ impl StoredRound {
     /// Labels the members of `batches`' windows: a member first met here takes
     /// the window's centre, and each window start widens its first and last.
     /// Returns a member that carried another centre's label, if any.
-    fn label(&mut self, batches: &[IndexedBatch]) -> Option<Vertex> {
+    fn label(&mut self, batches: &[CoverBatch]) -> Option<Vertex> {
         let mut relabelled = None;
-        for (centre, start, members) in batches
-            .iter()
-            .flat_map(|ib| ib.batch.windows_with_members())
-        {
+        for (centre, start, members) in batches.iter().flat_map(CoverBatch::windows_with_members) {
             for &v in members {
                 let label = &mut self.labels[v as usize];
                 if label.centre == centre {
@@ -381,14 +305,14 @@ impl StoredRound {
     }
 
     /// The stored batches with a window that holds `v`, in stream order.
-    pub(crate) fn batches_holding(&self, v: Vertex) -> impl Iterator<Item = &IndexedBatch> {
+    pub(crate) fn batches_holding(&self, v: Vertex) -> impl Iterator<Item = &CoverBatch> {
         let label = self.labels[v as usize];
         let starts = label.first..=label.last;
         self.groups
             .get(&label.centre)
             .into_iter()
             .flat_map(|g| g.iter())
-            .filter(move |ib| ib.batch.windows.iter().any(|w| starts.contains(&w.1)))
+            .filter(move |b| b.windows.iter().any(|w| starts.contains(&w.1)))
     }
 
     /// Number of stored batches.
@@ -403,8 +327,18 @@ impl StoredRound {
 
     /// The stored batches in stream order: clusters in ascending centre order,
     /// each cluster's batches in emission order.
-    pub fn iter(&self) -> impl Iterator<Item = &IndexedBatch> {
+    pub fn batches(&self) -> impl Iterator<Item = &CoverBatch> {
         self.groups.values().flat_map(|g| g.iter())
+    }
+
+    /// Placeholder: [`StoredRound::batches`], each paired with an empty
+    /// [`FlatDecomposition`] — what perfbench reads until its next change
+    /// (ROADMAP benchmark follow-up 5).
+    pub fn iter(&self) -> impl Iterator<Item = IndexedBatch<'_>> {
+        self.batches().map(|batch| IndexedBatch {
+            batch,
+            decomp: FlatDecomposition::default(),
+        })
     }
 }
 
@@ -435,9 +369,9 @@ pub(crate) type IndexParts = (
 );
 
 impl PsiIndex {
-    /// Builds the index from a validated planar embedding. Cost is `rounds` cover
-    /// passes plus one decomposition per batch — all of it paid once, none of it
-    /// at query time.
+    /// Builds the index from a validated planar embedding: `rounds` cover
+    /// passes, paid once. No batch is decomposed; a batch's DP derives its
+    /// decomposition when it runs.
     pub fn build(embedding: &Embedding, params: IndexParams) -> PsiIndex {
         assert!(params.k >= 1, "index must serve at least k = 1");
         assert!(params.rounds >= 1, "index needs at least one stored round");
@@ -458,10 +392,7 @@ impl PsiIndex {
                     round_seed(params.seed, r.into()),
                     1, // min_vertices: store every window so k' < k patterns are served
                     params.batch_budget as usize,
-                    |batch| IndexedBatch {
-                        decomp: FlatDecomposition::of_batch(&batch),
-                        batch,
-                    },
+                    |batch| batch,
                 );
                 let round = StoredRound::new(batches, embedding.graph.num_vertices());
                 Arc::new(round.expect("clusters partition the target"))
@@ -549,19 +480,15 @@ impl PsiIndex {
     fn payload_len(&self) -> usize {
         let meta = 4 * 4 + 3 * 8;
         let faces = 2 * 8 + 8 * self.face_offsets.len() + 4 * self.face_data.len();
-        let batch = |ib: &IndexedBatch| {
-            let (b, t) = (&ib.batch, &ib.decomp);
+        let batch = |b: &CoverBatch| {
             let map = 8 + 4 * b.local_to_global.len();
             let windows = 8 + 12 * b.windows.len();
-            // node count, root and the layered-segment word, then the arrays
-            let decomp =
-                8 + 2 * 4 + 4 * (t.bag_offsets.len() + t.bag_data.len() + t.children.len());
-            encoded_csr_len(&b.graph) + map + windows + decomp
+            encoded_csr_len(&b.graph) + map + windows
         };
         let rounds: usize = self
             .rounds
             .iter()
-            .map(|round| 8 + round.iter().map(batch).sum::<usize>())
+            .map(|round| 8 + round.batches().map(batch).sum::<usize>())
             .sum();
         meta + encoded_csr_len(&self.target) + faces + rounds
     }
@@ -593,22 +520,16 @@ impl PsiIndex {
         for (r, round) in self.rounds.iter().enumerate() {
             file.section(&format!("round{r}"), |out| {
                 push_u64(out, round.len() as u64);
-                for ib in round.iter() {
-                    encode_csr(&ib.batch.graph, out);
-                    push_u64(out, ib.batch.local_to_global.len() as u64);
-                    push_u32_slice(out, &ib.batch.local_to_global);
-                    push_u64(out, ib.batch.windows.len() as u64);
-                    for &(cluster, level_start, offset) in &ib.batch.windows {
+                for batch in round.batches() {
+                    encode_csr(&batch.graph, out);
+                    push_u64(out, batch.local_to_global.len() as u64);
+                    push_u32_slice(out, &batch.local_to_global);
+                    push_u64(out, batch.windows.len() as u64);
+                    for &(cluster, level_start, offset) in &batch.windows {
                         push_u32(out, cluster);
                         push_u32(out, level_start);
                         push_u32(out, offset);
                     }
-                    push_u64(out, ib.decomp.num_nodes() as u64);
-                    push_u32(out, ib.decomp.root);
-                    push_u32(out, 0); // the v3 layered-segment word
-                    push_u32_slice(out, &ib.decomp.bag_offsets);
-                    push_u32_slice(out, &ib.decomp.bag_data);
-                    push_u32_slice(out, &ib.decomp.children);
                 }
             });
         }
@@ -630,16 +551,14 @@ impl PsiIndex {
     /// first ([`SectionedFile::from_bytes`]), then every structural invariant the
     /// query engines rely on — CSR well-formedness, id ranges, faces that form a
     /// plane embedding of the target ([`psi_planar::validate_walks`] with genus
-    /// 0), window offsets, decomposition tree shape, and no vertex in windows
-    /// of two clusters of one round. Load never re-derives covers; it derives
-    /// each round's window labels from the stored windows, and re-derives a
-    /// batch's decomposition only where a nonzero layered-segment word marks
-    /// bags of the retired layered construction, so the loaded index equals a
-    /// fresh build of its content.
+    /// 0), window offsets, and no vertex in windows of two clusters of one
+    /// round. Load never re-derives covers; it derives each round's window
+    /// labels from the stored windows, so the loaded index equals a fresh
+    /// build of its content.
     pub fn from_bytes(data: &[u8]) -> Result<PsiIndex, IndexLoadError> {
         // Current version first; on a version mismatch retry with any older
-        // still-supported schema (v2 lacks the per-batch layered-segment word;
-        // v2 and v3 carry an `fvgraph` section, which is skipped).
+        // still-supported schema (v2–v4 store a decomposition per batch, which
+        // is skipped; v2 and v3 carry an `fvgraph` section, which is skipped).
         let file = match SectionedFile::from_bytes(data, INDEX_SCHEMA_VERSION) {
             Ok(file) => file,
             Err(SectionReadError::UnsupportedVersion { found, .. })
@@ -834,20 +753,15 @@ fn decode_round(
             }
             windows.push((cluster, level_start, offset));
         }
-        let (decomp, layered) = decode_decomposition(&mut r, name, b, bn, schema_version)?;
-        let batch = CoverBatch {
+        if schema_version < 5 {
+            skip_decomposition(&mut r, schema_version)
+                .map_err(|detail| fail(format!("batch {b}: {detail}")))?;
+        }
+        batches.push(CoverBatch {
             graph,
             local_to_global,
             windows,
-        };
-        // A nonzero layered-segment word marks bags of the retired layered
-        // construction: re-derive them, so the index equals a fresh build.
-        let decomp = if layered {
-            FlatDecomposition::of_batch(&batch)
-        } else {
-            decomp
-        };
-        batches.push(IndexedBatch { batch, decomp });
+        });
     }
     if !r.is_empty() {
         return Err(fail("trailing bytes".into()));
@@ -858,98 +772,29 @@ fn decode_round(
         .map_err(|v| fail(format!("vertex {v} in windows of two clusters")))
 }
 
-/// Decodes and validates one flat decomposition (bounds, monotone bag offsets, and
-/// a full tree-shape check: every non-root has exactly one parent and the root
-/// reaches every node — the DP's postorder traversal relies on it), and whether
-/// its layered-segment word is nonzero.
-fn decode_decomposition(
-    r: &mut SliceReader,
-    name: &str,
-    batch: usize,
-    batch_n: usize,
-    schema_version: u32,
-) -> Result<(FlatDecomposition, bool), IndexLoadError> {
-    let fail = |detail: String| IndexLoadError::Section {
-        section: name.to_string(),
-        detail,
+/// Steps over the decomposition a v2–v4 artifact stores after each batch,
+/// checking bounds only: nothing reads it, since a batch's DP derives its own.
+/// The layout is the node count, the root, the layered-segment word (v3 and
+/// v4), `nodes + 1` bag offsets, the bags up to the last offset and
+/// `2 · nodes` children.
+fn skip_decomposition(r: &mut SliceReader, schema_version: u32) -> Result<(), &'static str> {
+    const TRUNCATED: &str = "truncated decomposition";
+    let skip_u32s = |r: &mut SliceReader, len: usize| {
+        let bytes = len.checked_mul(4).ok_or(TRUNCATED)?;
+        r.take_bytes(bytes).map(drop).ok_or(TRUNCATED)
     };
-    let nodes = r
-        .take_u64()
-        .ok_or_else(|| fail(format!("batch {batch}: missing decomposition size")))?;
-    let nodes = usize::try_from(nodes)
+    let nodes = r.take_u64().ok_or(TRUNCATED)?;
+    let (offsets, children) = usize::try_from(nodes)
         .ok()
-        .filter(|n| n.checked_add(1).is_some())
-        .ok_or_else(|| fail(format!("batch {batch}: decomposition too large")))?;
-    if nodes == 0 {
-        return Err(fail(format!("batch {batch}: empty decomposition")));
-    }
-    let root = r
-        .take_u32()
-        .ok_or_else(|| fail(format!("batch {batch}: missing root")))?;
-    if root as usize >= nodes {
-        return Err(fail(format!("batch {batch}: root out of range")));
-    }
-    // v3 added the layered-segment word; v2 predates the layered construction.
-    let layered = schema_version >= 3
-        && r.take_u32()
-            .ok_or_else(|| fail(format!("batch {batch}: missing layered count")))?
-            != 0;
-    let bag_offsets = r
-        .take_u32_vec(nodes + 1)
-        .ok_or_else(|| fail(format!("batch {batch}: truncated bag offsets")))?;
-    if bag_offsets[0] != 0 || bag_offsets.windows(2).any(|w| w[0] > w[1]) {
-        return Err(fail(format!("batch {batch}: bag offsets not monotone")));
-    }
-    let bag_total = *bag_offsets.last().unwrap() as usize;
-    let bag_data = r
-        .take_u32_vec(bag_total)
-        .ok_or_else(|| fail(format!("batch {batch}: truncated bags")))?;
-    if bag_data.iter().any(|&v| v as usize >= batch_n) {
-        return Err(fail(format!("batch {batch}: bag vertex out of range")));
-    }
-    let children = r
-        .take_u32_vec(2 * nodes)
-        .ok_or_else(|| fail(format!("batch {batch}: truncated children")))?;
-    // Tree shape: interior nodes have two distinct in-range children; each node has
-    // at most one parent; the root reaches everything (counted, not traversed).
-    let mut indegree = vec![0u8; nodes];
-    for i in 0..nodes {
-        let (l, ri) = (children[2 * i], children[2 * i + 1]);
-        if (l == u32::MAX) != (ri == u32::MAX) {
-            return Err(fail(format!(
-                "batch {batch}: half-missing children at node {i}"
-            )));
-        }
-        if l != u32::MAX {
-            if l as usize >= nodes || ri as usize >= nodes || l == ri {
-                return Err(fail(format!("batch {batch}: bad children at node {i}")));
-            }
-            for c in [l as usize, ri as usize] {
-                indegree[c] += 1;
-                if indegree[c] > 1 || c == root as usize {
-                    return Err(fail(format!(
-                        "batch {batch}: node {c} has multiple parents"
-                    )));
-                }
-            }
-        }
-    }
-    if indegree
-        .iter()
-        .enumerate()
-        .any(|(i, &d)| d == 0 && i != root as usize)
-    {
-        return Err(fail(format!(
-            "batch {batch}: decomposition tree disconnected"
-        )));
-    }
-    let decomp = FlatDecomposition {
-        bag_offsets,
-        bag_data,
-        children,
-        root,
-    };
-    Ok((decomp, layered))
+        .and_then(|n| Some((n.checked_add(1)?, n.checked_mul(2)?)))
+        .ok_or("decomposition too large")?;
+    // The root and, from v3 on, the layered-segment word.
+    skip_u32s(r, if schema_version >= 3 { 2 } else { 1 })?;
+    // Every bag offset but the last, which counts the bag entries.
+    skip_u32s(r, offsets - 1)?;
+    let bag_total = r.take_u32().ok_or(TRUNCATED)?;
+    skip_u32s(r, bag_total as usize)?;
+    skip_u32s(r, children)
 }
 
 /// A failure while loading an index artifact. Container-level problems (framing,
@@ -1056,9 +901,10 @@ impl std::error::Error for QueryError {}
 /// unions of windows and a connected pattern cannot span components, so plain
 /// subgraph search on the batch graph decides exactly the predicate the
 /// treewidth DP decides. Past the budget the stored batches holding the root's
-/// windows, or the batch itself, fall back to the DP, whose cost is guaranteed
-/// polynomial in the batch size — the budget only caps the *time* of the search,
-/// never its soundness.
+/// windows, or the batch itself, fall back to the DP on a decomposition derived
+/// then ([`CoverBatch::decomposition`]), whose cost is guaranteed polynomial in
+/// the batch size — the budget only caps the *time* of the search, never its
+/// soundness.
 ///
 /// On degree ≤ 6 targets a k ≤ 4 pattern's search from one root completes in a
 /// few hundred nodes, and one over a ~256-vertex batch in tens of thousands
@@ -1182,11 +1028,9 @@ pub(crate) fn backtrack_step<G: NeighborSource + ?Sized>(
     Ok(false)
 }
 
-/// Whether any stored window of `ib` is large enough to host `k` vertices.
-pub(crate) fn batch_can_host(ib: &IndexedBatch, k: usize) -> bool {
-    ib.batch
-        .segment_ranges()
-        .any(|(start, end)| end - start >= k)
+/// Whether any stored window of `batch` is large enough to host `k` vertices.
+pub(crate) fn batch_can_host(batch: &CoverBatch, k: usize) -> bool {
+    batch.segment_ranges().any(|(start, end)| end - start >= k)
 }
 
 #[cfg(test)]
@@ -1229,14 +1073,13 @@ mod tests {
         ] {
             let plan = MatchPlan::new(&pattern);
             for round in index.rounds() {
-                for ib in round.iter() {
+                for batch in round.batches() {
                     let mut assigned = Vec::new();
                     let mut budget = FAST_PATH_NODE_BUDGET;
-                    let (graph, all) = (&ib.batch.graph, &mut |_: &[Vertex]| true);
+                    let (graph, all) = (&batch.graph, &mut |_: &[Vertex]| true);
                     let fast = backtrack_step(&plan, graph, 0, &mut assigned, &mut budget, all)
                         .expect("~256-vertex batches complete under the budget");
-                    let btd = ib.decomp.to_binary(ib.batch.graph.num_vertices());
-                    let dp = batch_dp(&pattern, &ib.batch.graph, &btd);
+                    let dp = batch_dp(&pattern, graph, &batch.decomposition());
                     assert_eq!(fast, dp.is_some(), "fast path and DP disagree on a batch");
                 }
             }
@@ -1247,14 +1090,14 @@ mod tests {
     fn fast_path_budget_exhaustion_is_reported_not_wrong() {
         // With a starved budget the search must say "unknown", never guess.
         let index = small_index();
-        let ib = index.rounds()[0].iter().next().unwrap();
+        let batch = index.rounds()[0].batches().next().unwrap();
         let plan = MatchPlan::new(&Pattern::cycle(4));
         let mut assigned = Vec::new();
         let mut budget = 1usize;
         assert_eq!(
             backtrack_step(
                 &plan,
-                &ib.batch.graph,
+                &batch.graph,
                 0,
                 &mut assigned,
                 &mut budget,
@@ -1340,23 +1183,6 @@ mod tests {
         assert!(answers[3].is_ok());
     }
 
-    #[test]
-    fn flat_decomposition_round_trips() {
-        let e = pg::triangulated_grid_embedded(9, 7);
-        let index = PsiIndex::build(&e, IndexParams::default());
-        for ib in index.rounds().iter().flat_map(|r| r.iter()).take(10) {
-            let btd = ib.batch.decomposition();
-            let flat = FlatDecomposition::of_batch(&ib.batch);
-            assert_eq!(flat, ib.decomp);
-            let back = flat.to_binary(ib.batch.graph.num_vertices());
-            assert_eq!(back.bags, btd.bags);
-            assert_eq!(back.children, btd.children);
-            assert_eq!(back.parent, btd.parent);
-            assert_eq!(back.root, btd.root);
-            assert_eq!(back.num_graph_vertices, btd.num_graph_vertices);
-        }
-    }
-
     /// The windows of `batch` with at least `k` vertices, as `(centre, level
     /// start, vertices)` in stored order.
     fn windows_of(batch: &CoverBatch, k: usize) -> Vec<(u32, u32, Vec<Vertex>)> {
@@ -1379,10 +1205,7 @@ mod tests {
         let (k, d) = (c4.k(), c4.diameter());
         assert_eq!((k as u32, d as u32), (index.params().k, index.params().d));
         for (r, round) in index.rounds().iter().enumerate() {
-            let stored: Vec<_> = round
-                .iter()
-                .flat_map(|ib| windows_of(&ib.batch, k))
-                .collect();
+            let stored: Vec<_> = round.batches().flat_map(|b| windows_of(b, k)).collect();
             let seed = round_seed(DEFAULT_SEED, r as u64);
             let budget = crate::cover::batch_budget_for(k);
             let (drawn, _) = map_cover_batches(&g, k, d, seed, k, budget, |b| windows_of(&b, k));
@@ -1408,81 +1231,103 @@ mod tests {
         encode_csr(&psi_planar::face_vertex_graph(&index.embedding()).graph, fv);
     }
 
-    /// Encodes `index`'s rounds by hand into `file`. With `layered_word` each
-    /// batch stores other bags than its own (one bag holding every vertex) and,
-    /// after their root, a nonzero layered-segment word (the batch's window
-    /// count), as artifacts written while batches tried the layered construction
-    /// could; without it, the v2 layout.
-    fn push_rounds_by_hand(file: &mut SectionWriter, index: &PsiIndex, layered_word: bool) {
-        for (r, batches) in index.rounds.iter().enumerate() {
+    /// Encodes `index`'s rounds by hand into `file` in the layout of schema
+    /// `version` (2–4), where a decomposition follows each batch: the
+    /// flattened [`CoverBatch::decomposition`] those versions stored, whose
+    /// layered-segment word (from v3 on) is 0. With `layered_word` each batch
+    /// stores other bags than its own (one bag holding every vertex) and a
+    /// nonzero word (the batch's window count), as artifacts written while
+    /// batches tried the layered construction could.
+    fn push_rounds_by_hand(
+        file: &mut SectionWriter,
+        index: &PsiIndex,
+        version: u32,
+        layered_word: bool,
+    ) {
+        assert!(version >= 3 || !layered_word, "v2 has no layered word");
+        for (r, round) in index.rounds.iter().enumerate() {
             file.section(&format!("round{r}"), |payload| {
-                push_u64(payload, batches.len() as u64);
-                for ib in batches.iter() {
-                    encode_csr(&ib.batch.graph, payload);
-                    push_u64(payload, ib.batch.local_to_global.len() as u64);
-                    push_u32_slice(payload, &ib.batch.local_to_global);
-                    push_u64(payload, ib.batch.windows.len() as u64);
-                    for &(cluster, level_start, offset) in &ib.batch.windows {
+                push_u64(payload, round.len() as u64);
+                for batch in round.batches() {
+                    encode_csr(&batch.graph, payload);
+                    push_u64(payload, batch.local_to_global.len() as u64);
+                    push_u32_slice(payload, &batch.local_to_global);
+                    push_u64(payload, batch.windows.len() as u64);
+                    for &(cluster, level_start, offset) in &batch.windows {
                         push_u32(payload, cluster);
                         push_u32(payload, level_start);
                         push_u32(payload, offset);
                     }
-                    if layered_word {
-                        let n = ib.batch.graph.num_vertices() as u32;
-                        push_u64(payload, 1);
-                        push_u32(payload, 0);
-                        push_u32(payload, ib.batch.num_windows() as u32);
-                        push_u32_slice(payload, &[0, n]);
-                        push_u32_slice(payload, &(0..n).collect::<Vec<_>>());
-                        push_u32_slice(payload, &[u32::MAX, u32::MAX]);
-                        continue;
+                    let n = batch.graph.num_vertices() as Vertex;
+                    let (bags, children, root, word) = if layered_word {
+                        let word = batch.num_windows() as u32;
+                        (vec![(0..n).collect()], vec![None], 0, word)
+                    } else {
+                        let btd = batch.decomposition();
+                        (btd.bags, btd.children, btd.root, 0)
+                    };
+                    push_u64(payload, bags.len() as u64);
+                    push_u32(payload, root as u32);
+                    if version >= 3 {
+                        push_u32(payload, word);
                     }
-                    push_u64(payload, ib.decomp.num_nodes() as u64);
-                    push_u32(payload, ib.decomp.root);
-                    push_u32_slice(payload, &ib.decomp.bag_offsets);
-                    push_u32_slice(payload, &ib.decomp.bag_data);
-                    push_u32_slice(payload, &ib.decomp.children);
+                    let mut offset = 0;
+                    push_u32(payload, offset);
+                    for bag in &bags {
+                        offset += bag.len() as u32;
+                        push_u32(payload, offset);
+                    }
+                    for bag in &bags {
+                        push_u32_slice(payload, bag);
+                    }
+                    for c in children {
+                        let [l, r] = c.map_or([u32::MAX; 2], |[l, r]| [l as u32, r as u32]);
+                        push_u32_slice(payload, &[l, r]);
+                    }
                 }
             });
         }
     }
 
-    /// Copies the section `name` of `from` into `file`.
-    fn copy_section(file: &mut SectionWriter, from: &SectionedFile, name: &str) {
-        file.section(name, |out| {
-            out.extend_from_slice(from.section(name).unwrap())
-        });
+    /// `index` written by hand as a schema-`version` (2–4) artifact: the
+    /// current `meta`, `target` and `faces` sections, the `fvgraph` section
+    /// v2 and v3 carried, and the rounds of [`push_rounds_by_hand`].
+    fn legacy_artifact(index: &PsiIndex, version: u32, layered_word: bool) -> Vec<u8> {
+        let bytes = index.to_bytes();
+        let current = SectionedFile::from_bytes(&bytes, INDEX_SCHEMA_VERSION).unwrap();
+        let fvgraph = usize::from(version < 4);
+        let mut file = SectionWriter::new(version, 3 + fvgraph + index.rounds.len());
+        for name in ["meta", "target", "faces"] {
+            file.section(name, |out| {
+                out.extend_from_slice(current.section(name).unwrap())
+            });
+        }
+        if version < 4 {
+            file.section("fvgraph", |out| push_legacy_fvgraph(out, index));
+        }
+        push_rounds_by_hand(&mut file, index, version, layered_word);
+        file.finish()
     }
 
     #[test]
     fn v2_artifacts_still_load() {
         let index = small_index();
-        // Re-encode by hand in the v2 layout: the v3 `fvgraph` section, and no
-        // per-batch layered-segment word (plus the container version stamp).
-        let bytes = index.to_bytes();
-        let v4 = SectionedFile::from_bytes(&bytes, INDEX_SCHEMA_VERSION).unwrap();
-        let mut v2 = SectionWriter::new(2, 4 + index.rounds.len());
-        for name in ["meta", "target", "faces"] {
-            copy_section(&mut v2, &v4, name);
-        }
-        v2.section("fvgraph", |out| push_legacy_fvgraph(out, &index));
-        push_rounds_by_hand(&mut v2, &index, false);
-        let back = PsiIndex::from_bytes(&v2.finish()).unwrap();
+        // Encoded by hand in the v2 layout: the v3 `fvgraph` section, and a
+        // decomposition without the layered-segment word after each batch.
+        let back = PsiIndex::from_bytes(&legacy_artifact(&index, 2, false)).unwrap();
         assert_eq!(back.target, index.target);
         for (a, b) in back
             .rounds
             .iter()
-            .flat_map(|r| r.iter())
-            .zip(index.rounds.iter().flat_map(|r| r.iter()))
+            .flat_map(|r| r.batches())
+            .zip(index.rounds.iter().flat_map(|r| r.batches()))
         {
-            assert_eq!(a.batch, b.batch);
-            assert_eq!(a.decomp.bag_offsets, b.decomp.bag_offsets);
-            assert_eq!(a.decomp.bag_data, b.decomp.bag_data);
-            assert_eq!(a.decomp.children, b.decomp.children);
-            assert_eq!(a.decomp.root, b.decomp.root);
+            assert_eq!(a, b);
         }
+        assert_eq!(back, index);
         // Re-saving a v2-loaded index writes the current schema.
         let resaved = back.to_bytes();
+        assert_eq!(resaved, index.to_bytes());
         let resaved = SectionedFile::from_bytes(&resaved, INDEX_SCHEMA_VERSION).unwrap();
         assert_eq!(resaved.version, INDEX_SCHEMA_VERSION);
     }
@@ -1490,39 +1335,25 @@ mod tests {
     #[test]
     fn v3_artifacts_with_fvgraph_still_load() {
         let index = small_index();
-        // The v3 layout is the v4 one plus the `fvgraph` section after `faces`.
-        let bytes = index.to_bytes();
-        let v4 = SectionedFile::from_bytes(&bytes, INDEX_SCHEMA_VERSION).unwrap();
-        let mut v3 = SectionWriter::new(3, 4 + index.rounds.len());
-        for name in v4.section_names() {
-            copy_section(&mut v3, &v4, name);
-            if name == "faces" {
-                v3.section("fvgraph", |out| push_legacy_fvgraph(out, &index));
-            }
-        }
-        let v3 = v3.finish();
+        // The v3 layout: the `fvgraph` section after `faces`, and a
+        // decomposition with a zero layered-segment word after each batch.
+        let v3 = legacy_artifact(&index, 3, false);
         assert!(v3.len() > index.to_bytes().len());
         let back = PsiIndex::from_bytes(&v3).unwrap();
         assert_eq!(back, index);
-        assert_eq!(back.to_bytes(), index.to_bytes(), "re-saving writes v4");
+        assert_eq!(back.to_bytes(), index.to_bytes(), "re-saving writes v5");
 
-        // v4 artifacts written while batches tried the layered construction
-        // carry nonzero layered-segment words; the load re-derives those
-        // batches' decompositions, and re-saving writes the words as 0.
-        let mut layered = SectionWriter::new(INDEX_SCHEMA_VERSION, 3 + index.rounds.len());
-        for name in ["meta", "target", "faces"] {
-            copy_section(&mut layered, &v4, name);
+        // v4 drops `fvgraph`. Artifacts written while batches tried the
+        // layered construction carry nonzero layered-segment words and other
+        // bags than a fresh build's; the load skips every decomposition, so
+        // both load as a fresh build, and re-saving writes none.
+        for layered_word in [false, true] {
+            let v4 = legacy_artifact(&index, 4, layered_word);
+            assert_ne!(v4, index.to_bytes());
+            let back = PsiIndex::from_bytes(&v4).unwrap();
+            assert_eq!(back, index);
+            assert_eq!(back.to_bytes(), index.to_bytes(), "re-saving writes v5");
         }
-        push_rounds_by_hand(&mut layered, &index, true);
-        let layered = layered.finish();
-        assert_ne!(layered, index.to_bytes());
-        let back = PsiIndex::from_bytes(&layered).unwrap();
-        assert_eq!(back, index);
-        assert_eq!(
-            back.to_bytes(),
-            index.to_bytes(),
-            "re-saving writes the words as 0"
-        );
     }
 
     #[test]

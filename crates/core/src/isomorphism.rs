@@ -208,9 +208,9 @@ impl BatchHit {
 /// The per-batch decision of every query front end, classic and indexed: the
 /// exhaustive backtracking search of `plan` in `graph` (exact whenever it
 /// completes under `budget` nodes; `assigned` is its scratch), then, when it
-/// runs out, [`batch_dp`] over `decomposition()`, which is built only then.
-/// Batches are disjoint unions of windows and a connected pattern cannot span
-/// components, so both halves decide the same predicate.
+/// runs out, [`decompose_and_run_dp`]. Batches are disjoint unions of windows
+/// and a connected pattern cannot span components, so both halves decide the
+/// same predicate.
 pub(crate) fn search_batch(
     plan: &MatchPlan,
     pattern: &Pattern,
@@ -223,12 +223,27 @@ pub(crate) fn search_batch(
     match backtrack_step(plan, graph, 0, assigned, &mut budget, &mut |_| true) {
         Ok(true) => Some(BatchHit::Fast(std::mem::take(assigned))),
         Ok(false) => None,
-        Err(()) => {
-            let btd = decomposition();
-            let decision = batch_dp(pattern, graph, &btd)?;
-            Some(BatchHit::Dp(btd, decision))
-        }
+        Err(()) => decompose_and_run_dp(pattern, graph, decomposition),
     }
+}
+
+/// The batch kernel's DP half: derives `graph`'s decomposition under one
+/// `dp.decompose` span, then runs [`batch_dp`] over it. [`search_batch`] calls
+/// it on a budget miss; the index scan calls it directly on the stored batches
+/// of a root that ran out of budget.
+pub(crate) fn decompose_and_run_dp(
+    pattern: &Pattern,
+    graph: &CsrGraph,
+    decomposition: impl FnOnce() -> BinaryTreeDecomposition,
+) -> Option<BatchHit> {
+    let btd = {
+        let mut span = psi_obs::span!("dp.decompose", n = graph.num_vertices());
+        let btd = decomposition();
+        span.field("nodes", btd.num_nodes() as u64);
+        btd
+    };
+    let decision = batch_dp(pattern, graph, &btd)?;
+    Some(BatchHit::Dp(btd, decision))
 }
 
 /// The sequential decision DP over one batch, under one `dp.batch` span. It

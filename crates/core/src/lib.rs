@@ -30,10 +30,11 @@
 //!    (Section 5.2) and planar vertex connectivity via separating cycles in the
 //!    face–vertex graph (Section 5.1, Lemmas 5.1–5.2): enumerated on a budget
 //!    below the minimum degree, with the separating DP as the fallback.
-//! 7. [`index`] — the versioned build-once / serve-many artifact: cover rounds,
-//!    embedding, and per-batch decompositions frozen into one immutable
-//!    [`index::PsiIndex`] (optionally serialised via [`psi_graph::io`]), served
-//!    as an epoch-0 [`snapshot::PsiSnapshot`].
+//! 7. [`index`] — the versioned build-once / serve-many artifact: cover rounds
+//!    and embedding frozen into one immutable [`index::PsiIndex`] (optionally
+//!    serialised via [`psi_graph::io`]), served as an epoch-0
+//!    [`snapshot::PsiSnapshot`]. No decomposition is stored: a batch is
+//!    decomposed only when its DP runs.
 //! 8. [`dynamic`] — incremental index mutation: [`dynamic::DynamicPsiIndex`]
 //!    maintains the embedding, the per-round clusterings, and the affected
 //!    clusters' batches under edge insertion/deletion, freezing back to an

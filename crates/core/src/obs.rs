@@ -46,7 +46,6 @@ pub(crate) struct CoreMetrics {
     pub flushes_total: Arc<Counter>,
     pub flush_ns: Arc<Histogram>,
     pub flush_batches_rebuilt_total: Arc<Counter>,
-    pub flush_decompositions_reused_total: Arc<Counter>,
     pub epoch_advances_total: Arc<Counter>,
     pub snapshots_total: Arc<Counter>,
     // --- build ---
@@ -160,7 +159,6 @@ pub(crate) fn metrics() -> &'static CoreMetrics {
             flushes_total: reg.counter("psi_flushes_total"),
             flush_ns: reg.histogram("psi_flush_ns"),
             flush_batches_rebuilt_total: reg.counter("psi_flush_batches_rebuilt_total"),
-            flush_decompositions_reused_total: reg.counter("psi_flush_decompositions_reused_total"),
             epoch_advances_total: reg.counter("psi_epoch_advances_total"),
             snapshots_total: reg.counter("psi_snapshots_total"),
             index_builds_total: reg.counter("psi_index_builds_total"),

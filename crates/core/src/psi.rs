@@ -449,8 +449,8 @@ impl Psi {
     }
 
     /// A Prometheus-style text dump of the process-wide metrics registry:
-    /// query/mutation/flush counters (rebuilt batches and reused
-    /// decompositions included), per-query latency percentiles
+    /// query/mutation/flush counters (rebuilt batches included), per-query
+    /// latency percentiles
     /// (`p50`/`p95`/`p99`/max summaries), layer statistics (cover, DP, arena,
     /// separating), and work-stealing pool counters.
     pub fn metrics(&self) -> String {

@@ -32,10 +32,10 @@
 //! [`FAST_PATH_NODE_BUDGET`] nodes, which takes a complete occurrence only when
 //! some round's window labels put it inside one stored window — exactly the
 //! occurrences the stored batches hold. A root whose search runs out of budget
-//! sends the stored batches holding its windows through the batch kernel (the
-//! same search on the batch, then the stored decomposition's DP), each batch
-//! at most once per query. The first hit ends
-//! the scan, so verdicts and witnesses are independent of thread count.
+//! sends the stored batches holding its windows straight to the batch DP, on
+//! a decomposition derived then (no batch stores one), each batch at most
+//! once per query. The first hit ends the scan, so verdicts and witnesses are
+//! independent of thread count.
 //!
 //! The target, faces and face–vertex graph are cells filled on first need and
 //! reset by every accepted mutation. Frozen and pinned epochs scan the target
@@ -47,11 +47,12 @@
 use crate::connectivity::{
     st_connectivity_capped, vertex_connectivity_with_fv, ConnectivityMode, ConnectivityResult,
 };
+use crate::cover::CoverBatch;
 use crate::index::{
-    backtrack_step, batch_can_host, IndexParams, IndexedBatch, MatchPlan, PsiIndex, QueryError,
-    StoredRound, CONNECTIVITY_CAP, FAST_PATH_NODE_BUDGET,
+    backtrack_step, batch_can_host, IndexParams, MatchPlan, PsiIndex, QueryError, StoredRound,
+    CONNECTIVITY_CAP, FAST_PATH_NODE_BUDGET,
 };
-use crate::isomorphism::{search_batch, BatchHit};
+use crate::isomorphism::{decompose_and_run_dp, BatchHit};
 use crate::pattern::{verify_occurrence, Pattern};
 use psi_graph::{AdjacencyList, CsrGraph, NeighborSource, Vertex};
 use psi_planar::{face_vertex_graph, rotation_system, Embedding, FaceVertexGraph};
@@ -254,7 +255,7 @@ impl EpochState {
                 Ok(true) => return Some(ScanHit::Root(assigned)),
                 Ok(false) => {}
                 Err(()) => {
-                    let hit = self.fall_back(root, plan, pattern, &mut searched, stats);
+                    let hit = self.fall_back(root, pattern, &mut searched, stats);
                     if hit.is_some() {
                         return hit;
                     }
@@ -264,33 +265,30 @@ impl EpochState {
         None
     }
 
-    /// Runs the batch kernel ([`search_batch`]) on every stored batch that
+    /// Runs the batch DP ([`decompose_and_run_dp`]) on every stored batch that
     /// holds a window of `root` and can host the pattern — rounds in order,
     /// each round's batches in stream order — skipping batches an earlier
-    /// root already sent. Returns the first hit.
+    /// root already sent. The root has spent the node budget on the same hub,
+    /// so no batch is searched first. Returns the first hit.
     fn fall_back<'a>(
         &'a self,
         root: Vertex,
-        plan: &MatchPlan,
         pattern: &Pattern,
-        searched: &mut Vec<&'a IndexedBatch>,
+        searched: &mut Vec<&'a CoverBatch>,
         stats: &mut ScanStats,
     ) -> Option<ScanHit<'a>> {
-        let mut assigned = Vec::with_capacity(pattern.k());
         for round in &self.rounds {
-            for ib in round.batches_holding(root) {
-                let sent = searched.iter().any(|&b| std::ptr::eq(b, ib));
-                if sent || !batch_can_host(ib, pattern.k()) {
+            for batch in round.batches_holding(root) {
+                let sent = searched.iter().any(|&b| std::ptr::eq(b, batch));
+                if sent || !batch_can_host(batch, pattern.k()) {
                     continue;
                 }
-                searched.push(ib);
+                searched.push(batch);
                 stats.fallback_batches += 1;
                 crate::obs::metrics().query_fallback_batches_total.add(1);
-                let graph = &ib.batch.graph;
-                let td = || ib.decomp.to_binary(graph.num_vertices());
-                let budget = FAST_PATH_NODE_BUDGET;
-                if let Some(hit) = search_batch(plan, pattern, graph, budget, &mut assigned, td) {
-                    return Some(ScanHit::Batch(ib, hit));
+                let td = || batch.decomposition();
+                if let Some(hit) = decompose_and_run_dp(pattern, &batch.graph, td) {
+                    return Some(ScanHit::Batch(batch, hit));
                 }
             }
         }
@@ -336,9 +334,9 @@ impl EpochState {
                 self.scan(&plan, pattern, src, &mut stats)
                     .map(|hit| match hit {
                         ScanHit::Root(assigned) => plan.to_occurrence(&assigned),
-                        ScanHit::Batch(ib, hit) => {
-                            let occ = hit.occurrence(&plan, pattern, &ib.batch.graph).into_iter();
-                            occ.map(|v| ib.batch.local_to_global[v as usize]).collect()
+                        ScanHit::Batch(batch, hit) => {
+                            let occ = hit.occurrence(&plan, pattern, &batch.graph).into_iter();
+                            occ.map(|v| batch.local_to_global[v as usize]).collect()
                         }
                     })
             }
@@ -415,7 +413,7 @@ enum ScanHit<'a> {
     /// A root search's accepted assignment, by plan position, in target ids.
     Root(Vec<Vertex>),
     /// A fallback batch's hit, in the batch's vertex ids.
-    Batch(&'a IndexedBatch, BatchHit),
+    Batch(&'a CoverBatch, BatchHit),
 }
 
 /// What one scan did, recorded on its query span.

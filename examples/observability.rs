@@ -78,7 +78,7 @@ fn main() {
         l.starts_with("psi_queries_total")
             || l.starts_with("psi_query_decide_ns{")
             || l.starts_with("psi_flushes_total")
-            || l.starts_with("psi_flush_decompositions_reused_total")
+            || l.starts_with("psi_flush_batches_rebuilt_total")
             || l.starts_with("psi_query_fallback_batches_total")
             || l.starts_with("psi_pool_steals_total")
     }) {

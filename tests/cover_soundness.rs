@@ -162,16 +162,16 @@ fn single_rounds_miss_planted_occurrences_at_most_half_the_time() {
 /// Whether some stored batch of `index` holds an occurrence of `p`, by
 /// Ullmann's exact search on the batch graph.
 fn stored_batches_hold(index: &PsiIndex, p: &Pattern) -> bool {
-    let mut batches = index.rounds().iter().flat_map(|round| round.iter());
-    batches.any(|ib| ullmann_decide(p, &ib.batch.graph))
+    let mut batches = index.rounds().iter().flat_map(|round| round.batches());
+    batches.any(|batch| ullmann_decide(p, &batch.graph))
 }
 
 /// Whether one stored window of `index` holds every vertex of `occ`.
 fn in_one_stored_window(index: &PsiIndex, occ: &[Vertex]) -> bool {
-    let mut batches = index.rounds().iter().flat_map(|round| round.iter());
-    batches.any(|ib| {
-        ib.batch.segment_ranges().any(|(start, end)| {
-            let window = &ib.batch.local_to_global[start..end];
+    let mut batches = index.rounds().iter().flat_map(|round| round.batches());
+    batches.any(|batch| {
+        batch.segment_ranges().any(|(start, end)| {
+            let window = &batch.local_to_global[start..end];
             occ.iter().all(|v| window.contains(v))
         })
     })

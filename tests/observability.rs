@@ -293,7 +293,7 @@ fn exports_parse_and_round_trip() {
         "psi_mutations_refused_local_total",
         "psi_mutations_whole_target_total",
         "psi_flushes_total",
-        "# TYPE psi_flush_decompositions_reused_total counter",
+        "# TYPE psi_flush_batches_rebuilt_total counter",
         "psi_pool_steals_total",
         "psi_cover_passes_total",
         "psi_arena_misses_total",

@@ -5,11 +5,12 @@
 //!   front ends return identical results for all six query operations,
 //!   witnesses and connectivity cuts included;
 //! * the DP fallback — on a 300-vertex wheel, with and without a planted K4,
-//!   a search from the hub and one over the hub's window both exhaust the node
-//!   budget, so K4 queries are answered by the batch DP on every front end:
-//!   the stored decomposition's
-//!   on the three index front ends, a streamed batch's on the one-shot
-//!   classics (`Psi::decide_in`, `Psi::find_one_in`), which run the same kernel;
+//!   a search from the hub exhausts the node budget, so K4 queries are
+//!   answered by the batch DP on every front end, on a decomposition derived
+//!   when it runs: of the stored batches holding the hub's windows on the
+//!   three index front ends, also after a flush re-emits the hub's cluster,
+//!   and of a streamed batch on the one-shot classics (`Psi::decide_in`,
+//!   `Psi::find_one_in`), whose search over the hub's window runs out too;
 //! * equal instrumentation — every operation on every front end records its
 //!   `query.*` span carrying that front end's epoch, plus one latency sample
 //!   in the operation's histogram; `decide` and `find_one` spans also carry
@@ -17,8 +18,8 @@
 //!   queries move the fallback batch counter.
 
 use planar_subiso::{
-    verify_occurrence, ConnectivityMode, Pattern, Psi, PsiError, PsiIndex, PsiSnapshot, QueryError,
-    FAST_PATH_NODE_BUDGET,
+    verify_occurrence, ConnectivityMode, CoverBatch, Pattern, Psi, PsiError, PsiIndex, PsiSnapshot,
+    QueryError, FAST_PATH_NODE_BUDGET,
 };
 use psi_baselines::ullmann_decide;
 use psi_graph::{CsrGraph, GraphBuilder, Vertex};
@@ -147,6 +148,17 @@ fn nests_under(spans: &[SpanRecord], parent: &str, child: &str) -> bool {
     })
 }
 
+/// The spans `op` records with tracing on.
+fn traced(op: impl FnOnce()) -> Vec<SpanRecord> {
+    Psi::set_tracing(true);
+    trace::clear();
+    op();
+    let spans = trace::snapshot_spans();
+    Psi::set_tracing(false);
+    trace::clear();
+    spans
+}
+
 /// `wheel(300)` relabelled so the hub is vertex 0 and rim vertex `i` is
 /// `i + 1`: the index scan then searches from the hub first.
 fn hub_first_wheel() -> CsrGraph {
@@ -159,15 +171,20 @@ fn hub_first_wheel() -> CsrGraph {
     b.build()
 }
 
+/// The DP's two spans: the batch's decomposition, derived when the DP runs,
+/// and the DP itself.
+const DP_SPANS: [&str; 2] = ["dp.decompose", "dp.batch"];
+
 /// The wheel's hub (vertex 0) is the scan's first root, and a K4 search from it
-/// runs out of the node budget; so does the search on the stored batch that
-/// holds the hub's window in each round, and the scan falls back to that
-/// batch's stored decomposition. Without a rim chord the DP answers no in every round;
+/// runs out of the node budget, so the scan sends the stored batch that holds
+/// the hub's window in each round to the batch DP, on the decomposition it
+/// derives then. Without a rim chord the DP answers no in every round;
 /// with the chord {250, 252} it finds the K4 {0, 250, 251, 252} in round 0.
 /// Every index front end must give the same answer as Ullmann's exact search,
-/// record the DP's `dp.batch` span inside its query span, and return the same
-/// witness. The one-shot classics must give Ullmann's answers too, with the
-/// DP's span inside a `cover.shard` span and a witness that verifies.
+/// record the DP's `dp.decompose` and `dp.batch` spans inside its query span,
+/// and return the same witness. The one-shot classics must give Ullmann's
+/// answers too, with the DP's spans inside a `cover.shard` span and a witness
+/// that verifies.
 #[test]
 fn hub_windows_fall_back_to_the_dp_on_every_front_end() {
     let _guard = obs_lock();
@@ -193,19 +210,19 @@ fn hub_windows_fall_back_to_the_dp_on_every_front_end() {
         let present = chord.is_some();
 
         let sent_before = fallbacks().get();
-        Psi::set_tracing(true);
-        trace::clear();
-        assert_eq!(frozen.decide(&k4), Ok(present));
-        let witness = frozen.find_one(&k4).unwrap();
-        let spans = trace::snapshot_spans();
-        Psi::set_tracing(false);
-        trace::clear();
+        let mut witness = None;
+        let spans = traced(|| {
+            assert_eq!(frozen.decide(&k4), Ok(present));
+            witness = frozen.find_one(&k4).unwrap();
+        });
         let mut sent = 0;
         for query in ["query.decide", "query.find_one"] {
-            assert!(
-                nests_under(&spans, query, "dp.batch"),
-                "no `dp.batch` span inside `{query}`"
-            );
+            for dp in DP_SPANS {
+                assert!(
+                    nests_under(&spans, query, dp),
+                    "no `{dp}` span inside `{query}`"
+                );
+            }
             // The hub's search spends the whole budget and sends the batches
             // holding its windows to the batch kernel. Absent, the scan goes
             // on through every root; present, the hub's batch in round 0
@@ -236,16 +253,14 @@ fn hub_windows_fall_back_to_the_dp_on_every_front_end() {
             let want = ullmann_decide(p, &target);
             assert_eq!(Psi::decide_in(p, &target).ok(), Some(want), "classic {p:?}");
         }
-        Psi::set_tracing(true);
-        trace::clear();
-        let witness = Psi::find_one_in(&k4, &target).unwrap();
-        let spans = trace::snapshot_spans();
-        Psi::set_tracing(false);
-        trace::clear();
-        assert!(
-            nests_under(&spans, "cover.shard", "dp.batch"),
-            "no `dp.batch` span inside `cover.shard`"
-        );
+        let mut witness = None;
+        let spans = traced(|| witness = Psi::find_one_in(&k4, &target).unwrap());
+        for dp in DP_SPANS {
+            assert!(
+                nests_under(&spans, "cover.shard", dp),
+                "no `{dp}` span inside `cover.shard`"
+            );
+        }
         assert_eq!(
             witness.is_some(),
             ullmann_decide(&k4, &target),
@@ -255,6 +270,70 @@ fn hub_windows_fall_back_to_the_dp_on_every_front_end() {
             assert!(verify_occurrence(&k4, &target, &witness));
         }
     }
+}
+
+/// The stored batches of round 0 that hold the hub (vertex 0), as of `snap`.
+fn hub_batches(snap: &PsiSnapshot) -> Vec<CoverBatch> {
+    let frozen = snap.to_frozen();
+    let batches = frozen.rounds()[0].batches();
+    batches
+        .filter(|b| b.local_to_global.contains(&0))
+        .cloned()
+        .collect()
+}
+
+/// The live engine's fallback after a flush: the rim chord {250, 252} joins
+/// two members of the hub's cluster, so the flush re-emits that cluster's
+/// batches, and the live and pinned K4 queries then send the rebuilt batch
+/// holding the hub's window to the DP. For K4 and the four other patterns,
+/// live and pinned `decide` and `find_one` must equal a frozen fresh build of
+/// the same graph, witnesses included, and each live and pinned K4 query must
+/// record the DP's `dp.decompose` and `dp.batch` spans inside its query span.
+#[test]
+fn live_and_pinned_hub_queries_fall_back_to_the_dp_after_a_flush() {
+    let _guard = obs_lock();
+    let mut psi = Psi::open(&hub_first_wheel()).unwrap();
+    let k4 = Pattern::clique(4);
+    let patterns = [
+        Pattern::triangle(),
+        Pattern::cycle(4),
+        Pattern::path(3),
+        Pattern::star(3),
+        k4.clone(),
+    ];
+    let before = hub_batches(&psi.snapshot());
+    psi.insert_edge(250, 252).unwrap();
+    assert!(psi.flush() > 0);
+    let pinned = psi.snapshot();
+    assert_ne!(
+        hub_batches(&pinned),
+        before,
+        "the flush left the hub's cluster as it was"
+    );
+    let frozen = frozen_of(&psi);
+    assert_patterns_agree(&mut psi, &frozen, &pinned, &patterns);
+
+    let planted = Some(vec![0, 250, 251, 252]);
+    let sent_before = fallbacks().get();
+    let live_spans = traced(|| {
+        assert_eq!(query_error(psi.decide(&k4)), Ok(true));
+        assert_eq!(query_error(psi.find_one(&k4)), Ok(planted.clone()));
+    });
+    let pinned_spans = traced(|| {
+        assert_eq!(pinned.decide(&k4), Ok(true));
+        assert_eq!(pinned.find_one(&k4), Ok(planted.clone()));
+    });
+    for (front_end, spans) in [("live", live_spans), ("pinned", pinned_spans)] {
+        for query in ["query.decide", "query.find_one"] {
+            for dp in DP_SPANS {
+                assert!(
+                    nests_under(&spans, query, dp),
+                    "no `{dp}` span inside the {front_end} `{query}`"
+                );
+            }
+        }
+    }
+    assert!(fallbacks().get() >= sent_before + 4);
 }
 
 /// Runs `op` and checks that it recorded exactly one `span` carrying `epoch`
