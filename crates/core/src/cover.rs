@@ -26,8 +26,9 @@
 //! setup), windows at least as large as the batch budget travel alone. Batches are
 //! *cluster-pure* (flushed at every cluster boundary) and stamped with the cluster's
 //! centre vertex, so the batch stream is a function of the cluster set alone — not of
-//! shard boundaries or dense cluster numbering — which is what lets the dynamic index
-//! rebuild single clusters and splice the results in bit-identically. Consumers
+//! shard boundaries or dense cluster numbering — which is what lets the index store a
+//! round as one centre per vertex and emit any one cluster's batches from it, equal to
+//! the cover pass's. Consumers
 //! ([`crate::isomorphism`], [`crate::listing`], [`crate::connectivity`]) process
 //! batches as they appear and stop all shards through a shared flag as soon as a
 //! witness is found, instead of materialising the full `O(nd)`-vertex piece list
@@ -247,7 +248,7 @@ pub(crate) fn cover_beta(k: usize) -> f64 {
 }
 
 /// The clustering every cover round starts from.
-fn cover_clustering(graph: &CsrGraph, k: usize, seed: u64) -> Clustering {
+pub(crate) fn cover_clustering(graph: &CsrGraph, k: usize, seed: u64) -> Clustering {
     cluster_parallel(graph, cover_beta(k), seed)
 }
 
@@ -274,11 +275,14 @@ fn shard_ranges(clustering: &Clustering) -> Vec<(u32, u32)> {
 /// One cluster as the streaming emitter sees it: the BFS root, a membership oracle,
 /// and a dense scratch-slot mapping for the cluster's vertices.
 ///
-/// The full build implements this over a [`Clustering`]'s flat member layout
-/// ([`StaticClusterView`]); the dynamic index implements it over the
-/// [`psi_cluster::DynamicClustering`] centre oracle with vertex ids as slots. Both
-/// feed the same `emit_cluster_batches` — the single code path that guarantees an
-/// incremental per-cluster rebuild is bit-identical to the from-scratch build.
+/// A cover pass and the index's label pass implement this over a
+/// [`Clustering`]'s flat member layout ([`StaticClusterView`]); the dynamic
+/// index's flush implements it over the [`psi_cluster::DynamicClustering`]
+/// centre oracle, and the index's batch readers over a round's window labels
+/// ([`LabelView`]), both with vertex ids as slots. All of them BFS a cluster
+/// through the one `ClusterScratch::bfs_cluster`, so a relabelled cluster's
+/// labels equal a fresh build's and a cluster emitted from labels equals the
+/// cover pass's.
 pub(crate) trait ClusterView {
     /// The cluster's centre vertex (BFS root and canonical window stamp).
     fn center(&self) -> Vertex;
@@ -313,9 +317,55 @@ impl ClusterView for StaticClusterView<'_> {
     }
 }
 
+/// The cluster of centre `centre` as a round's window labels give it: the
+/// vertices labelled with that centre, slotted by vertex id.
+pub(crate) struct LabelView<'a> {
+    pub(crate) labels: &'a [WindowLabel],
+    pub(crate) centre: Vertex,
+}
+
+impl ClusterView for LabelView<'_> {
+    #[inline]
+    fn center(&self) -> Vertex {
+        self.centre
+    }
+
+    #[inline]
+    fn contains(&self, v: Vertex) -> bool {
+        self.labels[v as usize].centre == self.centre
+    }
+
+    #[inline]
+    fn slot(&self, v: Vertex) -> usize {
+        v as usize
+    }
+}
+
+/// Where one vertex sits in its round's windows: its cluster `centre` and the
+/// `first` and `last` start level of the windows `[s, s + d]` that hold it.
+/// The labelling rule ([`ClusterScratch::label_cluster`]) derives it from the
+/// vertex's BFS level in its cluster; a vertex no cluster reaches reads
+/// [`WindowLabel::NONE`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct WindowLabel {
+    pub(crate) centre: Vertex,
+    pub(crate) first: u32,
+    pub(crate) last: u32,
+}
+
+impl WindowLabel {
+    /// No window: `first > last`, so no occurrence through the vertex lies in
+    /// a window.
+    pub(crate) const NONE: WindowLabel = WindowLabel {
+        centre: INVALID_VERTEX,
+        first: u32::MAX,
+        last: 0,
+    };
+}
+
 /// Reusable per-cluster scratch: every array is sized by the slot space (the shard's
-/// member count for the static build, `n` for the dynamic rebuild) and logically
-/// cleared per cluster/window by an epoch bump.
+/// member count for a cover or label pass, `n` for the flush and the batch
+/// readers) and logically cleared per cluster/window by an epoch bump.
 pub(crate) struct ClusterScratch {
     /// BFS visited set, keyed by [`ClusterView::slot`] (levels are delimited by
     /// `level_starts`, so no per-vertex distance needs storing).
@@ -373,6 +423,34 @@ impl ClusterScratch {
             }
             self.order[hi..].sort_unstable();
             self.level_starts.push(self.order.len() as u32);
+        }
+    }
+
+    /// BFS the cluster and label its members by the labelling rule: a member at
+    /// level `l` of a cluster whose deepest level is `L` lies in the windows
+    /// `[s, s + d]` with `max(0, l − d) ≤ s ≤ min(l, max(0, L − d))`, since
+    /// the windows start at `0 ..= max(0, L − d)` and later ones would be
+    /// subsets of the last (Figure 3). The windows are those
+    /// `emit_cluster_batches` cuts with `min_vertices = 1`.
+    pub(crate) fn label_cluster<G: NeighborSource + ?Sized, V: ClusterView>(
+        &mut self,
+        graph: &G,
+        view: &V,
+        d: usize,
+        mut put: impl FnMut(Vertex, WindowLabel),
+    ) {
+        self.bfs_cluster(graph, view);
+        let (d, last_start) = (d as u32, self.max_level().saturating_sub(d) as u32);
+        for (level, range) in self.level_starts.windows(2).enumerate() {
+            let level = level as u32;
+            let label = WindowLabel {
+                centre: view.center(),
+                first: level.saturating_sub(d),
+                last: level.min(last_start),
+            };
+            for &v in &self.order[range[0] as usize..range[1] as usize] {
+                put(v, label);
+            }
         }
     }
 
@@ -467,11 +545,11 @@ impl BatchBuilder {
 ///
 /// Batches are therefore *cluster-pure* — no batch ever spans two clusters — so a
 /// round's batch stream is the concatenation of independent per-cluster streams in
-/// ascending centre-vertex order, regardless of how clusters were sharded. The full
-/// build ([`run_shard`]) and the dynamic index's per-cluster rebuild both funnel
+/// ascending centre-vertex order, regardless of how clusters were sharded. A cover
+/// pass ([`run_shard`]), the index scan's fallback and `PsiIndex::rounds` all funnel
 /// through this one function; together with the centre-vertex window stamps (dense
-/// cluster ids renumber globally when the centre set changes) this makes an
-/// incrementally maintained round bit-identical to a from-scratch rebuild *by
+/// cluster ids renumber globally when the centre set changes) this makes a cluster
+/// emitted from a round's labels bit-identical to the cover pass's *by
 /// construction*.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn emit_cluster_batches<T, G: NeighborSource + ?Sized, V: ClusterView>(
@@ -664,6 +742,53 @@ where
     span.field("batches", stats.batches as u64);
     crate::obs::record_cover_pass(&stats);
     (per_shard.into_iter().flatten().collect(), stats)
+}
+
+/// The window labels of one round's clustering, indexed by vertex: every
+/// cluster BFSed from its centre and labelled by the labelling rule
+/// (`ClusterScratch::label_cluster`), the clusters grouped into the cover's
+/// shards, which run in parallel under the same `cover.build` and
+/// `cover.shard` spans as a cover pass. A vertex without a centre, or one the
+/// BFS from its centre does not reach, reads [`WindowLabel::NONE`]. The pass
+/// cuts no window, so it records no cover pass.
+pub(crate) fn cluster_labels(
+    graph: &CsrGraph,
+    clustering: &Clustering,
+    d: usize,
+) -> Vec<WindowLabel> {
+    let shards = shard_ranges(clustering);
+    let _span = psi_obs::span!(
+        "cover.build",
+        n = graph.num_vertices(),
+        clusters = clustering.num_clusters(),
+        shards = shards.len(),
+    );
+    // Per shard, the labels of its members in member order.
+    let per_shard: Vec<Vec<WindowLabel>> = shards
+        .par_iter()
+        .map(|&(lo, hi)| {
+            let _span = psi_obs::span!("cover.shard", clusters = hi - lo);
+            let base = clustering.member_start(lo);
+            let slots = clustering.member_start(hi) - base;
+            let mut scratch = ClusterScratch::new(slots);
+            let mut labels = vec![WindowLabel::NONE; slots];
+            for cid in lo..hi {
+                let view = StaticClusterView {
+                    clustering,
+                    base,
+                    cid,
+                };
+                scratch.label_cluster(graph, &view, d, |v, label| labels[view.slot(v)] = label);
+            }
+            labels
+        })
+        .collect();
+    let mut labels = vec![WindowLabel::NONE; graph.num_vertices()];
+    let members = clustering.members_flat().iter();
+    for (&v, &label) in members.zip(per_shard.iter().flatten()) {
+        labels[v as usize] = label;
+    }
+    labels
 }
 
 /// One piece of the S-separating cover: a **minor** of the target graph in which some

@@ -1,11 +1,11 @@
 //! Dynamic index mutation: incremental cover maintenance under edge flips.
 //!
 //! [`DynamicPsiIndex`] is the mutable counterpart of the immutable
-//! [`PsiIndex`] artifact. It keeps, per stored round, the round's batches
-//! grouped by cluster centre (the artifact's own [`StoredRound`] layout) plus
-//! the live [`DynamicClustering`] state of the exponential-start-time
-//! clustering, which the first accepted mutation builds: a thawed engine that
-//! is only read never clusters. An edge flip then costs only
+//! [`PsiIndex`] artifact. It keeps, per stored round, the round's window
+//! labels (the artifact's own layout, one label per vertex) plus the live
+//! [`DynamicClustering`] state of the exponential-start-time clustering, which
+//! the first accepted mutation builds: a thawed engine that is only read never
+//! clusters. An edge flip then costs only
 //!
 //! 1. an embedding repair — a face split/merge for the four local cases
 //!    (chord inside a face, cross-component join, bridge deletion, ordinary
@@ -20,38 +20,34 @@
 //! 2. a per-round clustering repair (lazy Dijkstra over the provably affected
 //!    vertices only — see [`psi_cluster::incremental`]),
 //! 3. *marking dirty* exactly the clusters whose membership or induced subgraph
-//!    changed. Their batches are rebuilt lazily — by the next query, freeze, or
-//!    explicit [`DynamicPsiIndex::flush`] — through `emit_cluster_batches`,
-//!    the same single code path the from-scratch build uses; as in the build,
-//!    no batch is decomposed until a DP runs on it. Deferral is what makes
-//!    mutations cheap at scale: the flip itself is a local repair, and a
-//!    cluster hit by many flips between two queries is rebuilt once, not once
-//!    per flip.
+//!    changed. Their members are relabelled lazily — by the next query,
+//!    freeze, or explicit [`DynamicPsiIndex::flush`] — by a BFS inside each
+//!    cluster from its centre, the labelling rule the build's label pass
+//!    applies; no batch is emitted. Deferral is what makes mutations cheap at
+//!    scale: the flip itself is a local repair, and a cluster hit by many
+//!    flips between two queries is relabelled once, not once per flip.
 //!
-//! Because batches are cluster-pure, window stamps carry the centre *vertex*
-//! (not a dense renumbered id), and each round's canonical stream is the
-//! concatenation of per-cluster streams in ascending centre order, splicing the
-//! rebuilt clusters into the round's [`StoredRound`] reproduces the from-scratch
-//! byte stream exactly: [`DynamicPsiIndex::freeze`] is **bit-for-bit identical**
-//! to [`PsiIndex::build`] on the mutated graph — the invariant the determinism
+//! A label depends only on the vertex's cluster and that cluster's induced
+//! subgraph, and the clustering repair reports the old and the new centre of
+//! every vertex it reassigns, so relabelling the dirty clusters that still
+//! exist leaves every label a fresh build derives:
+//! [`DynamicPsiIndex::freeze`] is **bit-for-bit identical** to
+//! [`PsiIndex::build`] on the mutated graph — the invariant the determinism
 //! suite pins under `PSI_THREADS = {1, 4}`.
 //!
 //! The engine's readable state is an `EpochState` value — the one read path
 //! frozen, live and pinned queries share (see [`crate::snapshot`]). Queries
 //! ([`DynamicPsiIndex::decide`], [`DynamicPsiIndex::find_one`], the batch
 //! variants, and the connectivity front ends) flush the dirty backlog, which
-//! also patches the rebuilt clusters' window labels, and then read that state
+//! relabels the dirty clusters, and then read that state
 //! in place: a pattern scan runs from every root in vertex order on the
 //! adjacency lists, whose rows hold what the frozen artifact's CSR rows hold,
 //! so verdicts *and witnesses* match a frozen [`PsiSnapshot`] of the same graph
 //! for every thread count.
 
 use crate::connectivity::{ConnectivityMode, ConnectivityResult};
-use crate::cover::{
-    cover_beta, emit_cluster_batches, round_seed, BatchBuilder, ClusterScratch, ClusterView,
-    PassCounters,
-};
-use crate::index::{IndexParams, PsiIndex, QueryError, StoredRound};
+use crate::cover::{cover_beta, round_seed, ClusterScratch, ClusterView};
+use crate::index::{IndexParams, PsiIndex, QueryError};
 use crate::pattern::Pattern;
 use crate::snapshot::{EpochSource, EpochState, PsiSnapshot};
 use psi_cluster::DynamicClustering;
@@ -143,13 +139,13 @@ impl std::error::Error for MutationError {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct UpdateStats {
     /// Clusters whose membership or induced subgraph this mutation changed,
-    /// summed over rounds (includes clusters that ceased to exist). Their
-    /// batches are marked dirty, not rebuilt inline.
+    /// summed over rounds (includes clusters that ceased to exist). They are
+    /// marked dirty, not relabelled inline.
     pub affected_clusters: usize,
-    /// Dirty clusters awaiting rebuild after this mutation, summed over rounds
-    /// — the backlog the next query, freeze, or [`DynamicPsiIndex::flush`]
-    /// pays for. Smaller than the running sum of `affected_clusters` when
-    /// flips revisit the same clusters.
+    /// Dirty clusters awaiting relabelling after this mutation, summed over
+    /// rounds — the backlog the next query, freeze, or
+    /// [`DynamicPsiIndex::flush`] pays for. Smaller than the running sum of
+    /// `affected_clusters` when flips revisit the same clusters.
     pub dirty_clusters: usize,
     /// Whether the embedding had to be rebuilt from scratch: an insertion
     /// outside every face that the local insertion test left undecided (a
@@ -401,8 +397,8 @@ pub struct DynamicPsiIndex {
     /// The readable state: params, epoch, and the stored rounds, `Arc`-shared
     /// with any outstanding [`PsiSnapshot`]s and frozen indexes, plus the
     /// target/faces/face–vertex cells every accepted mutation empties. A flush
-    /// never mutates a round another holder still reads: it edits the round
-    /// copy-on-write (cheap — its cluster groups are `Arc`s).
+    /// never mutates a round another holder still reads: it relabels a copy
+    /// of the round (one label array).
     state: EpochState,
     /// The current epoch's publication, shared by every snapshot of it; dropped
     /// by the next accepted mutation.
@@ -412,8 +408,8 @@ pub struct DynamicPsiIndex {
     /// One live clustering per stored round, same `(β, seed)` as at build
     /// time; empty until the first accepted mutation builds them.
     clusterings: Vec<DynamicClustering>,
-    /// Per round: centres whose batches are stale and must be re-emitted before
-    /// the next batch scan (ordered so the flush is deterministic).
+    /// Per round: centres whose members' labels are stale and must be
+    /// recomputed before the next scan (ordered so the flush is deterministic).
     dirty: Vec<BTreeSet<Vertex>>,
 }
 
@@ -532,8 +528,8 @@ impl DynamicPsiIndex {
 
     /// Inserts edge `{u, v}`, maintaining planarity (rejecting with a verified
     /// Kuratowski witness when the edge would break it), the embedding, and
-    /// every round's clustering; the affected clusters' batches are marked
-    /// dirty and rebuilt by the next query/freeze/[`DynamicPsiIndex::flush`].
+    /// every round's clustering; the affected clusters are marked dirty and
+    /// relabelled by the next query/freeze/[`DynamicPsiIndex::flush`].
     ///
     /// A face chord splits its face. Otherwise the local insertion test
     /// ([`check_insertion_locally`], traced as a `planarity.local` span) grows
@@ -632,8 +628,8 @@ impl DynamicPsiIndex {
     }
 
     /// Deletes edge `{u, v}`, maintaining the embedding (face merge, or face
-    /// split for a bridge) and every round's clustering; the affected clusters'
-    /// batches are marked dirty and rebuilt lazily, as for
+    /// split for a bridge) and every round's clustering; the affected clusters
+    /// are marked dirty and relabelled lazily, as for
     /// [`DynamicPsiIndex::insert_edge`]. Deletion can never break planarity, so
     /// it always succeeds once the edge exists.
     pub fn delete_edge(&mut self, u: Vertex, v: Vertex) -> Result<UpdateStats, MutationError> {
@@ -682,15 +678,15 @@ impl DynamicPsiIndex {
         Ok(stats)
     }
 
-    /// Rebuilds the batches of every cluster dirtied since the last flush and
-    /// returns the number of batches re-emitted. Queries, [`Self::freeze`], and
-    /// the batch front ends flush implicitly; call this directly to pay the
-    /// rebuild at a moment of your choosing (e.g. off the serving path). A
-    /// cluster dirtied by many flips is rebuilt once, from the *current*
-    /// clustering state — batches are a pure function of membership, so the
-    /// result is identical to eager per-flip rebuilds. The flush keeps nothing
-    /// between calls: its cluster scratch and batch builder live for one flush,
-    /// and it drops each group it replaces. It decomposes no batch.
+    /// Relabels the members of every cluster dirtied since the last flush
+    /// that still exists, and returns the number of clusters relabelled.
+    /// Queries, [`Self::freeze`], and the batch front ends flush implicitly;
+    /// call this directly to pay the relabelling at a moment of your choosing
+    /// (e.g. off the serving path). A cluster dirtied by many flips is
+    /// relabelled once, from the *current* clustering state — labels are a
+    /// pure function of membership, so the result is identical to eager
+    /// per-flip relabelling. The flush keeps nothing between calls: its
+    /// cluster scratch lives for one flush. It emits no batch.
     pub fn flush(&mut self) -> usize {
         // Clean engines flush implicitly before every query; skip all
         // bookkeeping (spans, histogram samples, scratch) so those no-ops stay
@@ -703,20 +699,21 @@ impl DynamicPsiIndex {
         let metrics = crate::obs::metrics();
         let start = std::time::Instant::now();
         let mut scratch = ClusterScratch::new(self.graph.num_vertices());
-        let mut batch = BatchBuilder::new(self.state.params.batch_budget as usize);
-        let mut rebuilt = 0usize;
+        let mut relabelled = 0usize;
         for r in 0..self.dirty.len() {
             if self.dirty[r].is_empty() {
                 continue;
             }
-            let affected: Vec<Vertex> = std::mem::take(&mut self.dirty[r]).into_iter().collect();
-            rebuilt += self.rebuild_clusters(r, &affected, &mut scratch, &mut batch);
+            let affected = std::mem::take(&mut self.dirty[r]);
+            relabelled += self.rebuild_clusters(r, &affected, &mut scratch);
         }
-        span.field("batches_rebuilt", rebuilt as u64);
+        span.field("clusters_relabelled", relabelled as u64);
         metrics.flushes_total.add(1);
-        metrics.flush_batches_rebuilt_total.add(rebuilt as u64);
+        metrics
+            .flush_clusters_relabelled_total
+            .add(relabelled as u64);
         metrics.flush_ns.record_duration(start.elapsed());
-        rebuilt
+        relabelled
     }
 
     /// The local insertion test of `{u, v}` ([`check_insertion_locally`]) on the
@@ -732,55 +729,34 @@ impl DynamicPsiIndex {
         local.verdict
     }
 
-    /// Re-emits the batches of every centre in `affected` (sorted, deduplicated)
-    /// for round `r`, through the same `emit_cluster_batches` path as the
-    /// from-scratch build, and returns the batches re-emitted. Centres that are
-    /// no longer centres are just removed. Removing a group clears the window
-    /// labels it set and putting the rebuilt one in sets its members' labels,
-    /// so the round's labels stay those a fresh build derives from its windows.
+    /// Relabels, for round `r`, the members of every centre in `affected`
+    /// that is still a centre, by a BFS inside its cluster through
+    /// [`ClusterScratch::label_cluster`] — the labelling rule of the build's
+    /// label pass — and returns the clusters relabelled. A dissolved cluster
+    /// needs nothing: the clustering repair reports the new centre of each of
+    /// its former members too, so they are relabelled under it.
     ///
-    /// The rebuild is copy-on-write: a round that a snapshot or frozen index
-    /// still holds is cloned first (`O(clusters)` `Arc` bumps and one copy of
-    /// its labels), so those holders keep scanning the retired round, which is
-    /// freed when the last one drops.
+    /// The relabelling is copy-on-write: a round that a snapshot or frozen
+    /// index still holds is copied first (one copy of its labels), so those
+    /// holders keep scanning the retired round, which is freed when the last
+    /// one drops.
     fn rebuild_clusters(
         &mut self,
         r: usize,
-        affected: &[Vertex],
+        affected: &BTreeSet<Vertex>,
         scratch: &mut ClusterScratch,
-        batch: &mut BatchBuilder,
     ) -> usize {
         let d = self.state.params.d as usize;
-        let mut rebuilt = 0usize;
-        let round: &mut StoredRound = Arc::make_mut(&mut self.state.rounds[r]);
-        for &c in affected {
-            round.remove_group(c);
-            if !self.clusterings[r].is_center(c) {
-                continue; // the cluster dissolved; nothing to re-emit
-            }
-            let view = DynClusterView {
-                clustering: &self.clusterings[r],
-                center: c,
-            };
-            let mut batches = Vec::new();
-            let _: Option<()> = emit_cluster_batches(
-                &self.graph,
-                &view,
-                d,
-                1, // min_vertices: mirror the build (serve k' < k patterns too)
-                scratch,
-                batch,
-                &PassCounters::default(), // nothing reads a flush's pass counts
-                &mut |b| {
-                    batches.push(b);
-                    None
-                },
-            );
-            rebuilt += batches.len();
-            round.put_group(c, batches);
+        let clustering = &self.clusterings[r];
+        let labels = &mut Arc::make_mut(&mut self.state.rounds[r]).labels;
+        let mut relabelled = 0usize;
+        for &center in affected.iter().filter(|&&c| clustering.is_center(c)) {
+            let view = DynClusterView { clustering, center };
+            scratch.label_cluster(&self.graph, &view, d, |v, label| labels[v as usize] = label);
+            relabelled += 1;
         }
-        psi_obs::event!("flush.publish", round = r, rebuilt = rebuilt);
-        rebuilt
+        psi_obs::event!("flush.publish", round = r, clusters_relabelled = relabelled);
+        relabelled
     }
 
     fn invalidate_caches(&mut self) {
@@ -817,7 +793,7 @@ impl DynamicPsiIndex {
     ///
     /// Cost: one implicit [`DynamicPsiIndex::flush`] of the dirty backlog, then
     /// `O(rounds)` `Arc` bumps plus the epoch's target CSR and facial walks
-    /// (derived once per epoch, shared with the live reads) — no batch copies.
+    /// (derived once per epoch, shared with the live reads) — no label copies.
     /// Snapshots of an unchanged engine share one publication (and one epoch
     /// number).
     pub fn snapshot(&mut self) -> PsiSnapshot {
@@ -841,9 +817,9 @@ impl DynamicPsiIndex {
     // --- queries ----------------------------------------------------------
     //
     // Each query flushes the dirty backlog (pattern scans read the rounds'
-    // window labels and, past the node budget, their batches), then reads the
-    // engine's `EpochState` in place — the same implementation frozen and
-    // pinned snapshots run (see `crate::snapshot`).
+    // window labels and, past the node budget, emit batches from them), then
+    // reads the engine's `EpochState` in place — the same implementation
+    // frozen and pinned snapshots run (see `crate::snapshot`).
 
     /// Decides whether `pattern` occurs in the live target (flushing dirty
     /// clusters first); same contract as [`PsiSnapshot::decide`].
@@ -927,7 +903,6 @@ fn merge_center(affected: &mut Vec<Vertex>, c: Vertex) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cover::CoverBatch;
     use psi_planar::generators as pg;
 
     fn params() -> IndexParams {
@@ -1106,13 +1081,11 @@ mod tests {
         dynamic.insert_edge(0, 7).unwrap();
         assert_eq!(dynamic.clusterings.len(), params().rounds as usize);
         assert!(dynamic.flush() > 0);
-        // Freeze hands the engine's cluster groups to the index: no batch copy.
-        let frozen = dynamic.freeze();
-        for (live, stored) in dynamic.state.rounds.iter().zip(frozen.rounds()) {
-            assert_eq!(live.groups.len(), stored.groups.len());
-            for (a, b) in live.groups.values().zip(stored.groups.values()) {
-                assert!(Arc::ptr_eq(a, b), "freeze copied a cluster's batches");
-            }
+        // Freeze hands the engine's rounds to the index: no label copy.
+        let (_, _, _, frozen) = dynamic.freeze().into_parts();
+        assert_eq!(frozen.len(), dynamic.state.rounds.len());
+        for (live, stored) in dynamic.state.rounds.iter().zip(&frozen) {
+            assert!(Arc::ptr_eq(live, stored), "freeze copied a round");
         }
         assert_matches_scratch(&mut dynamic);
     }
@@ -1157,37 +1130,47 @@ mod tests {
 
     #[test]
     fn rebuilt_clusters_reuse_their_own_decompositions_and_free_the_rest() {
-        // On a 48×48 grid a cluster spans several batches, so a diagonal
-        // leaves some of a dirty cluster's batches as they were. No batch
-        // stores a decomposition, so the flush reuses none; it keeps none of
-        // the groups it replaces either.
+        // The flush relabels only the dirty clusters: every vertex outside
+        // them keeps its label, a round with no dirty cluster is not copied,
+        // and the copy a snapshot kept of a relabelled round is freed when the
+        // snapshot drops. Diagonals are inserted one at a time under a held
+        // snapshot until one leaves some round with no dirty cluster.
         let e = pg::grid_embedded(48, 48);
         let mut dynamic = DynamicPsiIndex::build(&e, params());
-        let held: Vec<Vec<(Vertex, Arc<Vec<CoverBatch>>)>> = dynamic
-            .state
-            .rounds
-            .iter()
-            .map(|round| round.groups.iter().map(|(&c, g)| (c, g.clone())).collect())
-            .collect();
-        for &(u, v) in diagonals(48).iter().step_by(37) {
+        let mut clean_round = false;
+        for (u, v) in diagonals(48) {
+            let snapshot = dynamic.snapshot();
+            let held = dynamic.state.rounds.clone();
             dynamic.insert_edge(u, v).expect("cell diagonal rejected");
-        }
-        assert!(dynamic.flush() > 0);
-        let mut replaced = 0;
-        for (round, groups) in dynamic.state.rounds.iter().zip(&held) {
-            for (c, old) in groups {
-                if round.groups.get(c).is_some_and(|now| Arc::ptr_eq(now, old)) {
+            let dirty = dynamic.dirty.clone();
+            assert!(dynamic.flush() > 0);
+            for (r, (now, old)) in dynamic.state.rounds.iter().zip(&held).enumerate() {
+                if dirty[r].is_empty() {
+                    assert!(Arc::ptr_eq(now, old), "round {r} has no dirty cluster");
+                    clean_round = true;
                     continue;
                 }
-                replaced += 1;
-                assert_eq!(
-                    Arc::strong_count(old),
-                    1,
-                    "a replaced group outlived the flush"
+                assert!(!Arc::ptr_eq(now, old), "a held round was relabelled");
+                for (a, b) in old.labels.iter().zip(&now.labels) {
+                    if !dirty[r].contains(&a.centre) {
+                        assert_eq!(a, b, "a vertex outside the dirty clusters moved");
+                    }
+                }
+            }
+            let retired: Vec<_> = held.iter().map(Arc::downgrade).collect();
+            drop((held, snapshot));
+            for (r, old) in retired.iter().enumerate() {
+                let copied = !dirty[r].is_empty();
+                assert!(
+                    !copied || old.upgrade().is_none(),
+                    "round {r} outlived its snapshot"
                 );
             }
+            if clean_round {
+                break;
+            }
         }
-        assert!(replaced > 0);
+        assert!(clean_round, "every diagonal dirtied every round");
         assert_matches_scratch(&mut dynamic);
     }
 

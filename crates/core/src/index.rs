@@ -9,15 +9,19 @@
 //! once what queries consume:
 //!
 //! * the target graph and the facial walks of its planar embedding,
-//! * `rounds` independent k-d covers (Section 2.1), each a [`StoredRound`]: the
-//!   streamed [`CoverBatch`]es grouped by cluster centre — the layout every
-//!   served, thawed and frozen epoch shares — plus per-vertex *window labels*,
-//!   derived from those windows on build and load and never serialised: the
-//!   vertex's cluster centre and the first and last start of the windows that
-//!   hold it.
+//! * `rounds` independent k-d covers (Section 2.1), each a `StoredRound`
+//!   holding one *window label* per target vertex: the vertex's cluster centre
+//!   and the first and last start of the windows that hold it.
 //!
-//! No decomposition is stored: as on the classic path, a batch is decomposed
-//! ([`CoverBatch::decomposition`]) only when its DP runs.
+//! A window is fixed by two labels of its members, the cluster centre and the
+//! BFS level inside the cluster, so the labels are the whole round: the
+//! artifact stores one centre per vertex per round, and the build, the load and
+//! the dynamic index's flush derive the labels by one rule, a BFS inside each
+//! cluster from its centre. No batch is stored. A round's batches, its windows
+//! packed exactly as the round's cover pass packs them, are emitted from the
+//! labels only where something reads them: the scan's fallback for a root out
+//! of budget, and [`PsiIndex::rounds`]. As on the classic path, a batch is
+//! decomposed ([`CoverBatch::decomposition`]) only when its DP runs.
 //!
 //! A frozen index is served as an epoch-0 [`crate::snapshot::PsiSnapshot`]
 //! (`PsiSnapshot::from(index)`), which answers pattern and connectivity queries
@@ -25,11 +29,12 @@
 //! concurrently on the work-stealing pool. A pattern query scans the target
 //! once: an exhaustive backtracking search from each target vertex in turn,
 //! under [`FAST_PATH_NODE_BUDGET`] nodes per root, that accepts an occurrence
-//! only when the labels put it inside one stored window. A root whose search
-//! runs out of budget (a hub) sends the stored batches holding its windows
-//! straight to the batch DP, on a decomposition derived then. Connectivity
-//! queries derive the face–vertex graph of Section 5.1 from the stored faces
-//! once per served epoch.
+//! only when the labels put it inside one window of a round. A root whose
+//! search runs out of budget (a hub) emits its cluster's batches from each
+//! round's labels and sends those holding its windows straight to the batch
+//! DP, on a decomposition derived then. Connectivity queries derive the
+//! face–vertex graph of Section 5.1 from the stored faces once per served
+//! epoch.
 //!
 //! ## Which queries an index can serve
 //!
@@ -39,12 +44,12 @@
 //! * the clustering uses `β = 2k` (Observation 1), so a pattern with `k' ≤ k`
 //!   vertices crosses a cluster boundary with probability at most
 //!   `(k' − 1)/(2k) ≤ 1/2`;
-//! * stored windows span `d + 1` BFS levels `[i, i + d]` for every start
+//! * a round's windows span `d + 1` BFS levels `[i, i + d]` for every start
 //!   `i ∈ [0, max_level − d]` (clipped at the top). An occurrence of diameter
 //!   `d' ≤ d` inside one cluster spans levels `[l, l + d']`; if
 //!   `l ≤ max_level − d` the window starting at `l` contains it, otherwise the last
-//!   window `[max_level − d, max_level]` does. Either way some stored window
-//!   contains the occurrence whenever the clustering retained it.
+//!   window `[max_level − d, max_level]` does. Either way some window of the
+//!   round contains the occurrence whenever the clustering retained it.
 //!
 //! A window `[s, s + d]` of a cluster holds a member exactly when `s` lies
 //! between the member's first and last window start, so a round keeps an
@@ -66,21 +71,27 @@
 //! [`PsiIndex::save`] writes a [`psi_graph::io::SectionedFile`] (through a
 //! [`SectionWriter`], which encodes every payload into the one output buffer):
 //! magic, schema version ([`INDEX_SCHEMA_VERSION`]), and a checksummed section
-//! table over flat little-endian payloads (the same CSR/flat arrays held in
-//! memory — loading is validation + wrapping, not re-derivation, except for the
-//! window labels, one pass over the stored windows). Serialising sizes the
-//! output once, from the array lengths. Malformed files fail with section-labelled
-//! [`IndexLoadError`]s, never panics.
+//! table over flat little-endian payloads — meta, the target CSR, the faces
+//! and, per round, one centre per vertex. Loading is validation + wrapping,
+//! not re-derivation, except for the window labels: the load runs the build's
+//! label pass over the stored centres, whose BFS also checks that every
+//! cluster is connected. Serialising sizes the output once, from the array
+//! lengths. Malformed files fail with section-labelled [`IndexLoadError`]s,
+//! never panics.
 
-use crate::cover::{map_cover_batches, round_seed, CoverBatch, DEFAULT_BATCH_BUDGET, DEFAULT_SEED};
+use crate::cover::{
+    cluster_labels, cover_clustering, emit_cluster_batches, round_seed, BatchBuilder,
+    ClusterScratch, CoverBatch, LabelView, PassCounters, WindowLabel, DEFAULT_BATCH_BUDGET,
+    DEFAULT_SEED,
+};
 use crate::pattern::Pattern;
+use psi_cluster::Clustering;
 use psi_graph::io::{
     decode_csr, encode_csr, encoded_csr_len, push_u32, push_u32_slice, push_u64, SectionReadError,
     SectionWriter, SectionedFile, SliceReader,
 };
 use psi_graph::{CsrGraph, NeighborSource, Vertex, INVALID_VERTEX};
 use psi_planar::{validate_walks, Embedding};
-use std::collections::BTreeMap;
 use std::fmt;
 use std::path::Path;
 use std::sync::Arc;
@@ -108,7 +119,12 @@ use std::sync::Arc;
 ///   batch is decomposed only when its DP runs. v2–v4 artifacts still load;
 ///   each batch's decomposition is skipped after bounds checks, its tree
 ///   unread.
-pub const INDEX_SCHEMA_VERSION: u32 = 5;
+/// * **6** — the batches are dropped: a round section holds the vertex count
+///   and one `u32` cluster centre per vertex, `8 + 4n` bytes, from which the
+///   load derives the window labels and anything that reads batches emits
+///   them. v2–v5 artifacts still load: each vertex's centre is read off the
+///   stored windows.
+pub const INDEX_SCHEMA_VERSION: u32 = 6;
 
 /// Oldest artifact version [`PsiIndex::from_bytes`] still accepts.
 pub const MIN_INDEX_SCHEMA_VERSION: u32 = 2;
@@ -126,14 +142,15 @@ pub struct IndexParams {
     /// Number of independent stored cover rounds; a "no" answer is wrong with
     /// probability at most `2^−rounds` per fixed occurrence.
     pub rounds: u32,
-    /// Batch budget for packing small windows (see [`crate::cover::batch_budget_for`]).
-    /// Kept while the index stores batches: perfbench's serve replay reads it
-    /// until its next change (ROADMAP benchmark follow-up 5), and an index that
-    /// stores labels in place of batches drops it.
+    /// Batch budget for packing a cluster's small windows into one batch (see
+    /// [`crate::cover::batch_budget_for`]). No batch is stored: the budget
+    /// decides how the scan's fallback and [`PsiIndex::rounds`] pack the
+    /// windows they emit from a round's labels, so both emit the batches of
+    /// the round's cover pass under this budget.
     pub batch_budget: u32,
     /// Base seed; round `r` derives its clustering seed exactly like round `r` of
     /// the classic query path, so with equal base seeds the index's round `r`
-    /// stores every window of at least `k` vertices that round `r` of a classic
+    /// holds every window of at least `k` vertices that round `r` of a classic
     /// `k`-vertex query draws.
     pub seed: u64,
 }
@@ -150,8 +167,8 @@ impl Default for IndexParams {
     }
 }
 
-/// Placeholder, always empty: no stored batch carries a decomposition. A batch
-/// is decomposed only when its DP runs ([`CoverBatch::decomposition`]), so
+/// Placeholder, always empty: no batch carries a decomposition. A batch is
+/// decomposed only when its DP runs ([`CoverBatch::decomposition`]), so
 /// nothing stores, encodes or reuses one. perfbench's serve replay reads these
 /// three arrays until its next change (ROADMAP benchmark follow-up 5), which
 /// deletes the type.
@@ -165,10 +182,10 @@ pub struct FlatDecomposition {
     pub children: Vec<u32>,
 }
 
-/// One stored batch as [`StoredRound::iter`] yields it. Placeholder: the
-/// batch and an empty [`FlatDecomposition`], the shape perfbench reads until
-/// its next change (ROADMAP benchmark follow-up 5); the engine and the tests
-/// read [`StoredRound::batches`].
+/// One batch as [`RoundBatches::iter`] yields it. Placeholder: the batch and
+/// an empty [`FlatDecomposition`], the shape perfbench reads until its next
+/// change (ROADMAP benchmark follow-up 5); the engine and the tests read
+/// [`RoundBatches::batches`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct IndexedBatch<'a> {
     /// The disjoint-union window batch exactly as the streaming pipeline emitted it.
@@ -177,115 +194,20 @@ pub struct IndexedBatch<'a> {
     pub decomp: FlatDecomposition,
 }
 
-/// Where one vertex sits in a round's stored windows: its cluster `centre` and
-/// the `first` and `last` start level of the windows that hold it. A vertex no
-/// window holds reads [`WindowLabel::NONE`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) struct WindowLabel {
-    centre: Vertex,
-    first: u32,
-    last: u32,
-}
-
-impl WindowLabel {
-    /// No window: `first > last`, so no occurrence through the vertex passes
-    /// [`StoredRound::holds`].
-    const NONE: WindowLabel = WindowLabel {
-        centre: INVALID_VERTEX,
-        first: u32::MAX,
-        last: 0,
-    };
-}
-
-/// One stored cover round: its batches grouped by cluster centre, in ascending
-/// centre order, and the window label of every target vertex. Batches are
-/// cluster-pure and the build emits clusters in ascending centre order, so
-/// [`StoredRound::batches`] replays the canonical batch stream the artifact
-/// stores. Every group is `Arc`-shared: served, thawed and frozen epochs hold
-/// the same groups, and the dynamic index's flush swaps in rebuilt groups
-/// copy-on-write, reusing every untouched cluster's batches. The labels are a
-/// pure function of the windows, which the flush keeps as it swaps groups.
+/// One stored cover round: the window label of every target vertex, nothing
+/// more. A cluster is the vertices labelled with one centre, and its window
+/// starting at level `s` the members whose first and last start enclose `s`,
+/// so the round's batches follow from the labels and the target (the scan's
+/// fallback and [`PsiIndex::rounds`] emit them). Served, thawed and frozen
+/// epochs share a round through an `Arc`; the dynamic index's flush relabels
+/// a copy of a round that another holder still reads.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct StoredRound {
-    pub(crate) groups: BTreeMap<Vertex, Arc<Vec<CoverBatch>>>,
-    labels: Vec<WindowLabel>,
+pub(crate) struct StoredRound {
+    pub(crate) labels: Vec<WindowLabel>,
 }
 
 impl StoredRound {
-    /// Groups a batch stream by the centre its first window carries — the one
-    /// place the grouping rule is written — and labels the `n` target vertices
-    /// from the windows. A stream that is not in canonical order comes out in
-    /// it. Clusters partition the target, so no vertex lies in windows of two
-    /// centres; a stream where one does is refused with that vertex.
-    pub(crate) fn new(batches: Vec<CoverBatch>, n: usize) -> Result<StoredRound, Vertex> {
-        let mut groups: BTreeMap<Vertex, Vec<CoverBatch>> = BTreeMap::new();
-        for batch in batches {
-            groups.entry(batch.windows[0].0).or_default().push(batch);
-        }
-        let mut round = StoredRound {
-            groups: BTreeMap::new(),
-            labels: vec![WindowLabel::NONE; n],
-        };
-        for (c, group) in groups {
-            if let Some(v) = round.label(&group) {
-                return Err(v);
-            }
-            round.groups.insert(c, Arc::new(group));
-        }
-        Ok(round)
-    }
-
-    /// Drops the group of centre `c` and clears the labels it set; a vertex
-    /// another group has labelled since keeps that label.
-    pub(crate) fn remove_group(&mut self, c: Vertex) {
-        let Some(group) = self.groups.remove(&c) else {
-            return;
-        };
-        for (_, _, members) in group.iter().flat_map(CoverBatch::windows_with_members) {
-            for &v in members {
-                let label = &mut self.labels[v as usize];
-                if label.centre == c {
-                    *label = WindowLabel::NONE;
-                }
-            }
-        }
-    }
-
-    /// Inserts `batches` as the group of centre `c` and labels their members.
-    /// A member may still carry the label of a cluster it left that the
-    /// caller has yet to remove; the label is replaced.
-    pub(crate) fn put_group(&mut self, c: Vertex, batches: Vec<CoverBatch>) {
-        self.label(&batches);
-        self.groups.insert(c, Arc::new(batches));
-    }
-
-    /// Labels the members of `batches`' windows: a member first met here takes
-    /// the window's centre, and each window start widens its first and last.
-    /// Returns a member that carried another centre's label, if any.
-    fn label(&mut self, batches: &[CoverBatch]) -> Option<Vertex> {
-        let mut relabelled = None;
-        for (centre, start, members) in batches.iter().flat_map(CoverBatch::windows_with_members) {
-            for &v in members {
-                let label = &mut self.labels[v as usize];
-                if label.centre == centre {
-                    label.first = label.first.min(start);
-                    label.last = label.last.max(start);
-                    continue;
-                }
-                if label.centre != INVALID_VERTEX {
-                    relabelled.get_or_insert(v);
-                }
-                *label = WindowLabel {
-                    centre,
-                    first: start,
-                    last: start,
-                };
-            }
-        }
-        relabelled
-    }
-
-    /// Whether one stored window of this round holds every vertex of `occ`.
+    /// Whether one window of this round holds every vertex of `occ`.
     #[inline]
     pub(crate) fn holds(&self, occ: &[Vertex]) -> bool {
         let WindowLabel {
@@ -303,35 +225,35 @@ impl StoredRound {
         }
         first <= last
     }
+}
 
-    /// The stored batches with a window that holds `v`, in stream order.
-    pub(crate) fn batches_holding(&self, v: Vertex) -> impl Iterator<Item = &CoverBatch> {
-        let label = self.labels[v as usize];
-        let starts = label.first..=label.last;
-        self.groups
-            .get(&label.centre)
-            .into_iter()
-            .flat_map(|g| g.iter())
-            .filter(move |b| b.windows.iter().any(|w| starts.contains(&w.1)))
-    }
+/// One round's batches as [`PsiIndex::rounds`] emits them from the round's
+/// labels: every cluster's windows packed under the index's batch budget,
+/// clusters in ascending centre order — the round's cover pass regrouped by
+/// cluster.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct RoundBatches {
+    batches: Vec<CoverBatch>,
+}
 
-    /// Number of stored batches.
+impl RoundBatches {
+    /// Number of batches.
     pub fn len(&self) -> usize {
-        self.groups.values().map(|g| g.len()).sum()
+        self.batches.len()
     }
 
-    /// Whether the round stores no batch.
+    /// Whether the round has no batch (the target is empty).
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.batches.is_empty()
     }
 
-    /// The stored batches in stream order: clusters in ascending centre order,
-    /// each cluster's batches in emission order.
+    /// The batches in order: clusters in ascending centre order, each
+    /// cluster's batches in emission order.
     pub fn batches(&self) -> impl Iterator<Item = &CoverBatch> {
-        self.groups.values().flat_map(|g| g.iter())
+        self.batches.iter()
     }
 
-    /// Placeholder: [`StoredRound::batches`], each paired with an empty
+    /// Placeholder: [`RoundBatches::batches`], each paired with an empty
     /// [`FlatDecomposition`] — what perfbench reads until its next change
     /// (ROADMAP benchmark follow-up 5).
     pub fn iter(&self) -> impl Iterator<Item = IndexedBatch<'_>> {
@@ -346,7 +268,7 @@ impl StoredRound {
 ///
 /// Every section is `Arc`-shared: cloning the index — or handing individual
 /// sections to an epoch snapshot ([`crate::snapshot::PsiSnapshot`]) — bumps
-/// reference counts instead of copying graphs or batches. `Arc<T>` compares by
+/// reference counts instead of copying graphs or labels. `Arc<T>` compares by
 /// contents, so the derived `PartialEq` (and with it the freeze bit-identity
 /// suite) is unaffected by the sectioning.
 #[derive(Clone, Debug, PartialEq)]
@@ -369,9 +291,9 @@ pub(crate) type IndexParts = (
 );
 
 impl PsiIndex {
-    /// Builds the index from a validated planar embedding: `rounds` cover
-    /// passes, paid once. No batch is decomposed; a batch's DP derives its
-    /// decomposition when it runs.
+    /// Builds the index from a validated planar embedding: per round, the
+    /// round's clustering and the label pass over it, paid once. No window is
+    /// cut and no batch is packed.
     pub fn build(embedding: &Embedding, params: IndexParams) -> PsiIndex {
         assert!(params.k >= 1, "index must serve at least k = 1");
         assert!(params.rounds >= 1, "index needs at least one stored round");
@@ -383,19 +305,12 @@ impl PsiIndex {
             rounds = params.rounds,
         );
         let build_start = std::time::Instant::now();
+        let (graph, k, d) = (&embedding.graph, params.k as usize, params.d as usize);
         let rounds = (0..params.rounds)
             .map(|r| {
-                let (batches, _stats) = map_cover_batches(
-                    &embedding.graph,
-                    params.k as usize,
-                    params.d as usize,
-                    round_seed(params.seed, r.into()),
-                    1, // min_vertices: store every window so k' < k patterns are served
-                    params.batch_budget as usize,
-                    |batch| batch,
-                );
-                let round = StoredRound::new(batches, embedding.graph.num_vertices());
-                Arc::new(round.expect("clusters partition the target"))
+                let clustering = cover_clustering(graph, k, round_seed(params.seed, r.into()));
+                let labels = cluster_labels(graph, &clustering, d);
+                Arc::new(StoredRound { labels })
             })
             .collect();
         let target = Arc::new(embedding.graph.clone());
@@ -454,11 +369,39 @@ impl PsiIndex {
         &self.target
     }
 
-    /// Stored cover rounds, `Arc`-shared with every epoch served or thawed
-    /// from this index. [`StoredRound::iter`] yields a round's batches in
-    /// stored order and [`StoredRound::len`] counts them.
-    pub fn rounds(&self) -> &[Arc<StoredRound>] {
-        &self.rounds
+    /// The stored rounds' batches, emitted from their labels on every call
+    /// (nothing stores them): per round, every cluster's windows packed under
+    /// [`IndexParams::batch_budget`], clusters in ascending centre order —
+    /// the batch stream of the round's cover pass, regrouped by cluster.
+    /// Costs one BFS per cluster and the batch construction, `O(rounds·n·d)`.
+    pub fn rounds(&self) -> Vec<RoundBatches> {
+        let (d, budget) = (self.params.d as usize, self.params.batch_budget as usize);
+        let mut scratch = ClusterScratch::new(self.target.num_vertices());
+        let mut batch = BatchBuilder::new(budget);
+        let counters = PassCounters::default();
+        let mut rounds = Vec::with_capacity(self.rounds.len());
+        for round in &self.rounds {
+            let labels = &round.labels;
+            let mut batches = Vec::new();
+            for centre in (0..labels.len() as Vertex).filter(|&v| labels[v as usize].centre == v) {
+                let view = LabelView { labels, centre };
+                let _: Option<()> = emit_cluster_batches(
+                    &*self.target,
+                    &view,
+                    d,
+                    1, // min_vertices: every window, as the label pass assumes
+                    &mut scratch,
+                    &mut batch,
+                    &counters,
+                    &mut |b| {
+                        batches.push(b);
+                        None
+                    },
+                );
+            }
+            rounds.push(RoundBatches { batches });
+        }
+        rounds
     }
 
     /// Materialises the stored embedding (target plus facial walks). `O(n + m)`.
@@ -480,17 +423,8 @@ impl PsiIndex {
     fn payload_len(&self) -> usize {
         let meta = 4 * 4 + 3 * 8;
         let faces = 2 * 8 + 8 * self.face_offsets.len() + 4 * self.face_data.len();
-        let batch = |b: &CoverBatch| {
-            let map = 8 + 4 * b.local_to_global.len();
-            let windows = 8 + 12 * b.windows.len();
-            encoded_csr_len(&b.graph) + map + windows
-        };
-        let rounds: usize = self
-            .rounds
-            .iter()
-            .map(|round| 8 + round.batches().map(batch).sum::<usize>())
-            .sum();
-        meta + encoded_csr_len(&self.target) + faces + rounds
+        let round = 8 + 4 * self.target.num_vertices();
+        meta + encoded_csr_len(&self.target) + faces + self.rounds.len() * round
     }
 
     /// Serialises the index to its sectioned binary form, encoding every
@@ -519,17 +453,9 @@ impl PsiIndex {
         });
         for (r, round) in self.rounds.iter().enumerate() {
             file.section(&format!("round{r}"), |out| {
-                push_u64(out, round.len() as u64);
-                for batch in round.batches() {
-                    encode_csr(&batch.graph, out);
-                    push_u64(out, batch.local_to_global.len() as u64);
-                    push_u32_slice(out, &batch.local_to_global);
-                    push_u64(out, batch.windows.len() as u64);
-                    for &(cluster, level_start, offset) in &batch.windows {
-                        push_u32(out, cluster);
-                        push_u32(out, level_start);
-                        push_u32(out, offset);
-                    }
+                push_u64(out, round.labels.len() as u64);
+                for label in &round.labels {
+                    push_u32(out, label.centre);
                 }
             });
         }
@@ -551,14 +477,15 @@ impl PsiIndex {
     /// first ([`SectionedFile::from_bytes`]), then every structural invariant the
     /// query engines rely on — CSR well-formedness, id ranges, faces that form a
     /// plane embedding of the target ([`psi_planar::validate_walks`] with genus
-    /// 0), window offsets, and no vertex in windows of two clusters of one
-    /// round. Load never re-derives covers; it derives each round's window
-    /// labels from the stored windows, so the loaded index equals a fresh
-    /// build of its content.
+    /// 0), and rounds whose centres partition the target into connected
+    /// clusters around them. Load never re-derives covers; it runs the build's
+    /// label pass over each round's centres, so the loaded index equals a
+    /// fresh build of its content.
     pub fn from_bytes(data: &[u8]) -> Result<PsiIndex, IndexLoadError> {
         // Current version first; on a version mismatch retry with any older
-        // still-supported schema (v2–v4 store a decomposition per batch, which
-        // is skipped; v2 and v3 carry an `fvgraph` section, which is skipped).
+        // still-supported schema (v2–v5 store batches, whose windows give each
+        // vertex's centre; v2–v4 also a decomposition per batch, which is
+        // skipped; v2 and v3 an `fvgraph` section, which is skipped).
         let file = match SectionedFile::from_bytes(data, INDEX_SCHEMA_VERSION) {
             Ok(file) => file,
             Err(SectionReadError::UnsupportedVersion { found, .. })
@@ -673,12 +600,29 @@ impl PsiIndex {
             }
         }
 
-        // rounds, grown as they decode: the declared count sizes nothing, so
-        // a count the sections cannot back fails on the first missing round
-        let rounds = (0..rounds_declared)
-            .map(|round| {
+        // rounds: every section decoded first, grown as they decode (the
+        // declared count sizes nothing, so a count the sections cannot back
+        // fails on the first missing round), then each labelled
+        let mut centres = Vec::new();
+        for round in 0..rounds_declared {
+            let name = format!("round{round}");
+            let payload = section(&name)?;
+            centres.push(if schema_version >= 6 {
+                decode_centres(&name, payload, n)?
+            } else {
+                decode_round(&name, payload, n, schema_version)?
+            });
+        }
+        let rounds = centres
+            .into_iter()
+            .enumerate()
+            .map(|(round, centres)| {
                 let name = format!("round{round}");
-                decode_round(&name, section(&name)?, n, schema_version).map(Arc::new)
+                let uncovered = centres.iter().position(|&c| c == INVALID_VERTEX);
+                if let (true, Some(v)) = (schema_version < 6, uncovered) {
+                    return Err(fail(&name, &format!("vertex {v} in no window")));
+                }
+                label_round(&name, &target, centres, d as usize).map(Arc::new)
             })
             .collect::<Result<_, _>>()?;
 
@@ -692,13 +636,74 @@ impl PsiIndex {
     }
 }
 
-/// Decodes and validates one round's batch list.
+/// Decodes a v6 round section: the vertex count, which must be meta's `n`,
+/// then one centre per vertex.
+fn decode_centres(name: &str, payload: &[u8], n: usize) -> Result<Vec<Vertex>, IndexLoadError> {
+    let fail = |detail: &str| IndexLoadError::Section {
+        section: name.to_string(),
+        detail: detail.to_string(),
+    };
+    let mut r = SliceReader::new(payload);
+    let count = r.take_u64().ok_or_else(|| fail("missing vertex count"))?;
+    if count != n as u64 {
+        return Err(fail("vertex count disagrees with meta"));
+    }
+    let centres = r.take_u32_vec(n).ok_or_else(|| fail("truncated centres"))?;
+    if !r.is_empty() {
+        return Err(fail("trailing bytes"));
+    }
+    Ok(centres)
+}
+
+/// The round that one centre per vertex gives, labelled by the build's label
+/// pass. The labels, the scan and the fallback rely on clusters that
+/// partition the target into connected parts around their centres, so a
+/// centre out of range, a centre that is not its own centre and a member the
+/// BFS from its centre does not reach are refused, naming the section.
+fn label_round(
+    name: &str,
+    target: &CsrGraph,
+    centres: Vec<Vertex>,
+    d: usize,
+) -> Result<StoredRound, IndexLoadError> {
+    let fail = |detail: String| IndexLoadError::Section {
+        section: name.to_string(),
+        detail,
+    };
+    let n = centres.len();
+    for (v, &c) in centres.iter().enumerate() {
+        if c as usize >= n {
+            return Err(fail(format!("vertex {v}: centre {c} out of range")));
+        }
+        if centres[c as usize] != c {
+            return Err(fail(format!(
+                "vertex {v}: centre {c} is not its own centre"
+            )));
+        }
+    }
+    let clustering = Clustering::from_assignment(centres, vec![0.0; n]);
+    let labels = cluster_labels(target, &clustering, d);
+    match labels.iter().position(|l| l.centre == INVALID_VERTEX) {
+        Some(v) => {
+            let c = clustering.center[v];
+            Err(fail(format!(
+                "vertex {v} is not reached from its centre {c}"
+            )))
+        }
+        None => Ok(StoredRound { labels }),
+    }
+}
+
+/// Decodes and validates one v2–v5 round's batch list and reads each
+/// vertex's centre off the windows, [`INVALID_VERTEX`] where no window holds
+/// it. Clusters partition the target, so a vertex in windows of two centres
+/// is refused, after the section has been read to its end.
 fn decode_round(
     name: &str,
     payload: &[u8],
     target_n: usize,
     schema_version: u32,
-) -> Result<StoredRound, IndexLoadError> {
+) -> Result<Vec<Vertex>, IndexLoadError> {
     let fail = |detail: String| IndexLoadError::Section {
         section: name.to_string(),
         detail,
@@ -709,7 +714,8 @@ fn decode_round(
         .ok_or_else(|| fail("missing batch count".into()))?;
     let num_batches =
         usize::try_from(num_batches).map_err(|_| fail("batch count too large".into()))?;
-    let mut batches = Vec::with_capacity(num_batches.min(1 << 20));
+    let mut centres = vec![INVALID_VERTEX; target_n];
+    let mut in_two_clusters = None;
     for b in 0..num_batches {
         let graph = decode_csr(&mut r).map_err(|e| IndexLoadError::Csr {
             section: name.to_string(),
@@ -757,19 +763,28 @@ fn decode_round(
             skip_decomposition(&mut r, schema_version)
                 .map_err(|detail| fail(format!("batch {b}: {detail}")))?;
         }
-        batches.push(CoverBatch {
+        let batch = CoverBatch {
             graph,
             local_to_global,
             windows,
-        });
+        };
+        for (centre, _, members) in batch.windows_with_members() {
+            for &v in members {
+                let c = &mut centres[v as usize];
+                if *c != INVALID_VERTEX && *c != centre {
+                    in_two_clusters.get_or_insert(v);
+                }
+                *c = centre;
+            }
+        }
     }
     if !r.is_empty() {
         return Err(fail("trailing bytes".into()));
     }
-    // The labels, and with them the scan, rely on clusters partitioning the
-    // target.
-    StoredRound::new(batches, target_n)
-        .map_err(|v| fail(format!("vertex {v} in windows of two clusters")))
+    match in_two_clusters {
+        Some(v) => Err(fail(format!("vertex {v} in windows of two clusters"))),
+        None => Ok(centres),
+    }
 }
 
 /// Steps over the decomposition a v2–v4 artifact stores after each batch,
@@ -847,7 +862,7 @@ impl From<SectionReadError> for IndexLoadError {
 pub enum QueryError {
     /// Pattern has more vertices than the index's `k`.
     PatternTooLarge { k: usize, max_k: usize },
-    /// Pattern diameter exceeds the index's `d` (stored windows are too short).
+    /// Pattern diameter exceeds the index's `d` (its windows are too short).
     DiameterTooLarge { diameter: usize, max_d: usize },
     /// The pattern is disconnected. A frozen index cannot serve it (the
     /// colour-coding reduction draws fresh covers per colouring, incompatible
@@ -893,17 +908,18 @@ impl fmt::Display for QueryError {
 impl std::error::Error for QueryError {}
 
 /// Node budget of one exhaustive backtracking search: per root on the index's
-/// scan of the target, per batch on a stored or streamed batch (the default
+/// scan of the target, per batch on a streamed batch (the default
 /// [`crate::isomorphism::DpStrategy::FastPath`]). Every candidate vertex
 /// considered costs one node. The search is *exact* whenever it completes under
 /// the budget — both "occurs" and "absent" verdicts are certain, for the root's
 /// occurrences on the index scan, and on a batch because batches are disjoint
 /// unions of windows and a connected pattern cannot span components, so plain
 /// subgraph search on the batch graph decides exactly the predicate the
-/// treewidth DP decides. Past the budget the stored batches holding the root's
-/// windows, or the batch itself, fall back to the DP on a decomposition derived
-/// then ([`CoverBatch::decomposition`]), whose cost is guaranteed polynomial in
-/// the batch size — the budget only caps the *time* of the search, never its
+/// treewidth DP decides. Past the budget the batches holding the root's
+/// windows, emitted then from each round's labels, or the batch itself, fall
+/// back to the DP on a decomposition derived then
+/// ([`CoverBatch::decomposition`]), whose cost is guaranteed polynomial in the
+/// batch size — the budget only caps the *time* of the search, never its
 /// soundness.
 ///
 /// On degree ≤ 6 targets a k ≤ 4 pattern's search from one root completes in a
@@ -1028,7 +1044,7 @@ pub(crate) fn backtrack_step<G: NeighborSource + ?Sized>(
     Ok(false)
 }
 
-/// Whether any stored window of `batch` is large enough to host `k` vertices.
+/// Whether any window of `batch` is large enough to host `k` vertices.
 pub(crate) fn batch_can_host(batch: &CoverBatch, k: usize) -> bool {
     batch.segment_ranges().any(|(start, end)| end - start >= k)
 }
@@ -1037,10 +1053,12 @@ pub(crate) fn batch_can_host(batch: &CoverBatch, k: usize) -> bool {
 mod tests {
     use super::*;
     use crate::connectivity::ConnectivityMode;
+    use crate::cover::map_cover_batches;
     use crate::isomorphism::batch_dp;
     use crate::pattern::verify_occurrence;
     use crate::snapshot::PsiSnapshot;
     use psi_planar::generators as pg;
+    use std::collections::BTreeMap;
 
     fn small_index() -> PsiIndex {
         let e = pg::triangulated_grid_embedded(12, 12);
@@ -1063,7 +1081,7 @@ mod tests {
         // The backtracking fast path and the decomposition DP decide the same
         // predicate (pattern occurrence in the batch's disjoint window union);
         // check per-batch verdict equality across pattern shapes on a real index.
-        let index = small_index();
+        let rounds = small_index().rounds();
         for pattern in [
             Pattern::triangle(),
             Pattern::cycle(4),
@@ -1072,7 +1090,7 @@ mod tests {
             Pattern::star(3),
         ] {
             let plan = MatchPlan::new(&pattern);
-            for round in index.rounds() {
+            for round in &rounds {
                 for batch in round.batches() {
                     let mut assigned = Vec::new();
                     let mut budget = FAST_PATH_NODE_BUDGET;
@@ -1089,8 +1107,8 @@ mod tests {
     #[test]
     fn fast_path_budget_exhaustion_is_reported_not_wrong() {
         // With a starved budget the search must say "unknown", never guess.
-        let index = small_index();
-        let batch = index.rounds()[0].batches().next().unwrap();
+        let rounds = small_index().rounds();
+        let batch = rounds[0].batches().next().unwrap();
         let plan = MatchPlan::new(&Pattern::cycle(4));
         let mut assigned = Vec::new();
         let mut budget = 1usize;
@@ -1204,13 +1222,155 @@ mod tests {
         let c4 = Pattern::cycle(4);
         let (k, d) = (c4.k(), c4.diameter());
         assert_eq!((k as u32, d as u32), (index.params().k, index.params().d));
-        for (r, round) in index.rounds().iter().enumerate() {
+        let rounds = index.rounds();
+        for (r, round) in rounds.iter().enumerate() {
             let stored: Vec<_> = round.batches().flat_map(|b| windows_of(b, k)).collect();
             let seed = round_seed(DEFAULT_SEED, r as u64);
             let budget = crate::cover::batch_budget_for(k);
             let (drawn, _) = map_cover_batches(&g, k, d, seed, k, budget, |b| windows_of(&b, k));
             assert!(!stored.is_empty());
             assert_eq!(stored, drawn.concat(), "round {r}");
+        }
+    }
+
+    /// The window labels of round `r` of an index with `params` on `graph`,
+    /// by the labelling rule, independently of the index: a BFS inside each
+    /// cluster from its centre `c`, and for a member at level `l` of a
+    /// cluster whose deepest level is `deepest`, the label `(c, max(0, l − d),
+    /// min(l, max(0, deepest − d)))`.
+    fn formula_labels(graph: &CsrGraph, params: IndexParams, r: u32) -> Vec<WindowLabel> {
+        let k = params.k as usize;
+        let seed = round_seed(params.seed, r.into());
+        let clustering = psi_cluster::cluster_parallel(graph, crate::cover::cover_beta(k), seed);
+        let mut labels = vec![WindowLabel::NONE; graph.num_vertices()];
+        let mut level = vec![u32::MAX; graph.num_vertices()];
+        for (cid, members) in clustering.iter_clusters().enumerate() {
+            let centre = members[0];
+            level[centre as usize] = 0;
+            let mut queue = std::collections::VecDeque::from([centre]);
+            let mut deepest = 0;
+            while let Some(u) = queue.pop_front() {
+                for &w in graph.neighbors(u) {
+                    let inside = clustering.cluster_of[w as usize] == cid as u32;
+                    if inside && level[w as usize] == u32::MAX {
+                        level[w as usize] = level[u as usize] + 1;
+                        deepest = deepest.max(level[w as usize]);
+                        queue.push_back(w);
+                    }
+                }
+            }
+            for &v in members {
+                let l = level[v as usize];
+                assert_ne!(l, u32::MAX, "cluster of {centre} is not connected");
+                labels[v as usize] = WindowLabel {
+                    centre,
+                    first: l.saturating_sub(params.d),
+                    last: l.min(deepest.saturating_sub(params.d)),
+                };
+            }
+        }
+        labels
+    }
+
+    /// Every round of `index` labels each vertex by the labelling rule, and
+    /// its batches are the index's cover pass regrouped by each batch's first
+    /// centre, in ascending centre order.
+    fn assert_rounds_follow_the_labelling_rule(index: &PsiIndex, name: &str) {
+        let (g, p) = (index.target(), index.params());
+        let rounds = index.rounds();
+        assert_eq!(rounds.len(), p.rounds as usize);
+        for (r, round) in rounds.iter().enumerate() {
+            let want = formula_labels(g, p, r as u32);
+            assert_eq!(index.rounds[r].labels, want, "{name}: labels of round {r}");
+            let seed = round_seed(p.seed, r as u64);
+            let (k, d, budget) = (p.k as usize, p.d as usize, p.batch_budget as usize);
+            let (drawn, _) = map_cover_batches(g, k, d, seed, 1, budget, |b| b);
+            let mut by_centre: BTreeMap<Vertex, Vec<CoverBatch>> = BTreeMap::new();
+            for batch in drawn {
+                by_centre.entry(batch.windows[0].0).or_default().push(batch);
+            }
+            let want: Vec<CoverBatch> = by_centre.into_values().flatten().collect();
+            let got: Vec<CoverBatch> = round.batches().cloned().collect();
+            assert_eq!(got, want, "{name}: batches of round {r}");
+        }
+    }
+
+    #[test]
+    fn stored_rounds_follow_the_labelling_rule() {
+        let params = |seed| IndexParams {
+            seed,
+            ..IndexParams::default()
+        };
+        for seed in [1, 7, DEFAULT_SEED] {
+            let e = pg::triangulated_grid_embedded(20, 20);
+            let index = PsiIndex::build(&e, params(seed));
+            assert_rounds_follow_the_labelling_rule(&index, &format!("grid seed {seed}"));
+        }
+
+        // A plain grid after toggles of cell diagonals (insert one of the two
+        // diagonals of a cell without one, else delete it), then frozen.
+        let side = 16;
+        let mut dynamic = crate::dynamic::DynamicPsiIndex::build(
+            &pg::grid_embedded(side, side),
+            IndexParams::default(),
+        );
+        let mut diagonal: BTreeMap<(usize, usize), bool> = BTreeMap::new();
+        let mut x = 12345u64;
+        for _ in 0..60 {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let (r, c) = (
+                (x >> 33) as usize % (side - 1),
+                (x >> 45) as usize % (side - 1),
+            );
+            let at = |r: usize, c: usize| (r * side + c) as Vertex;
+            let ends = |main| match main {
+                true => (at(r, c), at(r + 1, c + 1)),
+                false => (at(r, c + 1), at(r + 1, c)),
+            };
+            match diagonal.remove(&(r, c)) {
+                Some(main) => {
+                    let (u, v) = ends(main);
+                    dynamic.delete_edge(u, v).unwrap();
+                }
+                None => {
+                    let main = (x >> 20) & 1 == 0;
+                    let (u, v) = ends(main);
+                    dynamic.insert_edge(u, v).unwrap();
+                    diagonal.insert((r, c), main);
+                }
+            }
+        }
+        assert_rounds_follow_the_labelling_rule(&dynamic.freeze(), "toggled grid");
+
+        // The hub-first 300-vertex wheel: the hub is vertex 0.
+        let wheel = psi_graph::generators::wheel(300);
+        let mut b = psi_graph::GraphBuilder::new(wheel.num_vertices());
+        for (u, v) in wheel.edges() {
+            b.add_edge((u + 1) % 300, (v + 1) % 300);
+        }
+        let hub_first = psi_planar::planar_embedding(&b.build()).unwrap();
+        let index = PsiIndex::build(&hub_first, IndexParams::default());
+        assert_rounds_follow_the_labelling_rule(&index, "hub-first wheel");
+
+        // A random tree; a disconnected union with isolated vertices; a
+        // target with fewer vertices than k.
+        let tree = psi_graph::generators::random_tree(200, 3);
+        let mut b = psi_graph::GraphBuilder::new(40);
+        for i in 0..10 {
+            b.add_edge(i, (i + 1) % 10); // a 10-cycle
+        }
+        for i in 12..20 {
+            b.add_edge(i, i + 1); // a path; 10, 11 and 21..40 are isolated
+        }
+        b.add_edge(25, 26);
+        let union = b.build();
+        let tiny = psi_graph::generators::path(3);
+        for (name, g) in [("random tree", tree), ("union", union), ("n < k", tiny)] {
+            let e = psi_planar::planar_embedding(&g).unwrap();
+            let index = PsiIndex::build(&e, params(5));
+            assert_rounds_follow_the_labelling_rule(&index, name);
         }
     }
 
@@ -1232,8 +1392,10 @@ mod tests {
     }
 
     /// Encodes `index`'s rounds by hand into `file` in the layout of schema
-    /// `version` (2–4), where a decomposition follows each batch: the
-    /// flattened [`CoverBatch::decomposition`] those versions stored, whose
+    /// `version` (2–5): per round the batch count and, per batch of
+    /// [`PsiIndex::rounds`], its CSR, its local-to-global map and its windows.
+    /// In v2–v4 a decomposition follows each batch: the flattened
+    /// [`CoverBatch::decomposition`] those versions stored, whose
     /// layered-segment word (from v3 on) is 0. With `layered_word` each batch
     /// stores other bags than its own (one bag holding every vertex) and a
     /// nonzero word (the batch's window count), as artifacts written while
@@ -1245,7 +1407,9 @@ mod tests {
         layered_word: bool,
     ) {
         assert!(version >= 3 || !layered_word, "v2 has no layered word");
-        for (r, round) in index.rounds.iter().enumerate() {
+        assert!(version <= 4 || !layered_word, "v5 stores no decomposition");
+        let rounds = index.rounds();
+        for (r, round) in rounds.iter().enumerate() {
             file.section(&format!("round{r}"), |payload| {
                 push_u64(payload, round.len() as u64);
                 for batch in round.batches() {
@@ -1257,6 +1421,9 @@ mod tests {
                         push_u32(payload, cluster);
                         push_u32(payload, level_start);
                         push_u32(payload, offset);
+                    }
+                    if version >= 5 {
+                        continue;
                     }
                     let n = batch.graph.num_vertices() as Vertex;
                     let (bags, children, root, word) = if layered_word {
@@ -1289,7 +1456,7 @@ mod tests {
         }
     }
 
-    /// `index` written by hand as a schema-`version` (2–4) artifact: the
+    /// `index` written by hand as a schema-`version` (2–5) artifact: the
     /// current `meta`, `target` and `faces` sections, the `fvgraph` section
     /// v2 and v3 carried, and the rounds of [`push_rounds_by_hand`].
     fn legacy_artifact(index: &PsiIndex, version: u32, layered_word: bool) -> Vec<u8> {
@@ -1316,11 +1483,11 @@ mod tests {
         // decomposition without the layered-segment word after each batch.
         let back = PsiIndex::from_bytes(&legacy_artifact(&index, 2, false)).unwrap();
         assert_eq!(back.target, index.target);
-        for (a, b) in back
-            .rounds
+        let (loaded, fresh) = (back.rounds(), index.rounds());
+        for (a, b) in loaded
             .iter()
             .flat_map(|r| r.batches())
-            .zip(index.rounds.iter().flat_map(|r| r.batches()))
+            .zip(fresh.iter().flat_map(|r| r.batches()))
         {
             assert_eq!(a, b);
         }
@@ -1341,7 +1508,7 @@ mod tests {
         assert!(v3.len() > index.to_bytes().len());
         let back = PsiIndex::from_bytes(&v3).unwrap();
         assert_eq!(back, index);
-        assert_eq!(back.to_bytes(), index.to_bytes(), "re-saving writes v5");
+        assert_eq!(back.to_bytes(), index.to_bytes(), "re-saving writes v6");
 
         // v4 drops `fvgraph`. Artifacts written while batches tried the
         // layered construction carry nonzero layered-segment words and other
@@ -1352,8 +1519,16 @@ mod tests {
             assert_ne!(v4, index.to_bytes());
             let back = PsiIndex::from_bytes(&v4).unwrap();
             assert_eq!(back, index);
-            assert_eq!(back.to_bytes(), index.to_bytes(), "re-saving writes v5");
+            assert_eq!(back.to_bytes(), index.to_bytes(), "re-saving writes v6");
         }
+
+        // v5 drops the decompositions and stores the batches alone; the load
+        // reads each vertex's centre off their windows.
+        let v5 = legacy_artifact(&index, 5, false);
+        assert!(v5.len() > index.to_bytes().len());
+        let back = PsiIndex::from_bytes(&v5).unwrap();
+        assert_eq!(back, index);
+        assert_eq!(back.to_bytes(), index.to_bytes(), "re-saving writes v6");
     }
 
     #[test]

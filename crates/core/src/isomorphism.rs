@@ -229,8 +229,8 @@ pub(crate) fn search_batch(
 
 /// The batch kernel's DP half: derives `graph`'s decomposition under one
 /// `dp.decompose` span, then runs [`batch_dp`] over it. [`search_batch`] calls
-/// it on a budget miss; the index scan calls it directly on the stored batches
-/// of a root that ran out of budget.
+/// it on a budget miss; the index scan calls it directly on the batches it
+/// emits for a root that ran out of budget.
 pub(crate) fn decompose_and_run_dp(
     pattern: &Pattern,
     graph: &CsrGraph,

@@ -33,12 +33,14 @@
 //! 7. [`index`] — the versioned build-once / serve-many artifact: cover rounds
 //!    and embedding frozen into one immutable [`index::PsiIndex`] (optionally
 //!    serialised via [`psi_graph::io`]), served as an epoch-0
-//!    [`snapshot::PsiSnapshot`]. No decomposition is stored: a batch is
-//!    decomposed only when its DP runs.
+//!    [`snapshot::PsiSnapshot`]. A round is stored as one cluster centre per
+//!    vertex, from which every window label follows by a BFS inside each
+//!    cluster; no batch and no decomposition is stored. A cluster's batches
+//!    are emitted, and decomposed, only when a DP runs on them.
 //! 8. [`dynamic`] — incremental index mutation: [`dynamic::DynamicPsiIndex`]
 //!    maintains the embedding, the per-round clusterings, and the affected
-//!    clusters' batches under edge insertion/deletion, freezing back to an
-//!    artifact bit-identical to a from-scratch rebuild.
+//!    clusters' window labels under edge insertion/deletion, freezing back to
+//!    an artifact bit-identical to a from-scratch rebuild.
 //! 9. [`psi`] — the unified facade: [`psi::Psi`] wraps planarity gating, index
 //!    construction, queries, mutation, and (de)serialisation behind one builder
 //!    and one [`psi::PsiError`] type.
@@ -95,7 +97,7 @@ pub use dp_parallel::{run_parallel, ParallelDpConfig, ParallelDpStats};
 pub use dynamic::{DecompCacheMetrics, DynamicPsiIndex, MutationError, UpdateStats};
 pub use index::{
     FlatDecomposition, IndexLoadError, IndexParams, IndexedBatch, PsiIndex, QueryError,
-    StoredRound, CONNECTIVITY_CAP, FAST_PATH_NODE_BUDGET, INDEX_SCHEMA_VERSION,
+    RoundBatches, CONNECTIVITY_CAP, FAST_PATH_NODE_BUDGET, INDEX_SCHEMA_VERSION,
     MIN_INDEX_SCHEMA_VERSION,
 };
 pub use isomorphism::{decide, find_one, DpStrategy, QueryConfig, SubgraphIsomorphism};

@@ -45,7 +45,7 @@ pub(crate) struct CoreMetrics {
     pub mutation_ns: Arc<Histogram>,
     pub flushes_total: Arc<Counter>,
     pub flush_ns: Arc<Histogram>,
-    pub flush_batches_rebuilt_total: Arc<Counter>,
+    pub flush_clusters_relabelled_total: Arc<Counter>,
     pub epoch_advances_total: Arc<Counter>,
     pub snapshots_total: Arc<Counter>,
     // --- build ---
@@ -158,7 +158,7 @@ pub(crate) fn metrics() -> &'static CoreMetrics {
             mutation_ns: reg.histogram("psi_mutation_ns"),
             flushes_total: reg.counter("psi_flushes_total"),
             flush_ns: reg.histogram("psi_flush_ns"),
-            flush_batches_rebuilt_total: reg.counter("psi_flush_batches_rebuilt_total"),
+            flush_clusters_relabelled_total: reg.counter("psi_flush_clusters_relabelled_total"),
             epoch_advances_total: reg.counter("psi_epoch_advances_total"),
             snapshots_total: reg.counter("psi_snapshots_total"),
             index_builds_total: reg.counter("psi_index_builds_total"),

@@ -348,10 +348,10 @@ impl Psi {
         &mut self.dynamic
     }
 
-    /// Rebuilds the batches dirtied by mutations since the last flush, on the
-    /// engine's pool; returns the number of batches re-emitted. Queries and
-    /// [`Psi::freeze`] flush implicitly — call this to pay the rebuild off the
-    /// serving path.
+    /// Relabels the clusters dirtied by mutations since the last flush, on the
+    /// engine's pool; returns the number of clusters relabelled. Queries and
+    /// [`Psi::freeze`] flush implicitly — call this to pay the relabelling off
+    /// the serving path.
     pub fn flush(&mut self) -> usize {
         install(&self.pool, || self.dynamic.flush())
     }
@@ -449,7 +449,7 @@ impl Psi {
     }
 
     /// A Prometheus-style text dump of the process-wide metrics registry:
-    /// query/mutation/flush counters (rebuilt batches included), per-query
+    /// query/mutation/flush counters (relabelled clusters included), per-query
     /// latency percentiles
     /// (`p50`/`p95`/`p99`/max summaries), layer statistics (cover, DP, arena,
     /// separating), and work-stealing pool counters.

@@ -15,11 +15,11 @@
 //!   the writer keeps mutating.
 //!
 //! Every servable product — the target CSR, the facial walks, the stored
-//! rounds ([`StoredRound`], one layout from build to freeze) — is held behind
-//! an `Arc`. The writer never mutates published data: a flush edits a round
-//! copy-on-write, so a round a snapshot or frozen index still holds is cloned
-//! (`Arc` bumps of its cluster groups) before the rebuilt groups go in; a
-//! retired epoch's batches are freed when the last holder drops. Taking a
+//! rounds (one window label per vertex, one layout from build to freeze) — is
+//! held behind an `Arc`. The writer never mutates published data: a flush
+//! relabels a round copy-on-write, so a round a snapshot or frozen index still
+//! holds is copied (one label array) before its dirty clusters are relabelled;
+//! a retired epoch's labels are freed when the last holder drops. Taking a
 //! snapshot needs `&mut` on the engine, so it serialises with mutations, and
 //! the bundle it captures is frozen thereafter. A snapshot therefore never
 //! observes a partially published round set, and its answers are
@@ -30,12 +30,16 @@
 //! `decide` and `find_one` scan the target once, one root at a time in vertex
 //! order: an exhaustive backtracking search from the root under
 //! [`FAST_PATH_NODE_BUDGET`] nodes, which takes a complete occurrence only when
-//! some round's window labels put it inside one stored window — exactly the
-//! occurrences the stored batches hold. A root whose search runs out of budget
-//! sends the stored batches holding its windows straight to the batch DP, on
-//! a decomposition derived then (no batch stores one), each batch at most
-//! once per query. The first hit ends the scan, so verdicts and witnesses are
-//! independent of thread count.
+//! some round's window labels put it inside one window — exactly the
+//! occurrences the rounds' batches hold. Nothing stores a batch: a root whose
+//! search runs out of budget emits, per round, its cluster's batches from the
+//! labels on the scan's own graph (each cluster once per query, under an
+//! `index.materialise` span) and sends those holding its windows straight to
+//! the batch DP, on a decomposition derived then, each batch at most once per
+//! query. They are the batches of the round's cover pass, so the DP's input,
+//! and with it every witness, is the same as when rounds stored them. The
+//! first hit ends the scan, so verdicts and witnesses are independent of
+//! thread count.
 //!
 //! The target, faces and face–vertex graph are cells filled on first need and
 //! reset by every accepted mutation. Frozen and pinned epochs scan the target
@@ -47,7 +51,9 @@
 use crate::connectivity::{
     st_connectivity_capped, vertex_connectivity_with_fv, ConnectivityMode, ConnectivityResult,
 };
-use crate::cover::CoverBatch;
+use crate::cover::{
+    emit_cluster_batches, BatchBuilder, ClusterScratch, CoverBatch, LabelView, PassCounters,
+};
 use crate::index::{
     backtrack_step, batch_can_host, IndexParams, MatchPlan, PsiIndex, QueryError, StoredRound,
     CONNECTIVITY_CAP, FAST_PATH_NODE_BUDGET,
@@ -216,7 +222,7 @@ impl EpochState {
         pattern: &Pattern,
         src: &dyn EpochSource,
         stats: &mut ScanStats,
-    ) -> Option<ScanHit<'_>> {
+    ) -> Option<ScanHit> {
         match src.adjacency() {
             Some(graph) => self.scan_roots(graph, plan, pattern, stats),
             None => self.scan_roots(&**self.target(src), plan, pattern, stats),
@@ -225,18 +231,18 @@ impl EpochState {
 
     /// Searches from every root in vertex order, each under
     /// [`FAST_PATH_NODE_BUDGET`] nodes, accepting an occurrence that one
-    /// stored window of some round holds; a root that runs out of budget falls
-    /// back to the stored batches holding its windows.
+    /// window of some round holds; a root that runs out of budget falls back
+    /// to the batches holding its windows.
     fn scan_roots<G: NeighborSource + ?Sized>(
         &self,
         graph: &G,
         plan: &MatchPlan,
         pattern: &Pattern,
         stats: &mut ScanStats,
-    ) -> Option<ScanHit<'_>> {
+    ) -> Option<ScanHit> {
         let mut assigned = Vec::with_capacity(pattern.k());
         let mut in_one_window = |occ: &[Vertex]| self.rounds.iter().any(|r| r.holds(occ));
-        let mut searched = Vec::new();
+        let mut fallback = Fallback::default();
         for root in 0..self.n as Vertex {
             stats.roots += 1;
             assigned.clear();
@@ -255,7 +261,7 @@ impl EpochState {
                 Ok(true) => return Some(ScanHit::Root(assigned)),
                 Ok(false) => {}
                 Err(()) => {
-                    let hit = self.fall_back(root, pattern, &mut searched, stats);
+                    let hit = self.fall_back(graph, root, pattern, &mut fallback, stats);
                     if hit.is_some() {
                         return hit;
                     }
@@ -265,34 +271,86 @@ impl EpochState {
         None
     }
 
-    /// Runs the batch DP ([`decompose_and_run_dp`]) on every stored batch that
-    /// holds a window of `root` and can host the pattern — rounds in order,
-    /// each round's batches in stream order — skipping batches an earlier
-    /// root already sent. The root has spent the node budget on the same hub,
-    /// so no batch is searched first. Returns the first hit.
-    fn fall_back<'a>(
-        &'a self,
+    /// Runs the batch DP ([`decompose_and_run_dp`]) on every batch that holds
+    /// a window of `root` and can host the pattern — rounds in order, each
+    /// round's batches in stream order — skipping batches an earlier root
+    /// already sent. Per round, the batches of `root`'s cluster are emitted
+    /// from the labels on `graph`, unless an earlier root of the query emitted
+    /// them. The root has spent the node budget on the same hub, so no batch
+    /// is searched first. Returns the first hit.
+    fn fall_back<G: NeighborSource + ?Sized>(
+        &self,
+        graph: &G,
         root: Vertex,
         pattern: &Pattern,
-        searched: &mut Vec<&'a CoverBatch>,
+        fallback: &mut Fallback,
         stats: &mut ScanStats,
-    ) -> Option<ScanHit<'a>> {
-        for round in &self.rounds {
-            for batch in round.batches_holding(root) {
-                let sent = searched.iter().any(|&b| std::ptr::eq(b, batch));
-                if sent || !batch_can_host(batch, pattern.k()) {
+    ) -> Option<ScanHit> {
+        for (r, round) in self.rounds.iter().enumerate() {
+            let label = round.labels[root as usize];
+            let cluster = (r, label.centre);
+            let at = match fallback.clusters.iter().position(|(c, _)| *c == cluster) {
+                Some(at) => at,
+                None => {
+                    let batches = self.materialise(graph, round, cluster, fallback);
+                    fallback.clusters.push((cluster, batches));
+                    fallback.clusters.len() - 1
+                }
+            };
+            let starts = label.first..=label.last;
+            for (i, batch) in fallback.clusters[at].1.iter().enumerate() {
+                let holds = batch.windows.iter().any(|w| starts.contains(&w.1));
+                let sent = fallback.sent.contains(&(cluster, i));
+                if !holds || sent || !batch_can_host(batch, pattern.k()) {
                     continue;
                 }
-                searched.push(batch);
+                fallback.sent.push((cluster, i));
                 stats.fallback_batches += 1;
                 crate::obs::metrics().query_fallback_batches_total.add(1);
                 let td = || batch.decomposition();
                 if let Some(hit) = decompose_and_run_dp(pattern, &batch.graph, td) {
-                    return Some(ScanHit::Batch(batch, hit));
+                    return Some(ScanHit::Batch(batch.clone(), hit));
                 }
             }
         }
         None
+    }
+
+    /// The batches of the cluster of centre `cluster.1` in round `cluster.0`,
+    /// emitted from `round`'s labels through `emit_cluster_batches` under the
+    /// index's batch budget, on the query's one `n`-slot scratch.
+    fn materialise<G: NeighborSource + ?Sized>(
+        &self,
+        graph: &G,
+        round: &StoredRound,
+        (r, centre): (usize, Vertex),
+        fallback: &mut Fallback,
+    ) -> Vec<CoverBatch> {
+        let mut span = psi_obs::span!("index.materialise", round = r, centre = centre);
+        let budget = self.params.batch_budget as usize;
+        let (scratch, batch) = fallback
+            .scratch
+            .get_or_insert_with(|| (ClusterScratch::new(self.n), BatchBuilder::new(budget)));
+        let view = LabelView {
+            labels: &round.labels,
+            centre,
+        };
+        let mut batches = Vec::new();
+        let _: Option<()> = emit_cluster_batches(
+            graph,
+            &view,
+            self.params.d as usize,
+            1, // min_vertices: every window, as the label pass assumes
+            scratch,
+            batch,
+            &PassCounters::default(),
+            &mut |b| {
+                batches.push(b);
+                None
+            },
+        );
+        span.field("batches", batches.len() as u64);
+        batches
     }
 
     pub(crate) fn decide(
@@ -409,11 +467,21 @@ impl EpochState {
 }
 
 /// What a scan found first.
-enum ScanHit<'a> {
+enum ScanHit {
     /// A root search's accepted assignment, by plan position, in target ids.
     Root(Vec<Vertex>),
     /// A fallback batch's hit, in the batch's vertex ids.
-    Batch(&'a CoverBatch, BatchHit),
+    Batch(CoverBatch, BatchHit),
+}
+
+/// What one query's fallback has emitted: the batches of every (round,
+/// centre) it materialised, the batches it sent to the DP (by cluster and
+/// position), and the scratch it emits on, allocated on the first fallback.
+#[derive(Default)]
+struct Fallback {
+    scratch: Option<(ClusterScratch, BatchBuilder)>,
+    clusters: Vec<((usize, Vertex), Vec<CoverBatch>)>,
+    sent: Vec<((usize, Vertex), usize)>,
 }
 
 /// What one scan did, recorded on its query span.
@@ -423,7 +491,7 @@ struct ScanStats {
     roots: u64,
     /// Backtracking nodes the root searches spent.
     nodes: u64,
-    /// Stored batches sent to the batch kernel.
+    /// Fallback batches sent to the batch kernel.
     fallback_batches: u64,
 }
 

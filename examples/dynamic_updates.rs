@@ -37,7 +37,7 @@ fn main() {
 
     // Insert one cell diagonal: the two endpoints share the cell's face, so the
     // embedding update is a single face split; only the clusters that can reach
-    // the edge are marked dirty, and their batches are rebuilt by the next
+    // the edge are marked dirty, and their members are relabelled by the next
     // query (or an explicit `flush`).
     let (u, v) = ((10 * w + 10) as u32, (11 * w + 11) as u32);
     let t = Instant::now();
@@ -50,10 +50,10 @@ fn main() {
         stats.reembedded
     );
     let t = Instant::now();
-    let rebuilt = psi.flush();
+    let relabelled = psi.flush();
     println!(
-        "flush: {} batches rebuilt in {:.3} ms",
-        rebuilt,
+        "flush: {} clusters relabelled in {:.3} ms",
+        relabelled,
         t.elapsed().as_secs_f64() * 1e3
     );
     assert!(psi.decide(&triangle).expect("triangle fits the engine"));

@@ -46,8 +46,8 @@ fn main() {
     let (u, v) = (0u32, 61u32);
     psi.delete_edge(u, v).expect("chord delete rejected");
     psi.insert_edge(u, v).expect("chord re-insert rejected");
-    let rebuilt = psi.flush();
-    println!("flush rebuilt {rebuilt} cluster(s)");
+    let relabelled = psi.flush();
+    println!("flush relabelled {relabelled} cluster(s)");
 
     let snap = psi.snapshot();
     let hits = patterns
@@ -78,7 +78,7 @@ fn main() {
         l.starts_with("psi_queries_total")
             || l.starts_with("psi_query_decide_ns{")
             || l.starts_with("psi_flushes_total")
-            || l.starts_with("psi_flush_batches_rebuilt_total")
+            || l.starts_with("psi_flush_clusters_relabelled_total")
             || l.starts_with("psi_query_fallback_batches_total")
             || l.starts_with("psi_pool_steals_total")
     }) {

@@ -14,11 +14,11 @@
 //!
 //! The same input also pins what a query answers: the index scans the target
 //! from every root and accepts an occurrence only when the rounds' window
-//! labels put it inside one stored window, so for 64 seeds of a `rounds = 3`
-//! index the frozen, live and pinned `decide` must say yes exactly when
-//! Ullmann's exact search finds the pattern in some stored batch, before and
-//! after a few inserts and deletes, and every witness must verify and lie
-//! inside one stored window.
+//! labels put it inside one window, so for 64 seeds of a `rounds = 3` index
+//! the frozen, live and pinned `decide` must say yes exactly when Ullmann's
+//! exact search finds the pattern in some batch of the rounds (emitted from
+//! their labels by `PsiIndex::rounds`), before and after a few inserts and
+//! deletes, and every witness must verify and lie inside one window.
 
 use planar_subiso::{verify_occurrence, IndexParams, Pattern, Psi, PsiIndex, PsiSnapshot};
 use psi_baselines::ullmann_decide;
@@ -159,16 +159,18 @@ fn single_rounds_miss_planted_occurrences_at_most_half_the_time() {
     }
 }
 
-/// Whether some stored batch of `index` holds an occurrence of `p`, by
+/// Whether some batch of `index`'s rounds holds an occurrence of `p`, by
 /// Ullmann's exact search on the batch graph.
 fn stored_batches_hold(index: &PsiIndex, p: &Pattern) -> bool {
-    let mut batches = index.rounds().iter().flat_map(|round| round.batches());
+    let rounds = index.rounds();
+    let mut batches = rounds.iter().flat_map(|round| round.batches());
     batches.any(|batch| ullmann_decide(p, &batch.graph))
 }
 
-/// Whether one stored window of `index` holds every vertex of `occ`.
+/// Whether one window of `index`'s rounds holds every vertex of `occ`.
 fn in_one_stored_window(index: &PsiIndex, occ: &[Vertex]) -> bool {
-    let mut batches = index.rounds().iter().flat_map(|round| round.batches());
+    let rounds = index.rounds();
+    let mut batches = rounds.iter().flat_map(|round| round.batches());
     batches.any(|batch| {
         batch.segment_ranges().any(|(start, end)| {
             let window = &batch.local_to_global[start..end];
@@ -178,9 +180,9 @@ fn in_one_stored_window(index: &PsiIndex, occ: &[Vertex]) -> bool {
 }
 
 /// Checks one front end's answers on `index`'s stored rounds: `decide` says
-/// yes exactly when a stored batch holds the pattern (`held`), and so does
-/// `find_one`, whose witness verifies against `target` and lies inside one
-/// stored window.
+/// yes exactly when a batch of the rounds holds the pattern (`held`), and so
+/// does `find_one`, whose witness verifies against `target` and lies inside
+/// one window.
 fn assert_front_end(
     front_end: &str,
     (index, target): (&PsiIndex, &CsrGraph),

@@ -2,7 +2,7 @@
 //!
 //! The contract under test: `serialize → load → query` is **bit-identical** to
 //! `fresh-build → query` — verdicts, witnesses, connectivity answers, and the
-//! piece/batch layout itself — for every `PSI_THREADS` (CI runs this file under a
+//! stored rounds themselves — for every `PSI_THREADS` (CI runs this file under a
 //! thread matrix). And malformed artifacts (truncated, corrupted, version-skewed,
 //! semantically inconsistent) must fail with section-labelled structured errors,
 //! never panics and never silently-wrong indices.
@@ -33,8 +33,8 @@ fn query_patterns() -> Vec<Pattern> {
 }
 
 /// Fresh-build vs save/load: equal artifacts (structural `PartialEq` covers the
-/// target, faces, every batch, and every round's window labels), and
-/// bit-identical query behaviour on both served indexes.
+/// target, faces and every round's window labels), and bit-identical query
+/// behaviour on both served indexes.
 #[test]
 fn loaded_index_is_bit_identical_to_fresh_build() {
     let e = pg::triangulated_grid_embedded(24, 18);
@@ -47,7 +47,7 @@ fn loaded_index_is_bit_identical_to_fresh_build() {
     let loaded = PsiIndex::load(&path).unwrap();
     std::fs::remove_file(&path).ok();
 
-    // The artifact itself round-trips exactly (piece/batch/window layout).
+    // The artifact itself round-trips exactly (target, faces, labels).
     assert_eq!(loaded, fresh);
     // Re-serialisation is byte-idempotent.
     assert_eq!(loaded.to_bytes(), fresh.to_bytes());
@@ -183,7 +183,8 @@ fn semantically_inconsistent_sections_are_rejected() {
         );
     }
 
-    // A round section that declares more batches than it carries.
+    // A round section that declares more vertices than meta (in v2–v5, more
+    // batches than it carried).
     let mut lying = Vec::new();
     push_u64(&mut lying, 1_000_000);
     let bad = rebuild_with("round0", lying);
@@ -204,6 +205,78 @@ fn semantically_inconsistent_sections_are_rejected() {
         "{err}"
     );
 
+    // v6 stores one centre per vertex. Every vertex in the cluster of vertex
+    // 0 is a well-formed round; the load refuses, naming `round0`, a vertex
+    // count other than meta's, a truncated section, trailing bytes, a centre
+    // out of range, a centre that is not its own centre, and a member the BFS
+    // from its centre does not reach.
+    let n = e.graph.num_vertices();
+    let round0 = good.section("round0").unwrap();
+    assert_eq!(
+        round0.len(),
+        8 + 4 * n,
+        "a v6 round section is 8 + 4n bytes"
+    );
+    let centres = |count: usize, centres: &[u32]| -> Vec<u8> {
+        let mut payload = Vec::new();
+        push_u64(&mut payload, count as u64);
+        push_u32_slice(&mut payload, centres);
+        payload
+    };
+    let one_cluster = vec![0u32; n];
+    let loaded = PsiIndex::from_bytes(&rebuild_with("round0", centres(n, &one_cluster)));
+    assert!(loaded.is_ok(), "{:?}", loaded.err());
+    let with = |v: usize, c: u32| {
+        let mut centres = one_cluster.clone();
+        centres[v] = c;
+        centres
+    };
+    // Vertices 0 and 35 are opposite corners of the grid, and the cluster of
+    // centre 1 holds every other vertex.
+    let mut far_corner = vec![1u32; n];
+    (far_corner[0], far_corner[n - 1]) = (0, 0);
+    let mut trailing = round0.to_vec();
+    trailing.extend_from_slice(&[0; 4]);
+    for (payload, want) in [
+        (
+            centres(n - 1, &one_cluster[1..]),
+            "vertex count disagrees with meta",
+        ),
+        (round0[..round0.len() - 4].to_vec(), "truncated centres"),
+        (trailing, "trailing bytes"),
+        (
+            centres(n, &with(5, n as u32)),
+            "vertex 5: centre 36 out of range",
+        ),
+        (
+            centres(n, &with(0, 1)),
+            "vertex 0: centre 1 is not its own centre",
+        ),
+        (
+            centres(n, &far_corner),
+            "vertex 35 is not reached from its centre 0",
+        ),
+    ] {
+        let err = PsiIndex::from_bytes(&rebuild_with("round0", payload))
+            .expect_err("a malformed v6 round accepted");
+        assert!(
+            matches!(&err, IndexLoadError::Section { section, detail }
+                if section == "round0" && detail == want),
+            "{err}"
+        );
+    }
+
+    // An artifact of an older `version` with `round0` as its only round.
+    let legacy_round0 = |version: u32, round0: &[u8]| -> Vec<u8> {
+        let mut f = SectionWriter::new(version, 4);
+        for name in ["meta", "target", "faces"] {
+            f.section(name, |out| {
+                out.extend_from_slice(good.section(name).unwrap())
+            });
+        }
+        f.section("round0", |out| out.extend_from_slice(round0));
+        f.finish()
+    };
     // v2–v4 store a decomposition after each batch, which the load skips
     // after bounds checks. A v4 artifact whose `round0` holds one well-formed
     // one-edge batch and then `decomposition`: the load decodes `round0`
@@ -217,14 +290,7 @@ fn semantically_inconsistent_sections_are_rejected() {
         push_u64(&mut round0, 1); // one window: cluster, level start, offset
         push_u32_slice(&mut round0, &[0, 0, 0]);
         push_u32_slice(&mut round0, decomposition);
-        let mut f = SectionWriter::new(4, 4);
-        for name in ["meta", "target", "faces"] {
-            f.section(name, |out| {
-                out.extend_from_slice(good.section(name).unwrap())
-            });
-        }
-        f.section("round0", |out| out.extend_from_slice(&round0));
-        f.finish()
+        legacy_round0(4, &round0)
     };
     // One node (the node count is a u64), its root and layered word, bag
     // offsets [0, 2], the bag {0, 1} and no children.
@@ -254,9 +320,9 @@ fn semantically_inconsistent_sections_are_rejected() {
         "{err}"
     );
 
-    // Two well-formed one-window batches of centres 0 and 6 that both hold
-    // vertex 0: clusters partition the target, and the window labels rely on
-    // it, so the round is refused.
+    // A v5 `round0` of two well-formed one-window batches of centres 0 and 6
+    // that both hold vertex 0: clusters partition the target, and the window
+    // labels rely on it, so the round is refused.
     let mut overlapping = Vec::new();
     push_u64(&mut overlapping, 2); // two batches
     for centre in [0u32, 6] {
@@ -266,7 +332,7 @@ fn semantically_inconsistent_sections_are_rejected() {
         push_u64(&mut overlapping, 1); // one window: centre, level start, offset
         push_u32_slice(&mut overlapping, &[centre, 0, 0]);
     }
-    let err = PsiIndex::from_bytes(&rebuild_with("round0", overlapping))
+    let err = PsiIndex::from_bytes(&legacy_round0(5, &overlapping))
         .expect_err("a vertex in windows of two clusters accepted");
     assert!(
         matches!(&err, IndexLoadError::Section { section, detail }

@@ -6,7 +6,7 @@
 //! * span nesting — a scripted pipeline (open → mutate → flush → freeze →
 //!   snapshot → queries) produces spans whose same-thread nesting mirrors the
 //!   real call tree (freeze contains its implicit flush, the flush publishes
-//!   instants one level deeper, the index build contains the cover pass);
+//!   instants one level deeper, the index build contains the label pass);
 //! * disabled path — with tracing off, a `span!`/`event!` site performs no heap
 //!   allocation (counting global allocator);
 //! * exports — `Psi::metrics()` is well-formed Prometheus text covering every
@@ -172,9 +172,9 @@ fn span_nesting_matches_call_tree() {
         );
     }
 
-    // The call tree nests: the index build runs the cover pass, the freeze runs
-    // the implicit flush, and the flush publishes each rebuilt round one level
-    // deeper still.
+    // The call tree nests: the index build runs each round's label pass (a
+    // `cover.build` span), the freeze runs the implicit flush, and the flush
+    // publishes each relabelled round one level deeper still.
     let build = first(&spans, "index.build");
     assert!(
         nested_under(&spans, build, "cover.build"),
@@ -293,7 +293,7 @@ fn exports_parse_and_round_trip() {
         "psi_mutations_refused_local_total",
         "psi_mutations_whole_target_total",
         "psi_flushes_total",
-        "# TYPE psi_flush_batches_rebuilt_total counter",
+        "# TYPE psi_flush_clusters_relabelled_total counter",
         "psi_pool_steals_total",
         "psi_cover_passes_total",
         "psi_arena_misses_total",

@@ -7,10 +7,11 @@
 //! * the DP fallback — on a 300-vertex wheel, with and without a planted K4,
 //!   a search from the hub exhausts the node budget, so K4 queries are
 //!   answered by the batch DP on every front end, on a decomposition derived
-//!   when it runs: of the stored batches holding the hub's windows on the
-//!   three index front ends, also after a flush re-emits the hub's cluster,
-//!   and of a streamed batch on the one-shot classics (`Psi::decide_in`,
-//!   `Psi::find_one_in`), whose search over the hub's window runs out too;
+//!   when it runs: of the batches holding the hub's windows on the three
+//!   index front ends, emitted then from each round's labels, also after a
+//!   flush relabels the hub's cluster, and of a streamed batch on the
+//!   one-shot classics (`Psi::decide_in`, `Psi::find_one_in`), whose search
+//!   over the hub's window runs out too;
 //! * equal instrumentation — every operation on every front end records its
 //!   `query.*` span carrying that front end's epoch, plus one latency sample
 //!   in the operation's histogram; `decide` and `find_one` spans also carry
@@ -34,7 +35,7 @@ fn obs_lock() -> MutexGuard<'static, ()> {
     LOCK.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// The counter of stored batches the index scan sends to the batch kernel.
+/// The counter of fallback batches the index scan sends to the batch kernel.
 fn fallbacks() -> Arc<Counter> {
     psi_obs::registry().counter("psi_query_fallback_batches_total")
 }
@@ -113,7 +114,7 @@ fn frozen_live_and_pinned_answer_identically() {
     assert_eq!(psi.find_one_batch(&patterns), want);
     assert_eq!(pinned.find_one_batch(&patterns), want);
     // Every root's search on the grid completes under the budget, so no
-    // query falls back to a stored batch.
+    // query falls back to a batch.
     assert_eq!(fallbacks().get(), sent_before);
 
     let pairs = [(0, 24), (3, 21), (12, 12), (0, 25), (1, 2)];
@@ -175,16 +176,20 @@ fn hub_first_wheel() -> CsrGraph {
 /// and the DP itself.
 const DP_SPANS: [&str; 2] = ["dp.decompose", "dp.batch"];
 
+/// The index scan's fallback spans: the emission of the hub's cluster from a
+/// round's labels, then the DP's two.
+const FALLBACK_SPANS: [&str; 3] = ["index.materialise", "dp.decompose", "dp.batch"];
+
 /// The wheel's hub (vertex 0) is the scan's first root, and a K4 search from it
-/// runs out of the node budget, so the scan sends the stored batch that holds
-/// the hub's window in each round to the batch DP, on the decomposition it
-/// derives then. Without a rim chord the DP answers no in every round;
-/// with the chord {250, 252} it finds the K4 {0, 250, 251, 252} in round 0.
-/// Every index front end must give the same answer as Ullmann's exact search,
-/// record the DP's `dp.decompose` and `dp.batch` spans inside its query span,
-/// and return the same witness. The one-shot classics must give Ullmann's
-/// answers too, with the DP's spans inside a `cover.shard` span and a witness
-/// that verifies.
+/// runs out of the node budget, so the scan emits the hub's cluster from each
+/// round's labels and sends the batch that holds the hub's window to the
+/// batch DP, on the decomposition it derives then. Without a rim chord the DP
+/// answers no in every round; with the chord {250, 252} it finds the K4
+/// {0, 250, 251, 252} in round 0. Every index front end must give the same
+/// answer as Ullmann's exact search, record the `index.materialise`,
+/// `dp.decompose` and `dp.batch` spans inside its query span, and return the
+/// same witness. The one-shot classics must give Ullmann's answers too, with
+/// the DP's spans inside a `cover.shard` span and a witness that verifies.
 #[test]
 fn hub_windows_fall_back_to_the_dp_on_every_front_end() {
     let _guard = obs_lock();
@@ -217,7 +222,7 @@ fn hub_windows_fall_back_to_the_dp_on_every_front_end() {
         });
         let mut sent = 0;
         for query in ["query.decide", "query.find_one"] {
-            for dp in DP_SPANS {
+            for dp in FALLBACK_SPANS {
                 assert!(
                     nests_under(&spans, query, dp),
                     "no `{dp}` span inside `{query}`"
@@ -272,10 +277,10 @@ fn hub_windows_fall_back_to_the_dp_on_every_front_end() {
     }
 }
 
-/// The stored batches of round 0 that hold the hub (vertex 0), as of `snap`.
+/// The batches of round 0 that hold the hub (vertex 0), as of `snap`.
 fn hub_batches(snap: &PsiSnapshot) -> Vec<CoverBatch> {
-    let frozen = snap.to_frozen();
-    let batches = frozen.rounds()[0].batches();
+    let rounds = snap.to_frozen().rounds();
+    let batches = rounds[0].batches();
     batches
         .filter(|b| b.local_to_global.contains(&0))
         .cloned()
@@ -283,12 +288,13 @@ fn hub_batches(snap: &PsiSnapshot) -> Vec<CoverBatch> {
 }
 
 /// The live engine's fallback after a flush: the rim chord {250, 252} joins
-/// two members of the hub's cluster, so the flush re-emits that cluster's
-/// batches, and the live and pinned K4 queries then send the rebuilt batch
-/// holding the hub's window to the DP. For K4 and the four other patterns,
-/// live and pinned `decide` and `find_one` must equal a frozen fresh build of
-/// the same graph, witnesses included, and each live and pinned K4 query must
-/// record the DP's `dp.decompose` and `dp.batch` spans inside its query span.
+/// two members of the hub's cluster, so the flush relabels that cluster, and
+/// the live and pinned K4 queries then emit it from the new labels and send
+/// the batch holding the hub's window to the DP. For K4 and the four other
+/// patterns, live and pinned `decide` and `find_one` must equal a frozen
+/// fresh build of the same graph, witnesses included, and each live and
+/// pinned K4 query must record the `index.materialise`, `dp.decompose` and
+/// `dp.batch` spans inside its query span.
 #[test]
 fn live_and_pinned_hub_queries_fall_back_to_the_dp_after_a_flush() {
     let _guard = obs_lock();
@@ -325,7 +331,7 @@ fn live_and_pinned_hub_queries_fall_back_to_the_dp_after_a_flush() {
     });
     for (front_end, spans) in [("live", live_spans), ("pinned", pinned_spans)] {
         for query in ["query.decide", "query.find_one"] {
-            for dp in DP_SPANS {
+            for dp in FALLBACK_SPANS {
                 assert!(
                     nests_under(&spans, query, dp),
                     "no `{dp}` span inside the {front_end} `{query}`"
