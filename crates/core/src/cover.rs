@@ -209,7 +209,7 @@ impl CoverBatch {
 
 /// Shared atomic counters of one pass.
 #[derive(Default)]
-pub(crate) struct PassCounters {
+struct PassCounters {
     pieces: AtomicUsize,
     skipped_small: AtomicUsize,
     batches: AtomicUsize,
@@ -275,14 +275,15 @@ fn shard_ranges(clustering: &Clustering) -> Vec<(u32, u32)> {
 /// One cluster as the streaming emitter sees it: the BFS root, a membership oracle,
 /// and a dense scratch-slot mapping for the cluster's vertices.
 ///
-/// A cover pass and the index's label pass implement this over a
-/// [`Clustering`]'s flat member layout ([`StaticClusterView`]); the dynamic
-/// index's flush implements it over the [`psi_cluster::DynamicClustering`]
-/// centre oracle, and the index's batch readers over a round's window labels
-/// ([`LabelView`]), both with vertex ids as slots. All of them BFS a cluster
-/// through the one `ClusterScratch::bfs_cluster`, so a relabelled cluster's
-/// labels equal a fresh build's and a cluster emitted from labels equals the
-/// cover pass's.
+/// A cover pass and the separating cover implement this over a
+/// [`Clustering`]'s flat member layout ([`StaticClusterView`]). Everything
+/// else sees a cluster through a centre per vertex ([`CentreView`]): the
+/// index's label pass over a clustering's or an artifact's centres, the
+/// dynamic index's flush over the [`psi_cluster::DynamicClustering`] centre
+/// oracle, and the batch emitter over a round's window labels. All of them
+/// BFS a cluster through the one `ClusterScratch::bfs_cluster`, so a
+/// relabelled cluster's labels equal a fresh build's and a cluster emitted
+/// from labels equals the cover pass's.
 pub(crate) trait ClusterView {
     /// The cluster's centre vertex (BFS root and canonical window stamp).
     fn center(&self) -> Vertex;
@@ -317,14 +318,14 @@ impl ClusterView for StaticClusterView<'_> {
     }
 }
 
-/// The cluster of centre `centre` as a round's window labels give it: the
-/// vertices labelled with that centre, slotted by vertex id.
-pub(crate) struct LabelView<'a> {
-    pub(crate) labels: &'a [WindowLabel],
+/// The cluster of `centre` under a centre-per-vertex function: the vertices
+/// `centre_of` maps to it, slotted by vertex id (an `n`-slot scratch).
+pub(crate) struct CentreView<F> {
+    pub(crate) centre_of: F,
     pub(crate) centre: Vertex,
 }
 
-impl ClusterView for LabelView<'_> {
+impl<F: Fn(Vertex) -> Vertex> ClusterView for CentreView<F> {
     #[inline]
     fn center(&self) -> Vertex {
         self.centre
@@ -332,7 +333,7 @@ impl ClusterView for LabelView<'_> {
 
     #[inline]
     fn contains(&self, v: Vertex) -> bool {
-        self.labels[v as usize].centre == self.centre
+        (self.centre_of)(v) == self.centre
     }
 
     #[inline]
@@ -364,8 +365,8 @@ impl WindowLabel {
 }
 
 /// Reusable per-cluster scratch: every array is sized by the slot space (the shard's
-/// member count for a cover or label pass, `n` for the flush and the batch
-/// readers) and logically cleared per cluster/window by an epoch bump.
+/// member count for a cover pass, `n` for the label pass, the flush and the batch
+/// emitter) and logically cleared per cluster/window by an epoch bump.
 pub(crate) struct ClusterScratch {
     /// BFS visited set, keyed by [`ClusterView::slot`] (levels are delimited by
     /// `level_starts`, so no per-vertex distance needs storing).
@@ -468,7 +469,7 @@ impl ClusterScratch {
 }
 
 /// Accumulates windows into one disjoint-union batch.
-pub(crate) struct BatchBuilder {
+struct BatchBuilder {
     budget: usize,
     offsets: Vec<usize>,
     neighbors: Vec<Vertex>,
@@ -477,7 +478,7 @@ pub(crate) struct BatchBuilder {
 }
 
 impl BatchBuilder {
-    pub(crate) fn new(budget: usize) -> BatchBuilder {
+    fn new(budget: usize) -> BatchBuilder {
         BatchBuilder {
             budget,
             offsets: vec![0],
@@ -546,13 +547,13 @@ impl BatchBuilder {
 /// Batches are therefore *cluster-pure* — no batch ever spans two clusters — so a
 /// round's batch stream is the concatenation of independent per-cluster streams in
 /// ascending centre-vertex order, regardless of how clusters were sharded. A cover
-/// pass ([`run_shard`]), the index scan's fallback and `PsiIndex::rounds` all funnel
+/// pass ([`run_shard`]) and the label emitter ([`label_batches`]) both funnel
 /// through this one function; together with the centre-vertex window stamps (dense
 /// cluster ids renumber globally when the centre set changes) this makes a cluster
 /// emitted from a round's labels bit-identical to the cover pass's *by
 /// construction*.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn emit_cluster_batches<T, G: NeighborSource + ?Sized, V: ClusterView>(
+fn emit_cluster_batches<T, G: NeighborSource + ?Sized, V: ClusterView>(
     graph: &G,
     view: &V,
     d: usize,
@@ -592,6 +593,34 @@ pub(crate) fn emit_cluster_batches<T, G: NeighborSource + ?Sized, V: ClusterView
         }
     }
     None
+}
+
+/// The batches of the cluster of `centre` as a round's window `labels` give
+/// it: every window (`min_vertices` 1, as the labelling rule assumes) packed
+/// under `budget` — the batches the round's cover pass emits for the
+/// cluster. `PsiIndex::rounds` and the scan's fallback both emit through here.
+pub(crate) fn label_batches<G: NeighborSource + ?Sized>(
+    graph: &G,
+    labels: &[WindowLabel],
+    centre: Vertex,
+    d: usize,
+    budget: usize,
+    scratch: &mut ClusterScratch,
+) -> Vec<CoverBatch> {
+    let view = CentreView {
+        centre_of: |v: Vertex| labels[v as usize].centre,
+        centre,
+    };
+    let (mut batch, mut batches) = (BatchBuilder::new(budget), Vec::new());
+    let counters = PassCounters::default();
+    let mut push = |b| -> Option<()> {
+        batches.push(b);
+        None
+    };
+    emit_cluster_batches(
+        graph, &view, d, 1, scratch, &mut batch, &counters, &mut push,
+    );
+    batches
 }
 
 /// Runs one shard: BFS every cluster of `range` over the shared scratch, stream out
@@ -744,49 +773,21 @@ where
     (per_shard.into_iter().flatten().collect(), stats)
 }
 
-/// The window labels of one round's clustering, indexed by vertex: every
-/// cluster BFSed from its centre and labelled by the labelling rule
-/// (`ClusterScratch::label_cluster`), the clusters grouped into the cover's
-/// shards, which run in parallel under the same `cover.build` and
-/// `cover.shard` spans as a cover pass. A vertex without a centre, or one the
-/// BFS from its centre does not reach, reads [`WindowLabel::NONE`]. The pass
-/// cuts no window, so it records no cover pass.
-pub(crate) fn cluster_labels(
-    graph: &CsrGraph,
-    clustering: &Clustering,
-    d: usize,
-) -> Vec<WindowLabel> {
-    let shards = shard_ranges(clustering);
-    let _span = psi_obs::span!(
-        "cover.build",
-        n = graph.num_vertices(),
-        clusters = clustering.num_clusters(),
-        shards = shards.len(),
-    );
-    // Per shard, the labels of its members in member order.
-    let per_shard: Vec<Vec<WindowLabel>> = shards
-        .par_iter()
-        .map(|&(lo, hi)| {
-            let _span = psi_obs::span!("cover.shard", clusters = hi - lo);
-            let base = clustering.member_start(lo);
-            let slots = clustering.member_start(hi) - base;
-            let mut scratch = ClusterScratch::new(slots);
-            let mut labels = vec![WindowLabel::NONE; slots];
-            for cid in lo..hi {
-                let view = StaticClusterView {
-                    clustering,
-                    base,
-                    cid,
-                };
-                scratch.label_cluster(graph, &view, d, |v, label| labels[view.slot(v)] = label);
-            }
-            labels
-        })
-        .collect();
-    let mut labels = vec![WindowLabel::NONE; graph.num_vertices()];
-    let members = clustering.members_flat().iter();
-    for (&v, &label) in members.zip(per_shard.iter().flatten()) {
-        labels[v as usize] = label;
+/// The window labels of one round, indexed by vertex, from its centre per
+/// vertex: one sequential pass over the centres in vertex order on one
+/// `n`-slot scratch, labelling every cluster by the labelling rule
+/// ([`ClusterScratch::label_cluster`]) under a `cover.build` span. A vertex
+/// the BFS from its centre does not reach reads [`WindowLabel::NONE`]. The
+/// pass cuts no window, so it records no cover pass.
+pub(crate) fn round_labels(graph: &CsrGraph, centres: &[Vertex], d: usize) -> Vec<WindowLabel> {
+    let n = centres.len();
+    let _span = psi_obs::span!("cover.build", n = n);
+    let mut scratch = ClusterScratch::new(n);
+    let mut labels = vec![WindowLabel::NONE; n];
+    for centre in (0..n as Vertex).filter(|&v| centres[v as usize] == v) {
+        let centre_of = |v: Vertex| centres[v as usize];
+        let view = CentreView { centre_of, centre };
+        scratch.label_cluster(graph, &view, d, |v, label| labels[v as usize] = label);
     }
     labels
 }

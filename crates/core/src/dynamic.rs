@@ -35,8 +35,9 @@
 //! [`PsiIndex::build`] on the mutated graph — the invariant the determinism
 //! suite pins under `PSI_THREADS = {1, 4}`.
 //!
-//! The engine's readable state is an `EpochState` value — the one read path
-//! frozen, live and pinned queries share (see [`crate::snapshot`]). Queries
+//! The engine's readable state is one `EpochState` behind an `Arc` — the one
+//! read path frozen, live and pinned queries share, handed whole to every
+//! snapshot of the epoch (see [`crate::snapshot`]). Queries
 //! ([`DynamicPsiIndex::decide`], [`DynamicPsiIndex::find_one`], the batch
 //! variants, and the connectivity front ends) flush the dirty backlog, which
 //! relabels the dirty clusters, and then read that state
@@ -46,7 +47,7 @@
 //! for every thread count.
 
 use crate::connectivity::{ConnectivityMode, ConnectivityResult};
-use crate::cover::{cover_beta, round_seed, ClusterScratch, ClusterView};
+use crate::cover::{cover_beta, round_seed, CentreView, ClusterScratch};
 use crate::index::{IndexParams, PsiIndex, QueryError};
 use crate::pattern::Pattern;
 use crate::snapshot::{EpochSource, EpochState, PsiSnapshot};
@@ -357,34 +358,6 @@ fn rotate_after(walk: &[Vertex], q: usize) -> Vec<Vertex> {
 }
 
 // ---------------------------------------------------------------------------
-// The dynamic cluster view
-// ---------------------------------------------------------------------------
-
-/// A cluster of the live [`DynamicClustering`], viewed through the centre
-/// oracle with vertex ids as scratch slots (each flush sizes its scratch `n`).
-struct DynClusterView<'a> {
-    clustering: &'a DynamicClustering,
-    center: Vertex,
-}
-
-impl ClusterView for DynClusterView<'_> {
-    #[inline]
-    fn center(&self) -> Vertex {
-        self.center
-    }
-
-    #[inline]
-    fn contains(&self, v: Vertex) -> bool {
-        self.clustering.center_of(v) == self.center
-    }
-
-    #[inline]
-    fn slot(&self, v: Vertex) -> usize {
-        v as usize
-    }
-}
-
-// ---------------------------------------------------------------------------
 // The dynamic index
 // ---------------------------------------------------------------------------
 
@@ -394,15 +367,13 @@ impl ClusterView for DynClusterView<'_> {
 /// answers, and [`DynamicPsiIndex::freeze`]s back to a byte-identical
 /// [`PsiIndex`]. See the module docs for the invariants that make this work.
 pub struct DynamicPsiIndex {
-    /// The readable state: params, epoch, and the stored rounds, `Arc`-shared
-    /// with any outstanding [`PsiSnapshot`]s and frozen indexes, plus the
-    /// target/faces/face–vertex cells every accepted mutation empties. A flush
-    /// never mutates a round another holder still reads: it relabels a copy
-    /// of the round (one label array).
-    state: EpochState,
-    /// The current epoch's publication, shared by every snapshot of it; dropped
-    /// by the next accepted mutation.
-    published: Option<Arc<EpochState>>,
+    /// The readable state: params, epoch, the stored rounds and the
+    /// target/faces/face–vertex cells every accepted mutation empties, shared
+    /// whole with every [`PsiSnapshot`] of the epoch. The writer reaches it
+    /// through `Arc::make_mut`, so it copies the state (`O(rounds)` `Arc`
+    /// bumps) only while a snapshot holds it, and a flush relabels a copy of
+    /// a round (one label array) that a snapshot or frozen index still reads.
+    state: Arc<EpochState>,
     graph: AdjacencyList,
     faces: FaceStore,
     /// One live clustering per stored round, same `(β, seed)` as at build
@@ -448,12 +419,11 @@ impl DynamicPsiIndex {
     pub fn thaw(index: PsiIndex) -> DynamicPsiIndex {
         let (state, walks) = EpochState::from_index(index);
         DynamicPsiIndex {
-            published: None,
             graph: AdjacencyList::from_csr(state.target(&())), // filled by `from_index`
             faces: FaceStore::from_walks(state.n, walks),
             clusterings: Vec::new(),
             dirty: vec![BTreeSet::new(); state.rounds.len()],
-            state,
+            state: Arc::new(state),
         }
     }
 
@@ -748,10 +718,12 @@ impl DynamicPsiIndex {
     ) -> usize {
         let d = self.state.params.d as usize;
         let clustering = &self.clusterings[r];
-        let labels = &mut Arc::make_mut(&mut self.state.rounds[r]).labels;
+        let state = Arc::make_mut(&mut self.state);
+        let labels = &mut Arc::make_mut(&mut state.rounds[r]).labels;
         let mut relabelled = 0usize;
-        for &center in affected.iter().filter(|&&c| clustering.is_center(c)) {
-            let view = DynClusterView { clustering, center };
+        for &centre in affected.iter().filter(|&&c| clustering.is_center(c)) {
+            let centre_of = |v| clustering.center_of(v);
+            let view = CentreView { centre_of, centre };
             scratch.label_cluster(&self.graph, &view, d, |v, label| labels[v as usize] = label);
             relabelled += 1;
         }
@@ -760,8 +732,7 @@ impl DynamicPsiIndex {
     }
 
     fn invalidate_caches(&mut self) {
-        self.state.advance();
-        self.published = None;
+        Arc::make_mut(&mut self.state).advance();
         crate::obs::metrics().epoch_advances_total.add(1);
     }
 
@@ -791,21 +762,21 @@ impl DynamicPsiIndex {
     /// that concurrent readers can query while this engine keeps mutating and
     /// flushing.
     ///
-    /// Cost: one implicit [`DynamicPsiIndex::flush`] of the dirty backlog, then
-    /// `O(rounds)` `Arc` bumps plus the epoch's target CSR and facial walks
-    /// (derived once per epoch, shared with the live reads) — no label copies.
-    /// Snapshots of an unchanged engine share one publication (and one epoch
-    /// number).
+    /// Cost: one implicit [`DynamicPsiIndex::flush`] of the dirty backlog,
+    /// the epoch's target CSR and facial walks (derived once per epoch, shared
+    /// with the live reads), and one `Arc` bump: the snapshot shares the
+    /// engine's epoch state, which the next accepted mutation copies
+    /// (`O(rounds)` `Arc` bumps) rather than changes — no label copies.
+    /// Snapshots of an unchanged engine share one state (and one epoch).
     pub fn snapshot(&mut self) -> PsiSnapshot {
         let _span = psi_obs::span!("snapshot", epoch = self.state.epoch);
         crate::obs::metrics().snapshots_total.add(1);
         self.flush();
-        if let Some(state) = &self.published {
-            return PsiSnapshot::new(state.clone());
-        }
-        let state = Arc::new(self.state.publish(self));
-        self.published = Some(state.clone());
-        PsiSnapshot::new(state)
+        // A snapshot's epoch source is `()`, which derives nothing: fill the
+        // cells it reads before sharing the state.
+        self.state.target(self);
+        self.state.faces(self);
+        PsiSnapshot::new(self.state.clone())
     }
 
     /// Placeholder, always zero ([`DecompCacheMetrics`]): perfbench's churn run

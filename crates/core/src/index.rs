@@ -15,13 +15,15 @@
 //!
 //! A window is fixed by two labels of its members, the cluster centre and the
 //! BFS level inside the cluster, so the labels are the whole round: the
-//! artifact stores one centre per vertex per round, and the build, the load and
-//! the dynamic index's flush derive the labels by one rule, a BFS inside each
-//! cluster from its centre. No batch is stored. A round's batches, its windows
-//! packed exactly as the round's cover pass packs them, are emitted from the
-//! labels only where something reads them: the scan's fallback for a root out
-//! of budget, and [`PsiIndex::rounds`]. As on the classic path, a batch is
-//! decomposed ([`CoverBatch::decomposition`]) only when its DP runs.
+//! artifact stores one centre per vertex per round. The build and the load
+//! label a round in one sequential pass over its centres, and the dynamic
+//! index's flush relabels its dirty clusters, all by one rule, a BFS inside
+//! each cluster from its centre. No batch is stored. A round's batches, its
+//! windows packed exactly as the round's cover pass packs them, are emitted
+//! from the labels by one emitter, only where something reads them: the
+//! scan's fallback for a root out of budget, and [`PsiIndex::rounds`]. As on
+//! the classic path, a batch is decomposed ([`CoverBatch::decomposition`])
+//! only when its DP runs.
 //!
 //! A frozen index is served as an epoch-0 [`crate::snapshot::PsiSnapshot`]
 //! (`PsiSnapshot::from(index)`), which answers pattern and connectivity queries
@@ -80,12 +82,10 @@
 //! never panics.
 
 use crate::cover::{
-    cluster_labels, cover_clustering, emit_cluster_batches, round_seed, BatchBuilder,
-    ClusterScratch, CoverBatch, LabelView, PassCounters, WindowLabel, DEFAULT_BATCH_BUDGET,
-    DEFAULT_SEED,
+    cover_clustering, label_batches, round_labels, round_seed, ClusterScratch, CoverBatch,
+    WindowLabel, DEFAULT_BATCH_BUDGET, DEFAULT_SEED,
 };
 use crate::pattern::Pattern;
-use psi_cluster::Clustering;
 use psi_graph::io::{
     decode_csr, encode_csr, encoded_csr_len, push_u32, push_u32_slice, push_u64, SectionReadError,
     SectionWriter, SectionedFile, SliceReader,
@@ -292,8 +292,8 @@ pub(crate) type IndexParts = (
 
 impl PsiIndex {
     /// Builds the index from a validated planar embedding: per round, the
-    /// round's clustering and the label pass over it, paid once. No window is
-    /// cut and no batch is packed.
+    /// round's clustering and the label pass over its centres, paid once. No
+    /// window is cut and no batch is packed.
     pub fn build(embedding: &Embedding, params: IndexParams) -> PsiIndex {
         assert!(params.k >= 1, "index must serve at least k = 1");
         assert!(params.rounds >= 1, "index needs at least one stored round");
@@ -309,7 +309,7 @@ impl PsiIndex {
         let rounds = (0..params.rounds)
             .map(|r| {
                 let clustering = cover_clustering(graph, k, round_seed(params.seed, r.into()));
-                let labels = cluster_labels(graph, &clustering, d);
+                let labels = round_labels(graph, &clustering.center, d);
                 Arc::new(StoredRound { labels })
             })
             .collect();
@@ -377,31 +377,16 @@ impl PsiIndex {
     pub fn rounds(&self) -> Vec<RoundBatches> {
         let (d, budget) = (self.params.d as usize, self.params.batch_budget as usize);
         let mut scratch = ClusterScratch::new(self.target.num_vertices());
-        let mut batch = BatchBuilder::new(budget);
-        let counters = PassCounters::default();
-        let mut rounds = Vec::with_capacity(self.rounds.len());
-        for round in &self.rounds {
+        let rounds = self.rounds.iter().map(|round| {
             let labels = &round.labels;
-            let mut batches = Vec::new();
-            for centre in (0..labels.len() as Vertex).filter(|&v| labels[v as usize].centre == v) {
-                let view = LabelView { labels, centre };
-                let _: Option<()> = emit_cluster_batches(
-                    &*self.target,
-                    &view,
-                    d,
-                    1, // min_vertices: every window, as the label pass assumes
-                    &mut scratch,
-                    &mut batch,
-                    &counters,
-                    &mut |b| {
-                        batches.push(b);
-                        None
-                    },
-                );
+            let centres = (0..labels.len() as Vertex).filter(|&v| labels[v as usize].centre == v);
+            let emit =
+                |centre| label_batches(&*self.target, labels, centre, d, budget, &mut scratch);
+            RoundBatches {
+                batches: centres.flat_map(emit).collect(),
             }
-            rounds.push(RoundBatches { batches });
-        }
-        rounds
+        });
+        rounds.collect()
     }
 
     /// Materialises the stored embedding (target plus facial walks). `O(n + m)`.
@@ -622,7 +607,7 @@ impl PsiIndex {
                 if let (true, Some(v)) = (schema_version < 6, uncovered) {
                     return Err(fail(&name, &format!("vertex {v} in no window")));
                 }
-                label_round(&name, &target, centres, d as usize).map(Arc::new)
+                label_round(&name, &target, &centres, d as usize).map(Arc::new)
             })
             .collect::<Result<_, _>>()?;
 
@@ -663,7 +648,7 @@ fn decode_centres(name: &str, payload: &[u8], n: usize) -> Result<Vec<Vertex>, I
 fn label_round(
     name: &str,
     target: &CsrGraph,
-    centres: Vec<Vertex>,
+    centres: &[Vertex],
     d: usize,
 ) -> Result<StoredRound, IndexLoadError> {
     let fail = |detail: String| IndexLoadError::Section {
@@ -681,11 +666,10 @@ fn label_round(
             )));
         }
     }
-    let clustering = Clustering::from_assignment(centres, vec![0.0; n]);
-    let labels = cluster_labels(target, &clustering, d);
+    let labels = round_labels(target, centres, d);
     match labels.iter().position(|l| l.centre == INVALID_VERTEX) {
         Some(v) => {
-            let c = clustering.center[v];
+            let c = centres[v];
             Err(fail(format!(
                 "vertex {v} is not reached from its centre {c}"
             )))
@@ -1295,6 +1279,15 @@ mod tests {
         }
     }
 
+    /// [`assert_rounds_follow_the_labelling_rule`] on `index` and on the
+    /// index its artifact loads as, whose label pass runs on the stored
+    /// centres.
+    fn assert_built_and_loaded_follow_the_labelling_rule(index: &PsiIndex, name: &str) {
+        assert_rounds_follow_the_labelling_rule(index, name);
+        let loaded = PsiIndex::from_bytes(&index.to_bytes()).unwrap();
+        assert_rounds_follow_the_labelling_rule(&loaded, &format!("{name}, loaded"));
+    }
+
     #[test]
     fn stored_rounds_follow_the_labelling_rule() {
         let params = |seed| IndexParams {
@@ -1304,7 +1297,13 @@ mod tests {
         for seed in [1, 7, DEFAULT_SEED] {
             let e = pg::triangulated_grid_embedded(20, 20);
             let index = PsiIndex::build(&e, params(seed));
-            assert_rounds_follow_the_labelling_rule(&index, &format!("grid seed {seed}"));
+            assert_built_and_loaded_follow_the_labelling_rule(&index, &format!("grid seed {seed}"));
+            if seed == 1 {
+                // A v5 artifact: the load reads each vertex's centre off the
+                // stored windows, then runs the same label pass.
+                let v5 = PsiIndex::from_bytes(&legacy_artifact(&index, 5, false)).unwrap();
+                assert_rounds_follow_the_labelling_rule(&v5, "grid seed 1, loaded from v5");
+            }
         }
 
         // A plain grid after toggles of cell diagonals (insert one of the two
@@ -1342,7 +1341,7 @@ mod tests {
                 }
             }
         }
-        assert_rounds_follow_the_labelling_rule(&dynamic.freeze(), "toggled grid");
+        assert_built_and_loaded_follow_the_labelling_rule(&dynamic.freeze(), "toggled grid");
 
         // The hub-first 300-vertex wheel: the hub is vertex 0.
         let wheel = psi_graph::generators::wheel(300);
@@ -1352,7 +1351,7 @@ mod tests {
         }
         let hub_first = psi_planar::planar_embedding(&b.build()).unwrap();
         let index = PsiIndex::build(&hub_first, IndexParams::default());
-        assert_rounds_follow_the_labelling_rule(&index, "hub-first wheel");
+        assert_built_and_loaded_follow_the_labelling_rule(&index, "hub-first wheel");
 
         // A random tree; a disconnected union with isolated vertices; a
         // target with fewer vertices than k.
@@ -1370,7 +1369,7 @@ mod tests {
         for (name, g) in [("random tree", tree), ("union", union), ("n < k", tiny)] {
             let e = psi_planar::planar_embedding(&g).unwrap();
             let index = PsiIndex::build(&e, params(5));
-            assert_rounds_follow_the_labelling_rule(&index, name);
+            assert_built_and_loaded_follow_the_labelling_rule(&index, name);
         }
     }
 

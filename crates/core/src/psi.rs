@@ -359,8 +359,8 @@ impl Psi {
     // --- queries ----------------------------------------------------------
 
     /// Decides whether `pattern` occurs in the live target. Takes `&mut self`:
-    /// the first query after a mutation rebuilds the dirtied cluster batches
-    /// (pin a [`Psi::snapshot`] for shared read-only access).
+    /// the first query after a mutation relabels the dirtied clusters (pin a
+    /// [`Psi::snapshot`] for shared read-only access).
     pub fn decide(&mut self, pattern: &Pattern) -> Result<bool, PsiError> {
         install(&self.pool, || self.dynamic.decide(pattern)).map_err(PsiError::from)
     }
@@ -423,10 +423,11 @@ impl Psi {
     // --- snapshots --------------------------------------------------------
 
     /// Pins the current state as an immutable, `Send + Sync`
-    /// [`crate::PsiSnapshot`]: `O(rounds)` `Arc` bumps after an implicit flush,
-    /// no batch copies. Reader threads query the snapshot (same surface, same
-    /// answers as a frozen index of this epoch) while this engine keeps
-    /// mutating and flushing; see [`DynamicPsiIndex::snapshot`].
+    /// [`crate::PsiSnapshot`]: one `Arc` bump on the engine's epoch state
+    /// after an implicit flush, no label copies. Reader threads query the
+    /// snapshot (same surface, same answers as a frozen index of this epoch)
+    /// while this engine keeps mutating and flushing; see
+    /// [`DynamicPsiIndex::snapshot`].
     pub fn snapshot(&mut self) -> crate::PsiSnapshot {
         install(&self.pool, || self.dynamic.snapshot())
     }

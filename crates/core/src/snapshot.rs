@@ -7,12 +7,14 @@
 //! * **frozen** — [`PsiSnapshot::from`] a [`PsiIndex`] serves the artifact as
 //!   epoch 0, moving in its stored rounds as they are;
 //! * **live** — a [`crate::dynamic::DynamicPsiIndex`] keeps its readable state
-//!   as an `EpochState` value, so a live query is a flush of the dirty backlog
-//!   followed by a read of borrowed state, with nothing published;
+//!   behind one `Arc`, so a live query is a flush of the dirty backlog
+//!   followed by a read of that state in place;
 //! * **pinned** — [`DynamicPsiIndex::snapshot`](crate::dynamic::DynamicPsiIndex::snapshot)
-//!   publishes a copy of the live state behind an `Arc` for `O(rounds)`
-//!   reference-count bumps, which any number of reader threads query while
-//!   the writer keeps mutating.
+//!   fills the epoch's target and faces cells and hands out a clone of that
+//!   `Arc`, which any number of reader threads query while the writer keeps
+//!   mutating: the writer reaches the state through `Arc::make_mut`, so its
+//!   next accepted mutation copies the state (`O(rounds)` reference-count
+//!   bumps) instead of changing it.
 //!
 //! Every servable product — the target CSR, the facial walks, the stored
 //! rounds (one window label per vertex, one layout from build to freeze) — is
@@ -33,10 +35,11 @@
 //! some round's window labels put it inside one window — exactly the
 //! occurrences the rounds' batches hold. Nothing stores a batch: a root whose
 //! search runs out of budget emits, per round, its cluster's batches from the
-//! labels on the scan's own graph (each cluster once per query, under an
-//! `index.materialise` span) and sends those holding its windows straight to
-//! the batch DP, on a decomposition derived then, each batch at most once per
-//! query. They are the batches of the round's cover pass, so the DP's input,
+//! labels on the scan's own graph, through the emitter [`PsiIndex::rounds`]
+//! uses (each cluster once per query, under an `index.materialise` span), and
+//! sends those holding its windows straight to the batch DP, on a
+//! decomposition derived then, each batch at most once per query. They are
+//! the batches of the round's cover pass, so the DP's input,
 //! and with it every witness, is the same as when rounds stored them. The
 //! first hit ends the scan, so verdicts and witnesses are independent of
 //! thread count.
@@ -51,9 +54,7 @@
 use crate::connectivity::{
     st_connectivity_capped, vertex_connectivity_with_fv, ConnectivityMode, ConnectivityResult,
 };
-use crate::cover::{
-    emit_cluster_batches, BatchBuilder, ClusterScratch, CoverBatch, LabelView, PassCounters,
-};
+use crate::cover::{label_batches, ClusterScratch, CoverBatch};
 use crate::index::{
     backtrack_step, batch_can_host, IndexParams, MatchPlan, PsiIndex, QueryError, StoredRound,
     CONNECTIVITY_CAP, FAST_PATH_NODE_BUDGET,
@@ -67,8 +68,8 @@ use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// Fills an epoch's lazy cells on first need. The live engine derives them
-/// from its adjacency lists and face store; a published epoch (`()`) captured
-/// its target and faces when it was published, so it is never asked.
+/// from its adjacency lists and face store; a snapshot's epoch (`()`) had its
+/// target and faces filled before it was shared, so it is never asked.
 pub(crate) trait EpochSource: Sync {
     /// The target as CSR.
     fn csr(&self) -> CsrGraph;
@@ -93,6 +94,7 @@ impl EpochSource for () {
 
 /// Everything a query reads as of one epoch: the only implementation of the
 /// query surface (see the module docs).
+#[derive(Clone)]
 pub(crate) struct EpochState {
     pub(crate) epoch: u64,
     pub(crate) params: IndexParams,
@@ -127,21 +129,6 @@ impl EpochState {
         (state, walks)
     }
 
-    /// A copy of this epoch for [`PsiSnapshot`]s: `O(rounds)` `Arc` bumps, with
-    /// the target and faces captured (derived first if their cells are empty)
-    /// and the face–vertex graph shared when already derived.
-    pub(crate) fn publish(&self, src: &dyn EpochSource) -> EpochState {
-        EpochState {
-            epoch: self.epoch,
-            params: self.params,
-            n: self.n,
-            rounds: self.rounds.clone(),
-            target: OnceLock::from(self.target(src).clone()),
-            faces: OnceLock::from(self.faces(src).clone()),
-            fv: self.fv.clone(),
-        }
-    }
-
     /// An accepted mutation: the next epoch, with every derived cell emptied.
     pub(crate) fn advance(&mut self) {
         self.epoch += 1;
@@ -155,7 +142,8 @@ impl EpochState {
         self.target.get_or_init(|| Arc::new(src.csr()))
     }
 
-    fn faces(&self, src: &dyn EpochSource) -> &Arc<Vec<Vec<Vertex>>> {
+    /// The facial walks, derived from `src` on the epoch's first need.
+    pub(crate) fn faces(&self, src: &dyn EpochSource) -> &Arc<Vec<Vec<Vertex>>> {
         self.faces.get_or_init(|| Arc::new(src.walks()))
     }
 
@@ -292,7 +280,7 @@ impl EpochState {
             let at = match fallback.clusters.iter().position(|(c, _)| *c == cluster) {
                 Some(at) => at,
                 None => {
-                    let batches = self.materialise(graph, round, cluster, fallback);
+                    let batches = self.materialise(graph, round, cluster, &mut fallback.scratch);
                     fallback.clusters.push((cluster, batches));
                     fallback.clusters.len() - 1
                 }
@@ -317,38 +305,19 @@ impl EpochState {
     }
 
     /// The batches of the cluster of centre `cluster.1` in round `cluster.0`,
-    /// emitted from `round`'s labels through `emit_cluster_batches` under the
-    /// index's batch budget, on the query's one `n`-slot scratch.
+    /// emitted from `round`'s labels ([`label_batches`]) under the index's
+    /// batch budget, on the query's one `n`-slot scratch.
     fn materialise<G: NeighborSource + ?Sized>(
         &self,
         graph: &G,
         round: &StoredRound,
         (r, centre): (usize, Vertex),
-        fallback: &mut Fallback,
+        scratch: &mut Option<ClusterScratch>,
     ) -> Vec<CoverBatch> {
         let mut span = psi_obs::span!("index.materialise", round = r, centre = centre);
-        let budget = self.params.batch_budget as usize;
-        let (scratch, batch) = fallback
-            .scratch
-            .get_or_insert_with(|| (ClusterScratch::new(self.n), BatchBuilder::new(budget)));
-        let view = LabelView {
-            labels: &round.labels,
-            centre,
-        };
-        let mut batches = Vec::new();
-        let _: Option<()> = emit_cluster_batches(
-            graph,
-            &view,
-            self.params.d as usize,
-            1, // min_vertices: every window, as the label pass assumes
-            scratch,
-            batch,
-            &PassCounters::default(),
-            &mut |b| {
-                batches.push(b);
-                None
-            },
-        );
+        let scratch = scratch.get_or_insert_with(|| ClusterScratch::new(self.n));
+        let (d, budget) = (self.params.d as usize, self.params.batch_budget as usize);
+        let batches = label_batches(graph, &round.labels, centre, d, budget, scratch);
         span.field("batches", batches.len() as u64);
         batches
     }
@@ -479,7 +448,7 @@ enum ScanHit {
 /// position), and the scratch it emits on, allocated on the first fallback.
 #[derive(Default)]
 struct Fallback {
-    scratch: Option<(ClusterScratch, BatchBuilder)>,
+    scratch: Option<ClusterScratch>,
     clusters: Vec<((usize, Vertex), Vec<CoverBatch>)>,
     sent: Vec<((usize, Vertex), usize)>,
 }

@@ -6,8 +6,8 @@
 //! Run with: `cargo run --release --example observability [trace-file.json]`
 //!
 //! With an argument the chrome trace is written to that file; load it in
-//! chrome://tracing (or Perfetto) to see the planarity embed, the cover
-//! shards, the per-batch DP, and every flush publication on the real
+//! chrome://tracing (or Perfetto) to see the planarity embed, each round's
+//! label pass, the per-batch DP, and every flush publication on the real
 //! thread/time axes. Without an argument a short excerpt is printed instead.
 
 use planar_subiso::{ConnectivityMode, Pattern, Psi};

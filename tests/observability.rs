@@ -118,6 +118,9 @@ fn span_nesting_matches_call_tree() {
     let g = grid(5, 5);
     let mut psi = Psi::builder().open(&g).expect("grid is planar");
     assert!(psi.decide(&Pattern::path(3)).unwrap());
+    // The index build labels its rounds in one pass; a one-shot classic
+    // query runs real cover passes, whose shards record `cover.shard`.
+    assert!(Psi::decide_in(&Pattern::cycle(4), &g).unwrap());
     psi.insert_edge(0, 6).expect("cell diagonal rejected");
     psi.flush();
     psi.insert_edge(3, 9).expect("cell diagonal rejected");
